@@ -13,7 +13,11 @@
 /// the engine reports (node visits, convergence). A second table runs
 /// the full mutation corpus (protocol + timing + value-range) through
 /// runUnifiedAnalyses at one socket count to show per-program cost on
-/// defective inputs. Emits BENCH_analysis_cost.json.
+/// defective inputs. A third scales generated specs in two shapes:
+/// sequential counter loops, and counter loops nested in one scheduler
+/// loop (every head in one strongly connected region), with the loop
+/// classification (inferLoopBounds) and the fuel-termination lint
+/// timed on their own. Emits BENCH_analysis_cost.json.
 ///
 /// Exit 0 iff every solve converges, the embedded program stays
 /// note-clean at every socket count, and every value-range mutant is
@@ -22,7 +26,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/dataflow/analyses.h"
+#include "analysis/lint.h"
 #include "analysis/mutants.h"
+#include "analysis/timing/loop_bounds.h"
 #include "caesium/parser.h"
 #include "caesium/rossl_program.h"
 #include "support/check.h"
@@ -73,12 +79,15 @@ struct SocketCost {
 
 /// One generated-spec size's profile (the scaling probe).
 struct ScaleCost {
+  const char *Shape = "";
   std::size_t Loops = 0;
   std::size_t CfgNodes = 0;
   std::uint64_t RangeVisits = 0;
   bool Converged = false;
   std::size_t Findings = 0;
   double UnifiedUs = 0;
+  double LoopBoundsUs = 0; ///< inferLoopBounds alone.
+  double FuelLintUs = 0;   ///< lintFuelTermination alone.
 };
 
 /// A generated large spec: \p Loops sequential bounded counter loops
@@ -95,12 +104,28 @@ std::string syntheticSpec(std::size_t Loops) {
   return Src;
 }
 
-ScaleCost profileSynthetic(std::size_t Loops) {
+/// The same counter loops nested in one scheduler loop between two
+/// markers: every loop head shares the scheduler's strongly connected
+/// region, the worst case for any loop classification that works per
+/// head rather than per region.
+std::string nestedSpec(std::size_t Loops) {
+  std::string Src = "while (fuel()) {\n  selection_start();\n";
+  for (std::size_t I = 0; I < Loops; ++I) {
+    std::string R = "r" + std::to_string(I % 8);
+    Src += "  " + R + " = 0;\n";
+    Src += "  while ((" + R + " < 10)) { " + R + " = (" + R + " + 1); }\n";
+  }
+  return Src + "  idling_start();\n}\n";
+}
+
+ScaleCost profileSynthetic(const char *Shape, const std::string &Spec,
+                           std::size_t Loops) {
   ScaleCost Out;
+  Out.Shape = Shape;
   Out.Loops = Loops;
 
   cs::AstArena Arena;
-  auto Parsed = cs::parseProgram(Arena, syntheticSpec(Loops));
+  auto Parsed = cs::parseProgram(Arena, Spec);
   RPROSA_CHECK(Parsed.has_value(), "synthetic spec must parse");
   Cfg G = buildCfg(*Parsed);
   Out.CfgNodes = G.size();
@@ -111,6 +136,8 @@ ScaleCost profileSynthetic(std::size_t Loops) {
   Out.Converged = VR.Converged;
   Out.Findings = runUnifiedAnalyses(G, Opts).size();
   Out.UnifiedUs = timeUs([&] { runUnifiedAnalyses(G, Opts); });
+  Out.LoopBoundsUs = timeUs([&] { inferLoopBounds(G); });
+  Out.FuelLintUs = timeUs([&] { lintFuelTermination(G); });
   return Out;
 }
 
@@ -204,12 +231,16 @@ void writeJson(const std::vector<SocketCost> &Sweeps,
   for (std::size_t I = 0; I < Scales.size(); ++I) {
     const ScaleCost &S = Scales[I];
     std::fprintf(F,
-                 "    {\"loops\": %zu, \"cfg_nodes\": %zu, "
+                 "    {\"shape\": \"%s\", \"loops\": %zu, "
+                 "\"cfg_nodes\": %zu, "
                  "\"range_node_visits\": %llu, \"range_converged\": %s, "
-                 "\"findings\": %zu, \"unified_us\": %.1f}%s\n",
-                 S.Loops, S.CfgNodes,
+                 "\"findings\": %zu, \"unified_us\": %.1f, "
+                 "\"loop_bounds_us\": %.1f, "
+                 "\"fuel_termination_us\": %.1f}%s\n",
+                 S.Shape, S.Loops, S.CfgNodes,
                  static_cast<unsigned long long>(S.RangeVisits),
                  S.Converged ? "true" : "false", S.Findings, S.UnifiedUs,
+                 S.LoopBoundsUs, S.FuelLintUs,
                  I + 1 < Scales.size() ? "," : "");
   }
   std::fprintf(F, "  ]\n}\n");
@@ -281,23 +312,28 @@ int main() {
   }
   std::printf("%s\n", CT.renderAscii().c_str());
 
-  std::printf("--- generated large specs (sequential counter loops) "
-              "---\n\n");
+  std::printf("--- generated large specs (counter loops: sequential, "
+              "and nested in one scheduler loop) ---\n\n");
   std::vector<ScaleCost> Scales;
-  TableWriter ST({"loops", "cfg nodes", "range visits", "converged",
-                  "findings", "unified us"});
-  for (std::size_t Loops : {64u, 256u, 1024u}) {
-    ScaleCost S = profileSynthetic(Loops);
-    ST.addRow({std::to_string(S.Loops), std::to_string(S.CfgNodes),
+  for (std::size_t Loops : {64u, 256u, 1024u})
+    Scales.push_back(
+        profileSynthetic("sequential", syntheticSpec(Loops), Loops));
+  for (std::size_t Loops : {250u, 500u, 1000u, 2000u})
+    Scales.push_back(profileSynthetic("nested", nestedSpec(Loops), Loops));
+  TableWriter ST({"shape", "loops", "cfg nodes", "range visits",
+                  "converged", "findings", "unified us", "loop bounds us",
+                  "fuel lint us"});
+  for (const ScaleCost &S : Scales) {
+    ST.addRow({S.Shape, std::to_string(S.Loops), std::to_string(S.CfgNodes),
                std::to_string(S.RangeVisits),
                S.Converged ? "yes" : "NO", std::to_string(S.Findings),
-               fmtUs(S.UnifiedUs)});
+               fmtUs(S.UnifiedUs), fmtUs(S.LoopBoundsUs),
+               fmtUs(S.FuelLintUs)});
     // The generated specs are clean by construction (every register
     // initialised, every loop bounded and varying): any finding at all
     // is a false positive, and divergence would make the gate useless
     // on large inputs.
     Ok &= S.Converged && S.Findings == 0;
-    Scales.push_back(S);
   }
   std::printf("%s\n", ST.renderAscii().c_str());
 

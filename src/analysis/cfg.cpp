@@ -251,6 +251,71 @@ std::vector<NodeId> Cfg::successors(NodeId N) const {
   return Out;
 }
 
+CycleComponents rprosa::analysis::cycleComponents(const Cfg &G) {
+  const std::size_t N = G.size();
+  constexpr std::uint32_t Unvisited = static_cast<std::uint32_t>(-1);
+  // The I-th successor of a node, or InvalidNode; no per-node vectors.
+  auto SuccAt = [&G](NodeId V, std::uint8_t I) {
+    const CfgNode &Node = G[V];
+    if (I == 0)
+      return Node.Succ;
+    return Node.K == CfgNode::Kind::Branch ? Node.FalseSucc : InvalidNode;
+  };
+
+  CycleComponents C;
+  C.Of.assign(N, Unvisited);
+  std::vector<std::uint32_t> Index(N, Unvisited), Low(N, 0);
+  std::vector<NodeId> Open; // Tarjan's stack of unassigned nodes.
+  struct Frame {
+    NodeId Node;
+    std::uint8_t Next;
+  };
+  std::vector<Frame> Dfs;
+  std::uint32_t Clock = 0;
+  auto Visit = [&](NodeId V) {
+    Index[V] = Low[V] = Clock++;
+    Open.push_back(V);
+    Dfs.push_back({V, 0});
+  };
+
+  for (NodeId Root = 0; Root < N; ++Root) {
+    if (Index[Root] != Unvisited)
+      continue;
+    Visit(Root);
+    while (!Dfs.empty()) {
+      const NodeId V = Dfs.back().Node;
+      if (Dfs.back().Next < 2) {
+        NodeId S = SuccAt(V, Dfs.back().Next++);
+        if (S == InvalidNode)
+          continue;
+        if (Index[S] == Unvisited)
+          Visit(S);
+        else if (C.Of[S] == Unvisited) // Still open: a back or cross edge.
+          Low[V] = std::min(Low[V], Index[S]);
+        continue;
+      }
+      Dfs.pop_back();
+      if (!Dfs.empty())
+        Low[Dfs.back().Node] = std::min(Low[Dfs.back().Node], Low[V]);
+      if (Low[V] != Index[V])
+        continue;
+      // V roots a component: everything above it on the stack.
+      const auto Id = static_cast<std::uint32_t>(C.Cyclic.size());
+      std::size_t Members = 0;
+      NodeId M;
+      do {
+        M = Open.back();
+        Open.pop_back();
+        C.Of[M] = Id;
+        ++Members;
+      } while (M != V);
+      C.Cyclic.push_back(Members > 1 || SuccAt(V, 0) == V ||
+                         SuccAt(V, 1) == V);
+    }
+  }
+  return C;
+}
+
 std::string Cfg::dump() const {
   std::string Out;
   for (NodeId I = 0; I < Nodes.size(); ++I) {

@@ -98,6 +98,27 @@ struct Cfg {
   std::string dump() const;
 };
 
+/// The strongly connected components of a Cfg's edge relation. Nodes
+/// unreachable from Entry get components too.
+struct CycleComponents {
+  /// Node -> the id of its component, dense from 0.
+  std::vector<std::uint32_t> Of;
+  /// Component id -> the component lies on a cycle: it has more than
+  /// one node, or its one node has an edge to itself.
+  std::vector<bool> Cyclic;
+
+  std::size_t size() const { return Cyclic.size(); }
+  /// True iff \p N lies on some cycle (a non-empty path N -> ... -> N).
+  bool onCycle(NodeId N) const { return Cyclic[Of[N]]; }
+};
+
+/// One iterative Tarjan pass over every node of \p G, linear in nodes
+/// plus edges. Iterative so that DFS depth, which grows with program
+/// length, never touches the call stack. The loop classification of
+/// the timing pass (timing/loop_bounds.h) and the fuel-termination
+/// lint (lint.h) both read their loops off this.
+CycleComponents cycleComponents(const Cfg &G);
+
 /// Lowers \p Program into a Cfg. Every statement kind of the embedding
 /// is supported; the result always has exactly one Entry and one Exit.
 Cfg buildCfg(const caesium::StmtPtr &Program);

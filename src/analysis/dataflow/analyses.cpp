@@ -103,7 +103,7 @@ void checkExprRanges(const Cfg &G, NodeId N, const Expr &E,
                                                       " by zero in ") +
              printExpr(E) + " at " + nodeRef(G, N) + ": divisor in " +
              R.str(),
-         {}});
+         {}, std::nullopt});
   }
   if (F.MayOverflow) {
     Out.push_back(
@@ -113,7 +113,7 @@ void checkExprRanges(const Cfg &G, NodeId N, const Expr &E,
                         : std::string("possible signed overflow in ")) +
              printExpr(E) + " at " + nodeRef(G, N) + ": operands in " +
              L.str() + " and " + R.str(),
-         {}});
+         {}, std::nullopt});
   }
 }
 
@@ -156,7 +156,7 @@ rprosa::analysis::dataflow::analyzeValueRanges(const Cfg &G,
                  (Always ? " is always outside [0, "
                          : " may be outside [0, ") +
                  std::to_string(Opts.NumSockets) + ")",
-             {}});
+             {}, std::nullopt});
       }
     }
     for (std::size_t I = Before; I < R.Findings.size(); ++I)
@@ -283,7 +283,7 @@ rprosa::analysis::dataflow::analyzeDefiniteInit(const Cfg &G) {
                            nodeRef(G, U) +
                            " with no prior assignment on some path (the "
                            "machine zero-initialises; make it explicit)",
-                       {}});
+                       {}, std::nullopt});
     bool UsesBuf = N.K == CfgNode::Kind::Enqueue ||
                    (N.K == CfgNode::Kind::Trace && N.Fn == TraceFn::TrDisp);
     if (UsesBuf && N.Buf < In.BufUnset.size() && In.BufUnset[N.Buf])
@@ -292,7 +292,7 @@ rprosa::analysis::dataflow::analyzeDefiniteInit(const Cfg &G) {
                          nodeRef(G, U) +
                          " with no prior read/dequeue into it on some "
                          "path",
-                     {}});
+                     {}, std::nullopt});
   }
   return Out;
 }
@@ -315,7 +315,7 @@ rprosa::analysis::dataflow::analyzeDeadCode(const Cfg &G,
                        Node.Line,
                        "the exit is unreachable: the program never "
                        "terminates",
-                       {}});
+                       {}, std::nullopt});
       else
         Out.push_back({"dead-code.unreachable", Severity::Warning, N,
                        Node.Line,
@@ -324,7 +324,7 @@ rprosa::analysis::dataflow::analyzeDeadCode(const Cfg &G,
                                 ? " is unreachable from entry"
                                 : " is unreachable: no feasible path "
                                   "(value ranges)"),
-                       {}});
+                       {}, std::nullopt});
       continue;
     }
     if (Node.K != CfgNode::Kind::Branch || !Node.E ||
@@ -338,14 +338,14 @@ rprosa::analysis::dataflow::analyzeDeadCode(const Cfg &G,
                      "branch " + nodeRef(G, N) +
                          " never takes its false edge (condition in " +
                          C.str() + " is always true)",
-                     {}});
+                     {}, std::nullopt});
     else if (C.isConstant())
       Out.push_back({"dead-code.constant-branch", Severity::Warning, N,
                      Node.Line,
                      "branch " + nodeRef(G, N) +
                          " never takes its true edge (condition is "
                          "always 0)",
-                     {}});
+                     {}, std::nullopt});
   }
   return Out;
 }
@@ -418,19 +418,19 @@ rprosa::analysis::dataflow::analyzeMarkerDiscipline(const Cfg &G) {
                          " may run while an earlier dispatched job is "
                          "still open (no completion_start on some "
                          "incoming path)",
-                     {}});
+                     {}, std::nullopt});
     if (Node.Fn == TraceFn::TrExec && In.MayClosed)
       Out.push_back({"marker-discipline", Severity::Warning, N, Node.Line,
                      "execution_start at " + nodeRef(G, N) +
                          " is reachable without a preceding "
                          "dispatch_start on some path",
-                     {}});
+                     {}, std::nullopt});
     if (Node.Fn == TraceFn::TrCompl && In.MayClosed)
       Out.push_back({"marker-discipline", Severity::Warning, N, Node.Line,
                      "completion_start at " + nodeRef(G, N) +
                          " is reachable without a preceding "
                          "dispatch_start on some path",
-                     {}});
+                     {}, std::nullopt});
   }
   return Out;
 }
@@ -446,13 +446,13 @@ rprosa::analysis::dataflow::runUnifiedAnalyses(const Cfg &G,
   Append(analyzeDefiniteInit(G));
   Append(analyzeDeadCode(G, Opts));
   Append(analyzeMarkerDiscipline(G));
-  // The reachability lints keep their BFS formulation (queries, not
-  // fixpoints); their findings join the unified stream.
+  // The structural lints are graph queries, not fixpoints; their
+  // findings join the unified stream.
   for (auto Pass : {lintMarkerBalance, lintFuelTermination,
                     lintMachineRange})
     for (LintFinding &F : Pass(G))
       Out.push_back({F.Pass, Severity::Warning, F.Node, G[F.Node].Line,
-                     std::move(F.Message), {}});
+                     std::move(F.Message), {}, std::nullopt});
   sortFindings(Out);
   return Out;
 }

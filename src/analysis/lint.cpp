@@ -33,12 +33,13 @@ bool exprHasFuel(const Expr &E) {
   return (E.L && exprHasFuel(*E.L)) || (E.R && exprHasFuel(*E.R));
 }
 
-bool writesReg(const CfgNode &N, RegId R) {
+/// True for the nodes that write register Dst.
+bool writesReg(const CfgNode &N) {
   switch (N.K) {
   case CfgNode::Kind::Assign:
   case CfgNode::Kind::Read:
   case CfgNode::Kind::Dequeue:
-    return N.Dst == R;
+    return true;
   default:
     return false;
   }
@@ -149,64 +150,33 @@ std::vector<LintFinding> rprosa::analysis::lintMarkerBalance(const Cfg &G) {
 std::vector<LintFinding>
 rprosa::analysis::lintFuelTermination(const Cfg &G) {
   std::vector<LintFinding> Out;
-  // One predecessor map up front; per branch, one forward and one
-  // backward flood replace the per-writer searches the pass used to
-  // run (which made it cubic in the node count on loop-heavy
-  // programs — bench/analysis_cost's generated specs).
-  std::vector<std::vector<NodeId>> Preds(G.size());
-  for (NodeId N = 0; N < G.size(); ++N)
-    for (NodeId S : G.successors(N))
-      Preds[S].push_back(N);
-  std::deque<NodeId> Queue;
+  // A node is "in the loop" of branch B if it lies on some cycle
+  // through B: it is in B's strongly connected region. One component
+  // pass plus the registers each cyclic region writes answer the
+  // question for every branch.
+  const CycleComponents Comps = cycleComponents(G);
+  std::vector<std::vector<RegId>> Written(Comps.size());
+  for (NodeId M = 0; M < G.size(); ++M)
+    if (Comps.onCycle(M) && writesReg(G[M]))
+      Written[Comps.Of[M]].push_back(G[M].Dst);
+  for (std::vector<RegId> &W : Written) {
+    std::sort(W.begin(), W.end());
+    W.erase(std::unique(W.begin(), W.end()), W.end());
+  }
   for (NodeId B = 0; B < G.size(); ++B) {
     const CfgNode &N = G[B];
     if (N.K != CfgNode::Kind::Branch || exprHasFuel(*N.E))
       continue;
-    // Nodes reachable from B by a nonempty path.
-    std::vector<bool> Fwd(G.size(), false);
-    for (NodeId S : G.successors(B))
-      if (!Fwd[S]) {
-        Fwd[S] = true;
-        Queue.push_back(S);
-      }
-    while (!Queue.empty()) {
-      NodeId C = Queue.front();
-      Queue.pop_front();
-      for (NodeId S : G.successors(C))
-        if (!Fwd[S]) {
-          Fwd[S] = true;
-          Queue.push_back(S);
-        }
-    }
-    if (!Fwd[B])
+    if (!Comps.onCycle(B))
       continue; // Not a loop.
-    // Nodes that reach B by a nonempty path.
-    std::vector<bool> Bwd(G.size(), false);
-    for (NodeId P : Preds[B])
-      if (!Bwd[P]) {
-        Bwd[P] = true;
-        Queue.push_back(P);
-      }
-    while (!Queue.empty()) {
-      NodeId C = Queue.front();
-      Queue.pop_front();
-      for (NodeId P : Preds[C])
-        if (!Bwd[P]) {
-          Bwd[P] = true;
-          Queue.push_back(P);
-        }
-    }
     std::vector<RegId> CondRegs;
     collectRegs(*N.E, CondRegs);
-    // A node is "in the loop" if it lies on some cycle through B:
-    // reachable from B and able to reach B.
-    bool CanVary = false;
-    for (NodeId M = 0; M < G.size() && !CanVary; ++M) {
-      if (!Fwd[M] || !Bwd[M])
-        continue;
-      for (RegId R : CondRegs)
-        CanVary |= writesReg(G[M], R);
-    }
+    const std::vector<RegId> &W = Written[Comps.Of[B]];
+    bool CanVary = std::any_of(CondRegs.begin(), CondRegs.end(),
+                               [&W](RegId R) {
+                                 return std::binary_search(W.begin(),
+                                                           W.end(), R);
+                               });
     if (!CanVary)
       Out.push_back({"fuel-termination", B,
                      "loop at " + nodeRef(G, B) +

@@ -26,8 +26,9 @@
 ///  - dead-branch: branch edges and nodes the exhaustive exploration
 ///    never took (requires the Verdict's coverage maps);
 ///  - fuel-termination: a loop whose condition neither consults Fuel
-///    nor depends on a register its own body can change — such a loop,
-///    once entered with a true condition, never exits;
+///    nor depends on a register its own body (the branch's strongly
+///    connected region, cycleComponents in cfg.h) can change — such a
+///    loop, once entered with a true condition, never exits;
 ///  - machine-range: register/buffer indices beyond what the default
 ///    CaesiumMachine allocates (8 registers, 4 buffers).
 ///

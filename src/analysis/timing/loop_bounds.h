@@ -38,6 +38,7 @@
 
 #include "analysis/cfg.h"
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,8 +50,10 @@ namespace rprosa::analysis {
 struct LoopBound {
   /// The Branch node whose condition guards the cycle.
   NodeId Head = InvalidNode;
-  /// Nodes on some cycle through Head (including Head itself).
-  std::vector<NodeId> CycleNodes;
+  /// Nodes on some cycle through Head (including Head itself): Head's
+  /// strongly connected region, ascending. Every head of one region
+  /// shares the one list.
+  std::shared_ptr<const std::vector<NodeId>> CycleNodes;
   /// The cycle contains a Read or Trace node: a marker segment cannot
   /// wrap around it.
   bool ContainsMarker = false;

@@ -102,10 +102,7 @@ std::string loopDiagnostic(const Cfg &G, const std::vector<LoopBound> &Loops,
                            NodeId At) {
   const LoopBound *Blamed = nullptr;
   for (const LoopBound &L : Loops) {
-    bool Contains =
-        std::find(L.CycleNodes.begin(), L.CycleNodes.end(), At) !=
-        L.CycleNodes.end();
-    if (!Contains)
+    if (!std::binary_search(L.CycleNodes->begin(), L.CycleNodes->end(), At))
       continue;
     if (!L.benign())
       return "unbounded cycle: " + L.describe(G);

@@ -540,9 +540,10 @@ TEST(CaesiumParser, DifferentialFuzzAgainstReference) {
     ASSERT_EQ(New.has_value(), Ref.has_value())
         << "round " << Round << "; replay: RPROSA_FUZZ_SEED=" << Seed
         << "\n" << Src;
-    if (New)
+    if (New) {
       EXPECT_EQ(printStmt(**New), printStmt(**Ref))
           << "round " << Round << "; replay: RPROSA_FUZZ_SEED=" << Seed;
+    }
   }
 }
 

@@ -716,7 +716,7 @@ TEST(UnifiedReport, SarifEscapesControlAndQuoteCharacters) {
   std::vector<Finding> Fs;
   Fs.push_back({"test.escape", Severity::Note, 0, 1,
                 "quote \" backslash \\ newline \n tab \t bell \x07 done",
-                {}});
+                {}, std::nullopt});
   std::string S = renderSarif("f", Fs);
   EXPECT_NE(S.find("quote \\\" backslash \\\\ newline \\n tab \\t bell "
                    "\\u0007 done"),
@@ -729,7 +729,7 @@ TEST(UnifiedReport, TextRenderingEscapesControlCharacters) {
   // break the one-finding-per-block shape of the text report.
   std::vector<Finding> Fs;
   Fs.push_back({"check\tid", Severity::Note, 0, 1,
-                "line1\nline2 \x01 end", {"step \x7f"}});
+                "line1\nline2 \x01 end", {"step \x7f"}, std::nullopt});
   std::string T = renderText("f", Fs);
   EXPECT_NE(T.find("[check\\tid] line1\\nline2 \\x01 end"),
             std::string::npos)
@@ -742,7 +742,7 @@ TEST(UnifiedReport, TextRenderingEscapesControlCharacters) {
 TEST(UnifiedReport, SarifEscapesBackspaceFormfeedAndUnitSeparator) {
   std::vector<Finding> Fs;
   Fs.push_back({"test.escape", Severity::Note, 0, 1,
-                "bs \b ff \f us \x1f done", {}});
+                "bs \b ff \f us \x1f done", {}, std::nullopt});
   std::string S = renderSarif("f", Fs);
   EXPECT_NE(S.find("bs \\b ff \\f us \\u001f done"), std::string::npos)
       << S;
