@@ -7,16 +7,19 @@
 /// \file
 /// The memory story of the streaming refactor (DESIGN.md §9): peak RSS
 /// and marker throughput of the single-pass adequacy pipeline
-/// (runAdequacyStreaming) against the materializing batch pipeline
-/// (runAdequacy) at horizons spanning two orders of magnitude.
+/// (runAdequacyStreaming) against the capturing run (runAdequacy: the
+/// same driver plus sinks that materialize the trace and the
+/// conversion; its rows are labelled "batch") at horizons spanning two
+/// orders of magnitude.
 ///
 /// Gates:
-///  1. the two pipelines render byte-identical reports at the smallest
-///     horizon (the full-corpus equivalence lives in
-///     tests/stream_equivalence_test.cpp; this is the in-vivo check);
+///  1. the two runs render byte-identical reports at the smallest
+///     horizon, i.e. the capture sinks leave the report unchanged (the
+///     comparison against the independent reference implementations
+///     lives in tests/stream_equivalence_test.cpp);
 ///  2. the streaming pipeline's peak RSS stays FLAT across the 100x
-///     horizon increase (<= 32 MiB of drift allowed), while the batch
-///     pipeline's grows with the trace — the point of the refactor.
+///     horizon increase (<= 32 MiB of drift allowed), while the
+///     capturing run's grows with the trace — the point of the refactor.
 ///
 /// Horizons are marker counts (RunLimits::MaxMarkers) over a fixed
 /// arrival prefix, so memory growth isolates the pipeline's own state.
@@ -86,8 +89,8 @@ void trimHeap() {
 
 /// The benchmark system: a small two-task client on two sockets with a
 /// BOUNDED arrival prefix. Past the prefix the scheduler keeps polling
-/// and idling, so the marker count — and with it the batch pipeline's
-/// trace — scales with MaxMarkers while the workload stays fixed.
+/// and idling, so the marker count — and with it the captured trace —
+/// scales with MaxMarkers while the workload stays fixed.
 AdequacySpec makeSpec(std::size_t MaxMarkers) {
   AdequacySpec Spec;
   Spec.Client.Tasks.addTask("pulse", 40, 2,
@@ -171,7 +174,7 @@ int main() {
   if (const char *Cap = std::getenv("RPROSA_STREAM_MAX_EVENTS"))
     if (std::size_t V = std::strtoull(Cap, nullptr, 10))
       MaxEvents = V;
-  // Batch materializes ~100 B/marker; keep it off the 1e8 points.
+  // The capturing run keeps ~90 B/marker; keep it off the 1e8 points.
   const std::size_t BatchMax = std::min<std::size_t>(MaxEvents, 10000000);
   const std::vector<std::size_t> Horizons = {MaxEvents / 100,
                                              MaxEvents / 10, MaxEvents};
@@ -181,7 +184,8 @@ int main() {
     std::printf("note: /proc/self/clear_refs unavailable; the peak-RSS "
                 "gate is skipped on this system\n\n");
 
-  // Gate 1: byte-identical reports at the smallest horizon.
+  // Gate 1: byte-identical reports at the smallest horizon (capturing
+  // must not change the report).
   AdequacySpec EqSpec = makeSpec(Horizons.front());
   const std::string BatchSummary = runAdequacy(EqSpec).summary();
   const std::string StreamSummary = runAdequacyStreaming(EqSpec).summary();

@@ -72,8 +72,9 @@
 ///                                   # constraints from the live marker
 ///                                   # stream — no materialized trace —
 ///                                   # then cross-check the report
-///                                   # byte-for-byte against the batch
-///                                   # pipeline
+///                                   # byte-for-byte against
+///                                   # runAdequacy (same driver plus
+///                                   # trace/conversion capture sinks)
 ///
 /// The --timing sweep fans its socket counts and mutant corpus out over
 /// a thread pool; pass --serial (or --threads=N) anywhere to pin the
@@ -83,7 +84,8 @@
 /// every mutant is rejected (file mode: iff the file verifies clean;
 /// timing mode: iff every reachable segment class is bounded and every
 /// timing mutant's grown bound is flagged; stream mode: iff Thm. 5.1
-/// holds on the run and the streaming report matches the batch one).
+/// holds on the run and the streaming report matches the capturing
+/// one).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -397,8 +399,10 @@ int streamMode(const char *Path, const char *HorizonArg) {
               "fan-out with per-job state retired at completion.\n\n",
               Streamed.Markers);
 
-  // The batch pipeline doubles as the equivalence oracle: same spec,
-  // same seed, reports must agree to the byte.
+  // runAdequacy is the same driver plus sinks that capture the trace
+  // and the conversion; same spec, same seed, so the reports must agree
+  // to the byte — capturing must not change the report. (The §2.4 code
+  // is checked against an independent reference in the test suite.)
   AdequacyReport Batch = runAdequacy(ASpec);
   bool Identical = Streamed.summary() == Batch.summary() &&
                    Streamed.totalChecks() == Batch.totalChecks() &&

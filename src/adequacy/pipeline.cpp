@@ -7,15 +7,10 @@
 #include "adequacy/pipeline.h"
 
 #include "convert/schedule_builder.h"
-#include "convert/validity.h"
 #include "convert/validity_stream.h"
 #include "rta/rta_policies.h"
 #include "sim/environment.h"
 #include "trace/check_sinks.h"
-#include "trace/consistency.h"
-#include "trace/functional.h"
-#include "trace/protocol.h"
-#include "trace/wcet_check.h"
 
 #include <map>
 #include <optional>
@@ -50,8 +45,7 @@ std::size_t AdequacyReport::totalChecks() const {
 
 namespace {
 
-/// Steps 1-2: assumptions on the model and the workload (shared by both
-/// drivers).
+/// Steps 1-2: assumptions on the model and the workload.
 void checkAssumptions(const AdequacySpec &Spec, AdequacyReport &Rep) {
   Rep.StaticOk = validateClient(Spec.Client);
   Rep.ArrivalOk = Spec.Arr.respectsCurves(Spec.Client.Tasks);
@@ -75,7 +69,7 @@ void runRta(const AdequacySpec &Spec, AdequacyReport &Rep) {
 /// (job ids are assigned at read time, arrivals are identified by
 /// MsgId); \p ByMsg maps each read message to the completion time of
 /// the job that owns it — the *first* job in conversion-table order
-/// that read it, mirroring the batch ByMsg.emplace.
+/// that read it.
 void renderVerdicts(const AdequacySpec &Spec, AdequacyReport &Rep,
                     const std::map<MsgId, std::optional<Time>> &ByMsg) {
   for (const Arrival &A : Spec.Arr.arrivals()) {
@@ -99,11 +93,9 @@ void renderVerdicts(const AdequacySpec &Spec, AdequacyReport &Rep,
   }
 }
 
-/// The streaming verdict source: remembers, per message, the completion
-/// time of its owning job. Ownership follows the batch semantics — the
-/// first-admitted job that read the message — so a completion from a
-/// different (duplicate-message) job is ignored, exactly as the batch
-/// ByMsg lookup would ignore it.
+/// The verdict source: remembers, per message, the completion time of
+/// its owning job — the first-admitted job that read the message — so a
+/// completion from a different (duplicate-message) job is ignored.
 class CompletionIndex final : public ScheduleEventConsumer {
 public:
   void onJobAdmitted(const ConvertedJob &CJ, std::size_t Index) override {
@@ -130,49 +122,13 @@ private:
   std::map<MsgId, Owner> ByMsg;
 };
 
-} // namespace
-
-AdequacyReport rprosa::runAdequacy(const AdequacySpec &Spec) {
-  AdequacyReport Rep;
-  checkAssumptions(Spec, Rep);
-
-  // 3: one run of Rössl on the substrate.
-  Environment Env(Spec.Arr);
-  CostModel Costs(Spec.Client.Wcets, Spec.Cost, Spec.Seed);
-  FdScheduler Sched(Spec.Client, Env, Costs);
-  Rep.TT = Sched.run(Spec.Limits);
-  Rep.Horizon = Rep.TT.EndTime;
-  Rep.Markers = Rep.TT.size();
-
-  // 4: the trace invariants.
-  Rep.TimestampsOk = checkTimestamps(Rep.TT);
-  Rep.ProtocolOk = checkProtocol(Rep.TT.Tr, Spec.Client.NumSockets);
-  Rep.FunctionalOk = checkFunctionalCorrectness(Rep.TT.Tr,
-                                                Spec.Client.Tasks,
-                                                Spec.Client.Policy);
-  Rep.ConsistencyOk = checkConsistency(Rep.TT, Spec.Arr);
-  Rep.WcetOk = checkWcetRespected(Rep.TT, Spec.Client.Tasks,
-                                  Spec.Client.Wcets);
-
-  // 5: schedule conversion and validity.
-  Rep.Conv = convertTraceToSchedule(Rep.TT, Spec.Client.NumSockets,
-                                    &Rep.ScheduleOk);
-  Rep.ScheduleOk.merge(Rep.Conv.Sched.validateStructure());
-  Rep.ValidityOk = checkValidity(Rep.Conv, Spec.Client.Tasks, Spec.Arr,
-                                 Spec.Client.Wcets, Spec.Client.NumSockets,
-                                 Spec.Client.Policy);
-  Rep.NumJobs = Rep.Conv.Jobs.size();
-
-  runRta(Spec, Rep);
-
-  std::map<MsgId, std::optional<Time>> ByMsg;
-  for (const ConvertedJob &CJ : Rep.Conv.Jobs)
-    ByMsg.emplace(CJ.J.Msg, CJ.CompletedAt);
-  renderVerdicts(Spec, Rep, ByMsg);
-  return Rep;
-}
-
-AdequacyReport rprosa::runAdequacyStreaming(const AdequacySpec &Spec) {
+/// Steps 1-7 as one pass: one simulator run drives the five trace
+/// invariants and, behind the incremental converter, the structure,
+/// validity, and verdict consumers. \p TraceTap and \p EventTap, when
+/// non-null, join the trace and event fan-outs (runAdequacy's capture
+/// sinks).
+AdequacyReport drive(const AdequacySpec &Spec, TraceSink *TraceTap,
+                     ScheduleEventConsumer *EventTap) {
   AdequacyReport Rep;
   checkAssumptions(Spec, Rep);
 
@@ -180,9 +136,6 @@ AdequacyReport rprosa::runAdequacyStreaming(const AdequacySpec &Spec) {
   CostModel Costs(Spec.Client.Wcets, Spec.Cost, Spec.Seed);
   FdScheduler Sched(Spec.Client, Env, Costs);
 
-  // Steps 4-5 as sinks of one fan-out: the five trace invariants, and
-  // behind the incremental converter the structure, validity, and
-  // verdict consumers. The trace is never materialized.
   TimestampCheckSink Ts;
   ProtocolCheckSink Prot(Spec.Client.NumSockets);
   FunctionalCheckSink Fun(Spec.Client.Tasks, Spec.Client.Policy);
@@ -197,6 +150,8 @@ AdequacyReport rprosa::runAdequacyStreaming(const AdequacySpec &Spec) {
   Events.add(Val);
   Events.add(Struct);
   Events.add(Compl);
+  if (EventTap)
+    Events.add(*EventTap);
   ScheduleBuilder Builder(Spec.Client.NumSockets, Events, &Rep.ScheduleOk);
 
   TraceFanout Fan;
@@ -206,6 +161,8 @@ AdequacyReport rprosa::runAdequacyStreaming(const AdequacySpec &Spec) {
   Fan.add(Cons);
   Fan.add(Wcet);
   Fan.add(Builder);
+  if (TraceTap)
+    Fan.add(*TraceTap);
 
   Rep.Horizon = Sched.run(Spec.Limits, Fan);
   Rep.Markers = Ts.markers();
@@ -216,12 +173,27 @@ AdequacyReport rprosa::runAdequacyStreaming(const AdequacySpec &Spec) {
   Rep.FunctionalOk = Fun.take();
   Rep.ConsistencyOk = Cons.take();
   Rep.WcetOk = Wcet.take();
-  // ScheduleOk already carries the builder's conversion diagnostics, in
-  // the batch order (diagnostics first, then the structure checks).
+  // ScheduleOk already carries the builder's conversion diagnostics;
+  // the structure checks follow them.
   Rep.ScheduleOk.merge(Struct.take());
   Rep.ValidityOk = Val.take();
 
   runRta(Spec, Rep);
   renderVerdicts(Spec, Rep, Compl.take());
   return Rep;
+}
+
+} // namespace
+
+AdequacyReport rprosa::runAdequacy(const AdequacySpec &Spec) {
+  VectorSink Trace;
+  ScheduleCapture Conv;
+  AdequacyReport Rep = drive(Spec, &Trace, &Conv);
+  Rep.TT = Trace.take();
+  Rep.Conv = Conv.take();
+  return Rep;
+}
+
+AdequacyReport rprosa::runAdequacyStreaming(const AdequacySpec &Spec) {
+  return drive(Spec, nullptr, nullptr);
 }

@@ -98,14 +98,15 @@ struct AdequacyReport {
 
   RtaResult Rta;
   std::vector<JobVerdict> Jobs;
-  /// The materialized trace and conversion — batch driver only; the
-  /// streaming driver leaves both empty (that is its point).
+  /// The materialized trace and conversion — filled by runAdequacy's
+  /// capture sinks; runAdequacyStreaming leaves both empty (that is its
+  /// point).
   ConversionResult Conv;
   TimedTrace TT;
   /// t_hrzn: the horizon up to which the scheduler is known to have run.
   Time Horizon = 0;
   /// Markers emitted / jobs admitted over the run (filled by both
-  /// drivers; summary() reads these, not TT/Conv).
+  /// entry points; summary() reads these, not TT/Conv).
   std::size_t Markers = 0;
   std::size_t NumJobs = 0;
 
@@ -127,16 +128,20 @@ struct AdequacyReport {
   std::string summary() const;
 };
 
-/// Runs the full pipeline, materializing the trace and the conversion
-/// (Rep.TT / Rep.Conv) along the way.
+/// Runs the full pipeline and also materializes the trace and the
+/// conversion (Rep.TT / Rep.Conv): the single-pass driver of
+/// runAdequacyStreaming with a VectorSink on the trace fan-out and a
+/// ScheduleCapture on the conversion-event fan-out. Every other report
+/// field equals runAdequacyStreaming's.
 AdequacyReport runAdequacy(const AdequacySpec &Spec);
 
-/// The single-pass form of runAdequacy: one simulator run drives every
-/// trace checker, the incremental §2.4 converter, and the validity
+/// The single-pass pipeline: one simulator run drives every trace
+/// checker, the incremental §2.4 converter, and the validity
 /// constraints through a TraceFanout, keeping O(tasks + open jobs)
 /// state — Rep.TT and Rep.Conv stay empty, so memory is independent of
-/// the horizon. Reports (summary() bytes included) are identical to
-/// runAdequacy()'s; tests/stream_equivalence_test.cpp enforces this.
+/// the horizon. tests/stream_equivalence_test.cpp checks its reports
+/// against the reference implementations of tests/reference_batch.cpp,
+/// run on runAdequacy's Rep.TT.
 AdequacyReport runAdequacyStreaming(const AdequacySpec &Spec);
 
 } // namespace rprosa

@@ -3,11 +3,10 @@
 // Part of RefinedProsa-CPP. MIT License.
 //
 //===----------------------------------------------------------------------===//
-// Mirrors convert/trace_to_schedule.cpp (the batch Converter) action
-// for action: same attribution rules, same diagnostic strings, same
-// segment emission order. The two stay separate implementations on
-// purpose — the batch converter is the reference oracle that the
-// equivalence fuzz test replays against this one.
+// The library's one implementation of the §2.4 conversion.
+// tests/reference_batch.cpp keeps an independent whole-trace converter
+// with the same attribution rules and diagnostic strings; the
+// equivalence and differential suites compare the two.
 //===----------------------------------------------------------------------===//
 
 #include "convert/schedule_builder.h"
@@ -43,8 +42,8 @@ void ScheduleBuilder::onEnd(Time EndTime) {
                "EndTime must not precede the last marker");
   Seg.onEnd(EndTime);
 
-  // Close whatever structure is still open (batch: the phase ends at
-  // the end of the action vector).
+  // Close whatever structure is still open (a polling phase ends with
+  // the trace).
   if (Phase == PhaseState::InPhase) {
     endPhaseNoSelection(/*AtEnd=*/true);
     Phase = PhaseState::Top;

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The streaming form of the trace→schedule conversion (§2.4). The
-/// batch Converter (trace_to_schedule.cpp) materializes the whole
-/// action vector before attributing overheads; ScheduleBuilder performs
-/// the *same* attribution with a bounded look-ahead window:
+/// The trace→schedule conversion (§2.4), incremental. ScheduleBuilder
+/// is the library's one implementation of the finite look-ahead parser;
+/// convertTraceToSchedule (trace_to_schedule.h) replays a materialized
+/// trace into it. It attributes overheads with a bounded look-ahead
+/// window:
 ///
 ///  - a completed polling round is held until the next action shows
 ///    whether another round follows (flush as ReadOvh chunks) or the
@@ -18,17 +19,19 @@
 ///
 /// so the window never holds more than NumSockets read actions plus the
 /// held selection plus the segmenter's one open action — independent of
-/// the horizon. Attribution rules, diagnostic messages, and emission
-/// order match the batch converter exactly; the equivalence is fuzzed
-/// by tests/stream_equivalence_test.cpp on top of the full corpus.
+/// the horizon. Diagnostics are emitted in trace order, as the structure
+/// they describe closes: in a truncated multi-round polling phase,
+/// "polling round without a successful read" precedes "truncated
+/// round". tests/stream_equivalence_test.cpp and
+/// tests/convert_reference_test.cpp compare the output with the
+/// whole-trace reference converter kept under tests/.
 ///
 /// Downstream, a ScheduleEventConsumer receives the coalesced
 /// (interval, ProcessorState) segments plus the job life cycle:
 /// admitted (first appearance, after ReadAt is known), selected,
 /// dispatched, retired (M_Completion — per-job state can be dropped),
 /// and the leftover open jobs at end of stream. ScheduleCapture
-/// materializes these events back into a ConversionResult — the batch
-/// adapter.
+/// materializes these events back into a ConversionResult.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,7 +62,7 @@ public:
   virtual void onSegment(const ScheduleSegment &Seg) { (void)Seg; }
 
   /// First appearance of a job in the conversion's job table. \p Index
-  /// is its table position (admission order == batch table order).
+  /// is its table position (admission order is table order).
   virtual void onJobAdmitted(const ConvertedJob &CJ, std::size_t Index) {
     (void)CJ;
     (void)Index;
@@ -128,8 +131,9 @@ private:
 };
 
 /// The incremental converter sink. Feed markers in timestamp order
-/// (RPROSA_CHECK-enforced; the batch converter's precondition of sane
-/// timestamps, made explicit); call onEnd exactly once.
+/// (RPROSA_CHECK-enforced); call onEnd exactly once. A job id that
+/// reappears after that job's M_Completion is admitted as a new table
+/// entry.
 class ScheduleBuilder final : public TraceSink {
 public:
   ScheduleBuilder(std::uint32_t NumSockets, ScheduleEventConsumer &Out,
@@ -209,7 +213,7 @@ private:
 };
 
 /// Materializes the event stream back into a ConversionResult — the
-/// batch adapter, and the streaming side of the equivalence oracle.
+/// capture sink behind convertTraceToSchedule and runAdequacy.
 class ScheduleCapture final : public ScheduleEventConsumer {
 public:
   void onScheduleStart(Time At) override { Res.Sched = Schedule(At); }
@@ -245,7 +249,7 @@ private:
 
 /// Streaming Schedule::validateStructure: checks contiguity, positive
 /// length, and coalescing per arriving segment. Same failure messages
-/// and check counts as the batch validator.
+/// and check counts as validateStructure on the captured schedule.
 class ScheduleStructureSink final : public ScheduleEventConsumer {
 public:
   void onScheduleStart(Time At) override { Cursor = At; }

@@ -6,11 +6,7 @@
 
 #include "convert/trace_to_schedule.h"
 
-#include "trace/basic_actions.h"
-
-#include <cassert>
-#include <map>
-#include <string>
+#include "convert/schedule_builder.h"
 
 using namespace rprosa;
 
@@ -21,249 +17,11 @@ const ConvertedJob *ConversionResult::findJob(JobId Id) const {
   return nullptr;
 }
 
-namespace {
-
-/// Builds the schedule by walking the basic actions of one run.
-class Converter {
-public:
-  Converter(const TimedTrace &TT, std::uint32_t NumSockets,
-            CheckResult *Diags)
-      : TT(TT), NumSockets(NumSockets), Diags(Diags),
-        Actions(segmentBasicActions(TT)) {}
-
-  ConversionResult run();
-
-private:
-  void diag(std::string Message) {
-    if (Diags)
-      Diags->addFailure(std::move(Message));
-  }
-
-  ConvertedJob &jobEntry(const Job &J);
-
-  /// Attributes one polling round that contains at least one successful
-  /// read: each success takes the failures before it; the round's last
-  /// success additionally takes the trailing failures.
-  void attributeSuccessRound(std::size_t First, std::size_t End);
-
-  /// Emits \p Len instants of \p S (appends contiguously).
-  void emit(ProcState S, Duration Len) { Res.Sched.append(S, Len); }
-
-  /// Processes a maximal polling phase starting at action index \p I
-  /// (a Read action) together with the following selection; returns the
-  /// index of the first unprocessed action.
-  std::size_t processPollingPhase(std::size_t I);
-
-  const TimedTrace &TT;
-  std::uint32_t NumSockets;
-  CheckResult *Diags;
-  std::vector<BasicAction> Actions;
-  ConversionResult Res;
-  std::map<JobId, std::size_t> JobIndex;
-};
-
-} // namespace
-
-ConvertedJob &Converter::jobEntry(const Job &J) {
-  auto It = JobIndex.find(J.Id);
-  if (It != JobIndex.end())
-    return Res.Jobs[It->second];
-  ConvertedJob CJ;
-  CJ.J = J;
-  JobIndex.emplace(J.Id, Res.Jobs.size());
-  Res.Jobs.push_back(CJ);
-  return Res.Jobs.back();
-}
-
-void Converter::attributeSuccessRound(std::size_t First, std::size_t End) {
-  // Chunk boundaries: every success absorbs the failures since the
-  // previous chunk; the last success absorbs the trailing failures too.
-  std::size_t LastSuccess = End;
-  for (std::size_t K = First; K < End; ++K)
-    if (Actions[K].J)
-      LastSuccess = K;
-  if (LastSuccess == End) {
-    // No success: can only happen on malformed input (the caller sends
-    // all-failed rounds elsewhere). Map to Idle defensively.
-    diag("polling round without a successful read outside the final "
-         "round; mapped to Idle");
-    for (std::size_t K = First; K < End; ++K)
-      emit(ProcState::idle(), Actions[K].len());
-    return;
-  }
-  Duration Buffered = 0;
-  for (std::size_t K = First; K < End; ++K) {
-    const BasicAction &A = Actions[K];
-    if (!A.J) {
-      Buffered += A.len();
-      continue;
-    }
-    // A successful read of job *A.J; its chunk covers the buffered
-    // failures, itself, and — when it is the last success — the rest of
-    // the round.
-    Duration ChunkLen = Buffered + A.len();
-    if (K == LastSuccess) {
-      for (std::size_t T = K + 1; T < End; ++T)
-        ChunkLen += Actions[T].len();
-    }
-    emit(ProcState::overhead(ProcStateKind::ReadOvh, A.J->Id), ChunkLen);
-    ConvertedJob &CJ = jobEntry(*A.J);
-    // ReadAt is the M_ReadE timestamp (FirstMarker is M_ReadS).
-    CJ.ReadAt = TT.Ts[A.FirstMarker + 1];
-    Buffered = 0;
-    if (K == LastSuccess)
-      break;
-  }
-}
-
-std::size_t Converter::processPollingPhase(std::size_t I) {
-  std::size_t FirstRead = I;
-  while (I < Actions.size() && Actions[I].Kind == BasicActionKind::Read)
-    ++I;
-  std::size_t EndRead = I;
-  std::size_t NumReads = EndRead - FirstRead;
-
-  // Round structure (protocol: rounds of exactly NumSockets reads, the
-  // last one all-failed).
-  std::size_t FullRounds = NumReads / NumSockets;
-  bool CompleteRounds = NumReads % NumSockets == 0;
-  if (!CompleteRounds)
-    diag("polling phase with a truncated round (" +
-         std::to_string(NumReads) + " reads, " +
-         std::to_string(NumSockets) + " sockets)");
-
-  // Locate what follows the phase.
-  const BasicAction *Sel =
-      I < Actions.size() && Actions[I].Kind == BasicActionKind::Selection
-          ? &Actions[I]
-          : nullptr;
-  const BasicAction *AfterSel =
-      Sel && I + 1 < Actions.size() ? &Actions[I + 1] : nullptr;
-  bool DispatchNext =
-      AfterSel && AfterSel->Kind == BasicActionKind::Disp && AfterSel->J;
-
-  // Rounds before the final one each contain a success.
-  std::size_t FinalRoundFirst = FirstRead;
-  if (CompleteRounds && FullRounds >= 1)
-    FinalRoundFirst = FirstRead + (FullRounds - 1) * NumSockets;
-  else
-    FinalRoundFirst = EndRead; // Truncated: attribute everything below.
-
-  for (std::size_t R = 0; FirstRead + (R + 1) * NumSockets <=
-                          FinalRoundFirst; ++R)
-    attributeSuccessRound(FirstRead + R * NumSockets,
-                          FirstRead + (R + 1) * NumSockets);
-  if (!CompleteRounds) {
-    // Defensive: attribute all remaining reads chunk-wise.
-    std::size_t Done = FirstRead +
-                       ((FinalRoundFirst - FirstRead) / NumSockets) *
-                           NumSockets;
-    if (Done < EndRead)
-      attributeSuccessRound(Done, EndRead);
-    FinalRoundFirst = EndRead;
-  }
-
-  // The final all-failed round (present iff rounds were complete).
-  Duration FinalRoundLen = 0;
-  for (std::size_t K = FinalRoundFirst; K < EndRead; ++K)
-    FinalRoundLen += Actions[K].len();
-
-  if (!Sel) {
-    // Truncated run: no selection followed; close with Idle.
-    emit(ProcState::idle(), FinalRoundLen);
-    if (I != Actions.size())
-      diag("polling phase not followed by a selection");
-    return I;
-  }
-
-  if (DispatchNext) {
-    JobId Next = AfterSel->J->Id;
-    emit(ProcState::overhead(ProcStateKind::PollingOvh, Next),
-         FinalRoundLen);
-    emit(ProcState::overhead(ProcStateKind::SelectionOvh, Next),
-         Sel->len());
-    jobEntry(*AfterSel->J).SelectedAt = Sel->Start;
-    return I + 1; // The Disp action is processed by the main loop.
-  }
-
-  // Selection came up empty: final round + selection (+ idle cycle) are
-  // all Idle (§2.4: "If there is no job to execute after the polling
-  // phase, the failed reads (and the following failed selection) are
-  // mapped to the Idle processor state").
-  Duration IdleLen = FinalRoundLen + Sel->len();
-  std::size_t NextI = I + 1;
-  if (AfterSel && AfterSel->Kind == BasicActionKind::Idling) {
-    IdleLen += AfterSel->len();
-    NextI = I + 2;
-  } else if (AfterSel) {
-    diag("selection with no job followed by " + toString(AfterSel->Kind) +
-         " instead of Idling");
-    NextI = I + 1;
-  }
-  emit(ProcState::idle(), IdleLen);
-  return NextI;
-}
-
-ConversionResult Converter::run() {
-  if (Actions.empty())
-    return std::move(Res);
-  Res.Sched = Schedule(Actions.front().Start);
-
-  std::size_t I = 0;
-  while (I < Actions.size()) {
-    const BasicAction &A = Actions[I];
-    switch (A.Kind) {
-    case BasicActionKind::Read:
-      I = processPollingPhase(I);
-      break;
-    case BasicActionKind::Disp:
-      if (A.J) {
-        emit(ProcState::overhead(ProcStateKind::DispatchOvh, A.J->Id),
-             A.len());
-        jobEntry(*A.J).DispatchedAt = A.Start;
-      } else {
-        diag("dispatch action without a job; mapped to Idle");
-        emit(ProcState::idle(), A.len());
-      }
-      ++I;
-      break;
-    case BasicActionKind::Exec:
-      if (A.J) {
-        emit(ProcState::executes(A.J->Id), A.len());
-      } else {
-        diag("execution action without a job; mapped to Idle");
-        emit(ProcState::idle(), A.len());
-      }
-      ++I;
-      break;
-    case BasicActionKind::Compl:
-      if (A.J) {
-        emit(ProcState::overhead(ProcStateKind::CompletionOvh, A.J->Id),
-             A.len());
-        jobEntry(*A.J).CompletedAt = A.Start;
-      } else {
-        diag("completion action without a job; mapped to Idle");
-        emit(ProcState::idle(), A.len());
-      }
-      ++I;
-      break;
-    case BasicActionKind::Selection:
-    case BasicActionKind::Idling:
-      // Only reachable on malformed traces (selections are consumed by
-      // processPollingPhase).
-      diag("unexpected top-level " + toString(A.Kind) + "; mapped to Idle");
-      emit(ProcState::idle(), A.len());
-      ++I;
-      break;
-    }
-  }
-  return std::move(Res);
-}
-
 ConversionResult rprosa::convertTraceToSchedule(const TimedTrace &TT,
                                                 std::uint32_t NumSockets,
                                                 CheckResult *Diags) {
-  assert(NumSockets > 0 && "need at least one socket");
-  Converter C(TT, NumSockets, Diags);
-  return C.run();
+  ScheduleCapture Cap;
+  ScheduleBuilder Builder(NumSockets, Cap, Diags);
+  replayTimedTrace(TT, Builder);
+  return Cap.take();
 }

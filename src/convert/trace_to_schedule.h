@@ -27,6 +27,10 @@
 /// PB = |socks|·WcetFR (Def. 2.2) and each job's ReadOvh within
 /// |socks|·WcetFR + WcetSR.
 ///
+/// The conversion itself lives in ScheduleBuilder (schedule_builder.h);
+/// convertTraceToSchedule replays a materialized trace into it and
+/// captures the events with ScheduleCapture.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RPROSA_CONVERT_TRACE_TO_SCHEDULE_H
@@ -68,10 +72,13 @@ struct ConversionResult {
 };
 
 /// Runs the conversion. \p NumSockets fixes the round length of the
-/// polling phase. Precondition: the trace is protocol-conformant with
-/// sane timestamps (checkProtocol/checkTimestamps passed); malformed
-/// input is handled defensively by mapping unattributable spans to Idle
-/// and recording a diagnostic in \p Diags when non-null.
+/// polling phase. Preconditions, checked with RPROSA_CHECK (a violation
+/// aborts): one timestamp per marker, timestamps non-decreasing
+/// ("markers must be delivered in timestamp order"), and EndTime not
+/// before the last marker. Protocol violations are not preconditions:
+/// unattributable spans map to Idle and each one records a diagnostic
+/// in \p Diags when non-null. A job id that reappears after that job's
+/// M_Completion opens a new table entry.
 ConversionResult convertTraceToSchedule(const TimedTrace &TT,
                                         std::uint32_t NumSockets,
                                         CheckResult *Diags = nullptr);

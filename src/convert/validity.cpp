@@ -6,46 +6,12 @@
 
 #include "convert/validity.h"
 
-#include <limits>
-#include <map>
-#include <optional>
-#include <set>
-#include <string>
+#include "convert/validity_stream.h"
+
+#include <utility>
+#include <vector>
 
 using namespace rprosa;
-
-namespace {
-
-/// Per-job accumulated quantities over the schedule segments.
-struct JobUsage {
-  Duration ReadOvh = 0;
-  Duration ExecTime = 0;
-  std::size_t ExecSegments = 0;
-  std::size_t PollingInstances = 0;
-};
-
-/// The policy's selection key over converted jobs (smaller = selected
-/// first); nullopt when the job lacks the data the key needs.
-std::optional<std::uint64_t> selectionKey(const ConvertedJob &CJ,
-                                          const TaskSet &Tasks,
-                                          SchedPolicy Policy) {
-  if (CJ.J.Task >= Tasks.size())
-    return std::nullopt;
-  const Task &T = Tasks.task(CJ.J.Task);
-  switch (Policy) {
-  case SchedPolicy::Npfp:
-    return std::numeric_limits<std::uint64_t>::max() - T.Prio;
-  case SchedPolicy::Edf:
-    if (T.Deadline == 0)
-      return std::nullopt;
-    return satAdd(CJ.ReadAt, T.Deadline);
-  case SchedPolicy::Fifo:
-    return CJ.J.Id;
-  }
-  return std::nullopt;
-}
-
-} // namespace
 
 CheckResult rprosa::checkValidity(const ConversionResult &CR,
                                   const TaskSet &Tasks,
@@ -53,154 +19,24 @@ CheckResult rprosa::checkValidity(const ConversionResult &CR,
                                   const BasicActionWcets &W,
                                   std::uint32_t NumSockets,
                                   SchedPolicy Policy) {
-  CheckResult R;
-  const Schedule &S = CR.Sched;
-
-  Duration PB = satMul(NumSockets, W.FailedRead);
-  Duration RB = satAdd(satMul(NumSockets, W.FailedRead), W.SuccessfulRead);
-
-  // --- (a) per-instance duration bounds + usage accumulation. ---
-  std::map<JobId, JobUsage> Usage;
-  for (const ScheduleSegment &Seg : S.segments()) {
-    const ProcState &St = Seg.State;
-    switch (St.Kind) {
-    case ProcStateKind::Idle:
-      break;
-    case ProcStateKind::PollingOvh:
-      R.noteCheck();
-      ++Usage[St.Job].PollingInstances;
-      if (Seg.Len > PB)
-        R.addFailure("(a) PollingOvh(j" + std::to_string(St.Job) +
-                     ") lasts " + std::to_string(Seg.Len) +
-                     " > PB = " + std::to_string(PB) + " (Def. 2.2)");
-      break;
-    case ProcStateKind::SelectionOvh:
-      R.noteCheck();
-      if (Seg.Len > W.Selection)
-        R.addFailure("(a) SelectionOvh(j" + std::to_string(St.Job) +
-                     ") lasts " + std::to_string(Seg.Len) + " > SB = " +
-                     std::to_string(W.Selection));
-      break;
-    case ProcStateKind::DispatchOvh:
-      R.noteCheck();
-      if (Seg.Len > W.Dispatch)
-        R.addFailure("(a) DispatchOvh(j" + std::to_string(St.Job) +
-                     ") lasts " + std::to_string(Seg.Len) + " > DB = " +
-                     std::to_string(W.Dispatch));
-      break;
-    case ProcStateKind::CompletionOvh:
-      R.noteCheck();
-      if (Seg.Len > W.Completion)
-        R.addFailure("(a) CompletionOvh(j" + std::to_string(St.Job) +
-                     ") lasts " + std::to_string(Seg.Len) + " > CB = " +
-                     std::to_string(W.Completion));
-      break;
-    case ProcStateKind::ReadOvh:
-      Usage[St.Job].ReadOvh += Seg.Len;
-      break;
-    case ProcStateKind::Executes:
-      Usage[St.Job].ExecTime += Seg.Len;
-      ++Usage[St.Job].ExecSegments;
-      break;
-    }
+  StreamingValidity V(Tasks, Arr, W, NumSockets, Policy);
+  V.onScheduleStart(CR.Sched.startTime());
+  for (const ScheduleSegment &Seg : CR.Sched.segments())
+    V.onSegment(Seg);
+  // Every job is admitted with its final snapshot before any selection,
+  // so the (c) check at each selection sees the whole table.
+  for (std::size_t I = 0; I < CR.Jobs.size(); ++I)
+    V.onJobAdmitted(CR.Jobs[I], I);
+  for (std::size_t I = 0; I < CR.Jobs.size(); ++I)
+    if (CR.Jobs[I].SelectedAt)
+      V.onJobSelected(CR.Jobs[I], I);
+  std::vector<std::pair<std::size_t, ConvertedJob>> Open;
+  for (std::size_t I = 0; I < CR.Jobs.size(); ++I) {
+    if (CR.Jobs[I].CompletedAt)
+      V.onJobRetired(CR.Jobs[I], I);
+    else
+      Open.emplace_back(I, CR.Jobs[I]);
   }
-
-  for (const auto &[JId, U] : Usage) {
-    const ConvertedJob *CJ = CR.findJob(JId);
-    R.noteCheck(3);
-    if (U.ReadOvh > RB)
-      R.addFailure("(a) total ReadOvh of j" + std::to_string(JId) + " is " +
-                   std::to_string(U.ReadOvh) + " > RB = " +
-                   std::to_string(RB));
-    if (U.PollingInstances > 1)
-      R.addFailure("(a) j" + std::to_string(JId) + " has " +
-                   std::to_string(U.PollingInstances) +
-                   " PollingOvh instances (at most one expected)");
-    if (CJ && CJ->J.Task < Tasks.size() &&
-        U.ExecTime > Tasks.task(CJ->J.Task).Wcet)
-      R.addFailure("(a) j" + std::to_string(JId) + " executes for " +
-                   std::to_string(U.ExecTime) + " > C_i = " +
-                   std::to_string(Tasks.task(CJ->J.Task).Wcet));
-    // --- (d) non-preemptive execution: one contiguous run. ---
-    R.noteCheck();
-    if (U.ExecSegments > 1)
-      R.addFailure("(d) j" + std::to_string(JId) + " executes in " +
-                   std::to_string(U.ExecSegments) +
-                   " separate segments (non-preemptivity violated)");
-  }
-
-  // --- (b) consistency with the arrival sequence + (e) uniqueness. ---
-  std::set<JobId> SeenIds;
-  std::set<MsgId> SeenMsgs;
-  for (const ConvertedJob &CJ : CR.Jobs) {
-    R.noteCheck(4);
-    if (!SeenIds.insert(CJ.J.Id).second)
-      R.addFailure("(e) duplicate job id j" + std::to_string(CJ.J.Id));
-    if (!SeenMsgs.insert(CJ.J.Msg).second)
-      R.addFailure("(b) message m" + std::to_string(CJ.J.Msg) +
-                   " scheduled twice");
-    std::optional<Arrival> A = Arr.findMsg(CJ.J.Msg);
-    if (!A) {
-      R.addFailure("(b) scheduled job j" + std::to_string(CJ.J.Id) +
-                   " has no arrival in arr");
-      continue;
-    }
-    if (A->Msg.Task != CJ.J.Task)
-      R.addFailure("(b) task of j" + std::to_string(CJ.J.Id) +
-                   " does not match its arrival");
-    if (CJ.ReadAt <= A->At)
-      R.addFailure("(b) j" + std::to_string(CJ.J.Id) + " read at t=" +
-                   std::to_string(CJ.ReadAt) + ", not after its arrival "
-                   "at t=" + std::to_string(A->At));
-  }
-
-  // --- (c) policy-compliant selection among read jobs. ---
-  for (const ConvertedJob &CJ : CR.Jobs) {
-    if (!CJ.SelectedAt)
-      continue;
-    std::optional<std::uint64_t> Key = selectionKey(CJ, Tasks, Policy);
-    if (!Key)
-      continue;
-    for (const ConvertedJob &Other : CR.Jobs) {
-      if (Other.J.Id == CJ.J.Id)
-        continue;
-      std::optional<std::uint64_t> OtherKey =
-          selectionKey(Other, Tasks, Policy);
-      if (!OtherKey)
-        continue;
-      R.noteCheck();
-      bool ReadBefore = Other.ReadAt <= *CJ.SelectedAt;
-      bool StillPending =
-          !Other.DispatchedAt || *Other.DispatchedAt > *CJ.SelectedAt;
-      if (ReadBefore && StillPending && *OtherKey < *Key)
-        R.addFailure("(c) j" + std::to_string(CJ.J.Id) + " selected at t=" +
-                     std::to_string(*CJ.SelectedAt) + " although read job j" +
-                     std::to_string(Other.J.Id) + " precedes it under " +
-                     toString(Policy) +
-                     " (schedule-level functional correctness)");
-    }
-  }
-
-  // --- (d) per-job event ordering. ---
-  for (const ConvertedJob &CJ : CR.Jobs) {
-    R.noteCheck();
-    Time Prev = CJ.ReadAt;
-    bool Ordered = true;
-    for (std::optional<Time> T : {CJ.SelectedAt, CJ.DispatchedAt,
-                                  CJ.CompletedAt}) {
-      if (!T)
-        continue;
-      if (*T < Prev)
-        Ordered = false;
-      Prev = *T;
-    }
-    if (!Ordered)
-      R.addFailure("(d) j" + std::to_string(CJ.J.Id) +
-                   " has out-of-order read/select/dispatch/complete times");
-    if (CJ.CompletedAt && !CJ.DispatchedAt)
-      R.addFailure("(d) j" + std::to_string(CJ.J.Id) +
-                   " completed without being dispatched");
-  }
-
-  return R;
+  V.onScheduleEnd(Open);
+  return V.take();
 }

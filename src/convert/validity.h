@@ -34,7 +34,13 @@
 namespace rprosa {
 
 /// Checks all five §2.4 validity constraints; the returned result
-/// aggregates every violation found.
+/// aggregates every violation found. The checks live in
+/// StreamingValidity (validity_stream.h); this entry point replays
+/// \p CR into it: the schedule start and every segment, then every job
+/// admitted in table order with its final snapshot, every selected job
+/// selected, completed jobs retired, and the rest passed to
+/// onScheduleEnd. Since every job is admitted before any selection,
+/// (c) compares each selection against the whole table.
 CheckResult checkValidity(const ConversionResult &CR, const TaskSet &Tasks,
                           const ArrivalSequence &Arr,
                           const BasicActionWcets &W,

@@ -15,8 +15,7 @@ using namespace rprosa;
 namespace {
 
 /// The policy's selection key over converted jobs (smaller = selected
-/// first); nullopt when the job lacks the data the key needs. Kept in
-/// sync with the batch checker's copy (convert/validity.cpp).
+/// first); nullopt when the job lacks the data the key needs.
 std::optional<std::uint64_t> selectionKey(const ConvertedJob &CJ,
                                           const TaskSet &Tasks,
                                           SchedPolicy Policy) {
@@ -36,7 +35,7 @@ std::optional<std::uint64_t> selectionKey(const ConvertedJob &CJ,
   return std::nullopt;
 }
 
-// Constraint blocks in the batch checker's report order.
+// Constraint blocks in report order.
 constexpr std::uint32_t BlockSegment = 0;  // (a) per-instance bounds.
 constexpr std::uint32_t BlockUsage = 1;    // (a) totals + (d) segments.
 constexpr std::uint32_t BlockArrival = 2;  // (b) + (e).
@@ -160,10 +159,10 @@ void StreamingValidity::onJobSelected(const ConvertedJob &CJ,
 
   // --- (c) policy-compliant selection among read jobs. ---
   // Checks run against the open jobs only: a retired competitor was
-  // dispatched before this selection (batch StillPending false), a
-  // not-yet-admitted one is read after it (batch ReadBefore false).
-  // Pair checks are counted in onScheduleEnd, where the batch
-  // checker's full pair count is known.
+  // dispatched before this selection (StillPending false), a
+  // not-yet-admitted one is read after it (ReadBefore false). Pair
+  // checks are counted in onScheduleEnd, once the number of keyed jobs
+  // is known.
   std::optional<std::uint64_t> Key = selectionKey(CJ, Tasks, Policy);
   if (!Key || !CJ.SelectedAt)
     return;
@@ -272,16 +271,17 @@ void StreamingValidity::onScheduleEnd(
   }
 
   // Usage of jobs that never retired: open jobs, plus jobs that only
-  // ever executed (the converter admits no record for those — the batch
-  // checker's findJob comes back null).
+  // ever executed (the converter admits no record for those, so CJ is
+  // null).
   for (const auto &[Id, U] : Usage) {
     auto It = Recs.find(Id);
     evalUsage(Id, U, It != Recs.end() ? &It->second.CJ : nullptr);
   }
   Usage.clear();
 
-  // (c) pair-check count: the batch checker notes one check per
-  // (selected keyed job, other keyed job) pair.
+  // (c) pair-check count: one check per (selected keyed job, other
+  // keyed table entry) pair. Table entries that share a job id share one
+  // record: they count once as a selected job, but each as a competitor.
   if (SelectedKeyed > 0)
     R.noteCheck(SelectedKeyed * (KeyedJobs - 1));
 
@@ -289,7 +289,7 @@ void StreamingValidity::onScheduleEnd(
   for (const auto &[Index, CJ] : Open)
     evalOrdering(CJ, Index);
 
-  // Emit everything in the batch checker's report order.
+  // Emit everything in report order.
   std::stable_sort(Buffered.begin(), Buffered.end(),
                    [](const Pending &A, const Pending &B) {
                      if (A.Block != B.Block)

@@ -14,18 +14,20 @@
 ///    after which the job's state is dropped;
 ///  - (b)/(e) arrival consistency and uniqueness run at admission;
 ///  - (c) policy compliance runs at selection, against the currently
-///    open jobs — on protocol-conformant traces this is exactly the
-///    batch checker's pair set that can fail (retired jobs fail its
-///    StillPending predicate, later-read jobs its ReadBefore);
+///    open jobs — on protocol-conformant traces these are all the pairs
+///    that can fail (a retired competitor was dispatched before the
+///    selection, a not-yet-admitted one is read after it);
+///    checkValidity admits the whole table before any selection, so
+///    there every table entry is a competitor;
 ///  - (d) event ordering runs at retirement (open jobs at the end).
 ///
-/// The batch checker reports failures grouped by constraint, not by
-/// event time, so failures are buffered with a canonical sort key
-/// (constraint block, then the batch iteration keys) and ordered once
-/// at the end: the emitted CheckResult is byte-identical to batch
-/// checkValidity on conformant (and singly-malformed) traces, which the
-/// equivalence fuzz test enforces. checkValidity itself stays an
-/// independent implementation — it is the oracle.
+/// Failures are reported grouped by constraint, not by event time: they
+/// are buffered with a canonical sort key (constraint block, then table
+/// index or job id) and ordered once at the end. This class is the
+/// library's one implementation of (a)-(e); checkValidity (validity.h)
+/// replays a ConversionResult into it, and the equivalence and
+/// differential suites compare both with the whole-table reference
+/// checker kept under tests/.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,8 +72,7 @@ public:
   std::size_t openUsage() const { return Usage.size(); }
 
 private:
-  /// Per-job accumulated quantities over the schedule segments
-  /// (mirrors the batch checker's JobUsage).
+  /// Per-job accumulated quantities over the schedule segments.
   struct JobUsage {
     Duration ReadOvh = 0;
     Duration ExecTime = 0;
@@ -86,7 +87,7 @@ private:
     bool SelectedCounted = false;
   };
   /// A buffered failure with its canonical position: constraint block
-  /// (the batch checker's section order), then the batch loop keys.
+  /// (report section order), then table index or job id within it.
   struct Pending {
     std::uint32_t Block;
     std::uint64_t K1;
@@ -96,10 +97,10 @@ private:
 
   void fail(std::uint32_t Block, std::uint64_t K1, std::uint64_t K2,
             std::string Msg);
-  /// The usage + non-preemptivity block for one job id (batch: the
-  /// Usage-map loop); \p CJ may be null (job never entered the table).
+  /// The usage + non-preemptivity block for one job id; \p CJ may be
+  /// null (job never entered the table).
   void evalUsage(JobId Id, const JobUsage &U, const ConvertedJob *CJ);
-  /// The per-job event-ordering block (batch: the final (d) loop).
+  /// The per-job event-ordering block.
   void evalOrdering(const ConvertedJob &CJ, std::size_t Index);
 
   const TaskSet &Tasks;

@@ -6,7 +6,7 @@
 
 #include "trace/basic_actions.h"
 
-#include <cassert>
+#include "trace/stream.h"
 
 using namespace rprosa;
 
@@ -29,70 +29,12 @@ std::string rprosa::toString(BasicActionKind K) {
 }
 
 std::vector<BasicAction> rprosa::segmentBasicActions(const TimedTrace &TT) {
+  RPROSA_CHECK(TT.Tr.size() == TT.Ts.size(),
+               "timed trace must carry one timestamp per marker");
   std::vector<BasicAction> Out;
-  const Trace &Tr = TT.Tr;
-  std::size_t N = Tr.size();
-
-  auto endOf = [&](std::size_t LastMarker) {
-    return LastMarker + 1 < N ? TT.Ts[LastMarker + 1] : TT.EndTime;
-  };
-
-  for (std::size_t I = 0; I < N;) {
-    BasicAction A;
-    A.FirstMarker = I;
-    A.Start = TT.Ts[I];
-    switch (Tr[I].Kind) {
-    case MarkerKind::ReadS: {
-      // Coalesce M_ReadS with the following M_ReadE (§2.2).
-      assert(I + 1 < N && Tr[I + 1].Kind == MarkerKind::ReadE &&
-             "M_ReadS must be followed by M_ReadE (protocol)");
-      A.Kind = BasicActionKind::Read;
-      A.Socket = Tr[I + 1].Socket;
-      A.J = Tr[I + 1].J;
-      A.EndMarker = I + 2;
-      A.End = endOf(I + 1);
-      break;
-    }
-    case MarkerKind::Selection: {
-      // Look ahead to resolve Selection j vs Selection ⊥.
-      A.Kind = BasicActionKind::Selection;
-      if (I + 1 < N && Tr[I + 1].Kind == MarkerKind::Dispatch)
-        A.J = Tr[I + 1].J;
-      A.EndMarker = I + 1;
-      A.End = endOf(I);
-      break;
-    }
-    case MarkerKind::Dispatch:
-      A.Kind = BasicActionKind::Disp;
-      A.J = Tr[I].J;
-      A.EndMarker = I + 1;
-      A.End = endOf(I);
-      break;
-    case MarkerKind::Execution:
-      A.Kind = BasicActionKind::Exec;
-      A.J = Tr[I].J;
-      A.EndMarker = I + 1;
-      A.End = endOf(I);
-      break;
-    case MarkerKind::Completion:
-      A.Kind = BasicActionKind::Compl;
-      A.J = Tr[I].J;
-      A.EndMarker = I + 1;
-      A.End = endOf(I);
-      break;
-    case MarkerKind::Idling:
-      A.Kind = BasicActionKind::Idling;
-      A.EndMarker = I + 1;
-      A.End = endOf(I);
-      break;
-    case MarkerKind::ReadE:
-      assert(false && "dangling M_ReadE (protocol violation)");
-      A.EndMarker = I + 1;
-      A.End = endOf(I);
-      break;
-    }
-    I = A.EndMarker;
-    Out.push_back(A);
-  }
+  ActionSegmenter Seg([&Out](const BasicAction &A, Time) { Out.push_back(A); });
+  for (std::size_t I = 0; I < TT.Tr.size(); ++I)
+    Seg.onMarker(TT.Tr[I], TT.Ts[I]);
+  Seg.onEnd(TT.EndTime);
   return Out;
 }

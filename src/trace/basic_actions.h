@@ -55,9 +55,14 @@ struct BasicAction {
   Duration len() const { return End - Start; }
 };
 
-/// Parses a protocol-conformant timed trace into its basic actions.
-/// Precondition: checkProtocol(TT.Tr, ...) passed (asserted in debug
-/// builds); the parse itself only relies on local marker shapes.
+/// Parses a timed trace into its basic actions by feeding it through
+/// ActionSegmenter (trace/stream.h). Precondition: one timestamp per
+/// marker (RPROSA_CHECK). The parse only relies on local marker shapes
+/// and accepts any marker sequence; on a protocol violation it stays
+/// total: the marker after an M_ReadS is taken as the read result
+/// whatever its kind, a dangling M_ReadE becomes an Idling action, and a
+/// trace that ends on a bare M_ReadS ends with a failed Read up to
+/// EndTime. checkProtocol reports each of these shapes.
 std::vector<BasicAction> segmentBasicActions(const TimedTrace &TT);
 
 std::string toString(BasicActionKind K);

@@ -17,14 +17,13 @@
 /// TraceFanout tees one source into many sinks, so one pass over one
 /// source feeds every checker, the schedule builder, the online monitor,
 /// and a serializer simultaneously. VectorSink materializes the stream
-/// back into a TimedTrace; it is the adapter that keeps the batch entry
-/// points (and with them the whole existing test corpus) alive as
-/// equivalence oracles for the streaming path.
+/// back into a TimedTrace (runAdequacy uses it to fill its report's
+/// trace).
 ///
-/// ActionSegmenter is the incremental form of segmentBasicActions: it
-/// closes a basic action as soon as the marker *after* it arrives (the
-/// §2.2 one-marker look-ahead), so consumers see the same action stream
-/// the batch parser produces while holding at most one open action.
+/// ActionSegmenter is the basic-action parser of Fig. 4: it closes a
+/// basic action as soon as the marker *after* it arrives (the §2.2
+/// one-marker look-ahead), holding at most one open action.
+/// segmentBasicActions collects what it emits.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +35,6 @@
 
 #include "support/check.h"
 
-#include <cassert>
 #include <functional>
 #include <vector>
 
@@ -121,9 +119,8 @@ public:
   void onMarker(const MarkerEvent &E, Time At) {
     if (Open && AwaitReadE) {
       // The marker after M_ReadS is the read result (§2.2 coalescing;
-      // protocol-conformant traces make it an M_ReadE).
-      assert(E.Kind == MarkerKind::ReadE &&
-             "M_ReadS must be followed by M_ReadE (protocol)");
+      // protocol-conformant traces make it an M_ReadE, and any other
+      // kind is absorbed the same way).
       A.Socket = E.Socket;
       A.J = E.J;
       ReadEAt = At;
@@ -170,9 +167,8 @@ private:
       AwaitReadE = true;
       break;
     case MarkerKind::ReadE:
-      // Dangling read result; the batch parser asserts here too. Kept
-      // as the (defensive) default Idling action.
-      assert(false && "dangling M_ReadE (protocol violation)");
+      // Dangling read result (a protocol violation): kept as the
+      // default Idling action.
       break;
     case MarkerKind::Selection:
       A.Kind = BasicActionKind::Selection;

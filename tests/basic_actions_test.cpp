@@ -112,3 +112,31 @@ TEST(BasicActions, EmptyTrace) {
   TimedTrace TT;
   EXPECT_TRUE(segmentBasicActions(TT).empty());
 }
+
+TEST(BasicActions, TraceEndingOnBareReadSEndsWithAFailedRead) {
+  // ReadS, ReadE(j1), ReadS: the run was cut after a read started (e.g.
+  // a file cut mid-read). The vectors are sized exactly, so reading
+  // past the last marker trips ASan.
+  TimedTrace TT;
+  TT.Tr = {MarkerEvent::readS(), MarkerEvent::readE(0, mkJob(1, 0)),
+           MarkerEvent::readS()};
+  TT.Ts = {0, 10, 10};
+  TT.EndTime = 14;
+  std::vector<BasicAction> A = segmentBasicActions(TT);
+  ASSERT_EQ(A.size(), 2u);
+
+  EXPECT_EQ(A[0].Kind, BasicActionKind::Read);
+  ASSERT_TRUE(A[0].J.has_value());
+  EXPECT_EQ(A[0].J->Id, 1u);
+  EXPECT_EQ(A[0].Start, 0u);
+  EXPECT_EQ(A[0].End, 10u);
+  EXPECT_EQ(A[0].FirstMarker, 0u);
+  EXPECT_EQ(A[0].EndMarker, 2u);
+
+  EXPECT_EQ(A[1].Kind, BasicActionKind::Read);
+  EXPECT_FALSE(A[1].J.has_value()) << "a bare M_ReadS is a failed read";
+  EXPECT_EQ(A[1].Start, 10u);
+  EXPECT_EQ(A[1].End, 14u);
+  EXPECT_EQ(A[1].FirstMarker, 2u);
+  EXPECT_EQ(A[1].EndMarker, 3u);
+}

@@ -200,3 +200,65 @@ TEST(Convert, MalformedTraceProducesDiagnostics) {
   EXPECT_TRUE(CR.Sched.validateStructure().passed());
   EXPECT_EQ(CR.Sched.length(), 11u);
 }
+
+TEST(Convert, TraceEndingOnBareReadSClosesWithIdle) {
+  // ReadS, ReadE(j1), ReadS with exactly sized vectors (reading past the
+  // last marker trips ASan): j1's round, then a final failed read that
+  // the cut run leaves open.
+  TimedTrace TT;
+  TT.Tr = {MarkerEvent::readS(), MarkerEvent::readE(0, mkJob(1, 0)),
+           MarkerEvent::readS()};
+  TT.Ts = {0, 10, 10};
+  TT.EndTime = 14;
+  CheckResult Diags;
+  ConversionResult CR = convertTraceToSchedule(TT, 1, &Diags);
+  EXPECT_TRUE(Diags.passed()) << Diags.describe();
+
+  const auto &Segs = CR.Sched.segments();
+  ASSERT_EQ(Segs.size(), 2u);
+  EXPECT_TRUE(Segs[0].State ==
+              ProcState::overhead(ProcStateKind::ReadOvh, 1));
+  EXPECT_EQ(Segs[0].Start, 0u);
+  EXPECT_EQ(Segs[0].Len, 10u);
+  EXPECT_TRUE(Segs[1].State.isIdle());
+  EXPECT_EQ(Segs[1].Len, 4u);
+  ASSERT_EQ(CR.Jobs.size(), 1u);
+  EXPECT_EQ(CR.Jobs[0].ReadAt, 10u);
+}
+
+TEST(Convert, DiagnosticsFollowTraceOrder) {
+  // Two sockets, three failed reads: an all-failed round before the
+  // last one, then a truncated round. The all-failed round is reported
+  // when the third read shows it was not the final round, the truncation
+  // when the selection closes the phase.
+  TimedTrace TT = TraceBuilder()
+                      .failedRead(0, 4)
+                      .failedRead(1, 4)
+                      .failedRead(0, 4)
+                      .at(MarkerEvent::selection(), 3)
+                      .at(MarkerEvent::idling(), 8)
+                      .finish();
+  CheckResult Diags;
+  ConversionResult CR = convertTraceToSchedule(TT, 2, &Diags);
+  const std::string NoSuccess = "polling round without a successful read "
+                                "outside the final round; mapped to Idle";
+  const std::vector<std::string> Want = {
+      NoSuccess, "polling phase with a truncated round (3 reads, 2 sockets)",
+      NoSuccess};
+  EXPECT_EQ(Diags.failures(), Want);
+  ASSERT_EQ(CR.Sched.segments().size(), 1u);
+  EXPECT_TRUE(CR.Sched.segments()[0].State.isIdle());
+  EXPECT_EQ(CR.Sched.length(), 23u);
+}
+
+TEST(ConvertDeathTest, DecreasingTimestampsAbort) {
+  // Timestamp order is a precondition: the run below would otherwise
+  // yield wrapped action lengths.
+  TimedTrace TT;
+  TT.Tr = {MarkerEvent::readS(), MarkerEvent::readE(0, std::nullopt),
+           MarkerEvent::selection(), MarkerEvent::idling()};
+  TT.Ts = {0, 12, 4, 9};
+  TT.EndTime = 20;
+  EXPECT_DEATH(convertTraceToSchedule(TT, 1),
+               "markers must be delivered in timestamp order");
+}

@@ -1,16 +1,19 @@
-//===- tests/stream_equivalence_test.cpp - Batch vs streaming oracle ------===//
+//===- tests/stream_equivalence_test.cpp - Reference vs streaming ---------===//
 //
 // Part of RefinedProsa-CPP. MIT License.
 //
 //===----------------------------------------------------------------------===//
 ///
-/// The acceptance gate of the streaming refactor: random workloads
-/// through BOTH data paths must agree exactly — identical schedules,
-/// identical ConvertedJob tables, identical validity verdicts, and
-/// byte-identical adequacy reports. The batch implementations stay
-/// independent (they do not share conversion/validity code with the
-/// sinks), so each side is the other's oracle. Seeded via
-/// RPROSA_FUZZ_SEED, PR 2 convention.
+/// The streaming §2.4 sinks against the whole-trace reference
+/// implementations (reference_batch.h) on random simulated workloads:
+/// identical schedules, identical ConvertedJob tables, identical
+/// conversion diagnostics and validity verdicts. At report level,
+/// runAdequacy (the single-pass driver plus capture sinks) and
+/// runAdequacyStreaming must render byte-identical reports, and the
+/// reference, run on runAdequacy's captured trace, re-derives the
+/// conversion, ScheduleOk, ValidityOk and every verdict's completion.
+/// The references share no conversion or validity code with the sinks,
+/// so they stay an independent oracle. Seeded via RPROSA_FUZZ_SEED.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,9 +24,13 @@
 #include "sim/workload.h"
 #include "support/rng.h"
 
+#include "reference_batch.h"
 #include "test_util.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <optional>
 
 using namespace rprosa;
 using namespace rprosa::testutil;
@@ -130,6 +137,43 @@ void expectSameSchedule(const Schedule &Got, const Schedule &Want,
   }
 }
 
+/// The report-level oracle: re-derives, from \p Rep.TT alone, the
+/// conversion, ScheduleOk (reference diagnostics plus validateStructure),
+/// ValidityOk, and each verdict's completion (the first table entry per
+/// message owns it) with the reference implementations.
+void expectReportMatchesReference(const AdequacySpec &Spec,
+                                  const AdequacyReport &Rep,
+                                  const std::string &Replay) {
+  const std::uint32_t N = Spec.Client.NumSockets;
+  ASSERT_EQ(Rep.TT.size(), Rep.Markers) << Replay;
+  CheckResult Diags;
+  ConversionResult Conv =
+      reference::convertTraceToSchedule(Rep.TT, N, &Diags);
+  expectSameSchedule(Rep.Conv.Sched, Conv.Sched, Replay);
+  expectSameJobs(Rep.Conv.Jobs, Conv.Jobs, Replay);
+  Diags.merge(Conv.Sched.validateStructure());
+  expectSameCheck(Rep.ScheduleOk, Diags, "schedule vs reference", Replay);
+  expectSameCheck(Rep.ValidityOk,
+                  reference::checkValidity(Conv, Spec.Client.Tasks,
+                                           Spec.Arr, Spec.Client.Wcets, N,
+                                           Spec.Client.Policy),
+                  "validity vs reference", Replay);
+
+  std::map<MsgId, std::optional<Time>> ByMsg;
+  for (const ConvertedJob &CJ : Conv.Jobs)
+    ByMsg.emplace(CJ.J.Msg, CJ.CompletedAt);
+  ASSERT_EQ(Rep.Jobs.size(), Spec.Arr.arrivals().size()) << Replay;
+  for (std::size_t I = 0; I < Rep.Jobs.size(); ++I) {
+    const JobVerdict &V = Rep.Jobs[I];
+    auto It = ByMsg.find(V.Msg);
+    const bool Completed = It != ByMsg.end() && It->second.has_value();
+    EXPECT_EQ(V.Completed, Completed) << "verdict " << I << Replay;
+    if (Completed) {
+      EXPECT_EQ(V.CompletedAt, *It->second) << "verdict " << I << Replay;
+    }
+  }
+}
+
 class StreamEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 };
 
@@ -148,10 +192,11 @@ TEST_P(StreamEquivalence, ConverterAndValidityMatchBatch) {
   const std::uint32_t N = Spec.Client.NumSockets;
 
   CheckResult BatchDiags;
-  ConversionResult Batch = convertTraceToSchedule(TT, N, &BatchDiags);
+  ConversionResult Batch =
+      reference::convertTraceToSchedule(TT, N, &BatchDiags);
   CheckResult BatchValidity =
-      checkValidity(Batch, Spec.Client.Tasks, Spec.Arr, Spec.Client.Wcets,
-                    N, Spec.Client.Policy);
+      reference::checkValidity(Batch, Spec.Client.Tasks, Spec.Arr,
+                               Spec.Client.Wcets, N, Spec.Client.Policy);
 
   CheckResult StreamDiags;
   ScheduleCapture Cap;
@@ -172,6 +217,10 @@ TEST_P(StreamEquivalence, ConverterAndValidityMatchBatch) {
   expectSameCheck(Struct.take(), Batch.Sched.validateStructure(),
                   "structure", Replay);
   expectSameCheck(Val.take(), BatchValidity, "validity", Replay);
+  // The library's replay adapter over the same table.
+  expectSameCheck(checkValidity(Batch, Spec.Client.Tasks, Spec.Arr,
+                                Spec.Client.Wcets, N, Spec.Client.Policy),
+                  BatchValidity, "validity adapter", Replay);
 }
 
 TEST_P(StreamEquivalence, AdequacyReportsByteIdentical) {
@@ -226,6 +275,8 @@ TEST_P(StreamEquivalence, AdequacyReportsByteIdentical) {
   // The streaming report must not have materialized anything.
   EXPECT_EQ(Streamed.TT.size(), 0u) << Replay;
   EXPECT_EQ(Streamed.Conv.Jobs.size(), 0u) << Replay;
+
+  expectReportMatchesReference(Spec, Batch, Replay);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, StreamEquivalence,
@@ -249,4 +300,5 @@ TEST(StreamEquivalenceSoak, DenseLongRunStaysByteIdentical) {
   ASSERT_GT(Batch.Markers, 1000u) << "soak run too small to be a test";
   EXPECT_EQ(Streamed.summary(), Batch.summary());
   EXPECT_EQ(Streamed.totalChecks(), Batch.totalChecks());
+  expectReportMatchesReference(Spec, Batch, " (soak run)");
 }

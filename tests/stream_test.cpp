@@ -23,6 +23,7 @@
 #include "trace/stream.h"
 #include "trace/wcet_check.h"
 
+#include "reference_batch.h"
 #include "test_util.h"
 
 #include <gtest/gtest.h>
@@ -76,7 +77,7 @@ TEST(TraceFanout, DeliversToEverySinkInOrder) {
 
 TEST(ActionSegmenterStream, MatchesBatchSegmentation) {
   TimedTrace TT = simTrace();
-  std::vector<BasicAction> Batch = segmentBasicActions(TT);
+  std::vector<BasicAction> Batch = reference::segmentBasicActions(TT);
 
   std::vector<BasicAction> Streamed;
   ActionSegmenter Seg(
@@ -187,8 +188,9 @@ TEST(ScheduleBuilderStream, RetiresJobStateAtCompletion) {
   replayTimedTrace(TT, B);
 
   ASSERT_GT(Probe.Retired, 3u) << "run too small to exercise retirement";
-  // Cross-check against the batch job table: retired == completed jobs.
-  ConversionResult Batch = convertTraceToSchedule(TT, N);
+  // Cross-check against the reference job table: retired == completed
+  // jobs.
+  ConversionResult Batch = reference::convertTraceToSchedule(TT, N);
   std::size_t Completed = 0;
   for (const ConvertedJob &CJ : Batch.Jobs)
     Completed += CJ.CompletedAt.has_value();

@@ -332,6 +332,25 @@ TEST(SegmentSoundness, ObservedIterationsTileTheTrace) {
   EXPECT_EQ(LenSum, TT.EndTime - TT.Ts.front());
 }
 
+TEST(SegmentSoundness, TraceEndingOnBareReadSEndsWithAFailedRead) {
+  // ReadS, ReadE(j1), ReadS, as a run cut mid-read leaves it. The
+  // vectors are sized exactly, so reading past the last marker trips
+  // ASan.
+  TimedTrace TT;
+  TT.Tr = {MarkerEvent::readS(), MarkerEvent::readE(0, mkJob(1, 0)),
+           MarkerEvent::readS()};
+  TT.Ts = {0, 10, 10};
+  TT.EndTime = 14;
+  std::vector<ObservedSegment> Segs = observedSegments(TT);
+  ASSERT_EQ(Segs.size(), 2u);
+  EXPECT_EQ(Segs[0].Class, SegmentClass::SuccessfulRead);
+  EXPECT_EQ(Segs[0].Len, 10u);
+  EXPECT_EQ(Segs[0].FirstMarker, 0u);
+  EXPECT_EQ(Segs[1].Class, SegmentClass::FailedRead);
+  EXPECT_EQ(Segs[1].Len, 4u);
+  EXPECT_EQ(Segs[1].FirstMarker, 2u);
+}
+
 //===----------------------------------------------------------------------===//
 // Wiring into the §4 RTA
 //===----------------------------------------------------------------------===//

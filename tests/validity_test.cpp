@@ -180,3 +180,65 @@ TEST(Validity, FlagsOutOfOrderJobEvents) {
   ASSERT_FALSE(V.passed());
   EXPECT_NE(V.describe().find("out-of-order"), std::string::npos);
 }
+
+TEST(Validity, RecurringJobIdOpensASecondEntryAndIsFlagged) {
+  // j1 completes, then a read delivers id 1 again (with a new message).
+  // The conversion opens a second table entry, and (e) reports the
+  // duplicate id.
+  TaskSet TS;
+  addPeriodicTask(TS, "t", 10, 1, 1000);
+  ClientConfig C = makeClient(std::move(TS), 1);
+  ArrivalSequence Arr(1);
+  MsgId M1 = Arr.addArrival(0, 0, 0);
+  MsgId M2 = Arr.addArrival(1, 0, 0);
+  Job First = mkJob(1, 0, M1), Again = mkJob(1, 0, M2);
+  TimedTrace TT = TraceBuilder()
+                      .successRead(0, First, 10)
+                      .failedRead(0, 4)
+                      .at(MarkerEvent::selection(), 3)
+                      .at(MarkerEvent::dispatch(First), 2)
+                      .at(MarkerEvent::execution(First), 10)
+                      .at(MarkerEvent::completion(First), 5)
+                      .successRead(0, Again, 10)
+                      .failedRead(0, 4)
+                      .at(MarkerEvent::selection(), 3)
+                      .at(MarkerEvent::dispatch(Again), 2)
+                      .at(MarkerEvent::execution(Again), 10)
+                      .at(MarkerEvent::completion(Again), 5)
+                      .finish();
+  ConversionResult CR = convertTraceToSchedule(TT, 1);
+  ASSERT_EQ(CR.Jobs.size(), 2u);
+  EXPECT_EQ(CR.Jobs[0].J.Msg, M1);
+  EXPECT_EQ(CR.Jobs[0].ReadAt, 10u);
+  EXPECT_EQ(CR.Jobs[0].CompletedAt, std::optional<Time>(29));
+  EXPECT_EQ(CR.Jobs[1].J.Id, 1u);
+  EXPECT_EQ(CR.Jobs[1].J.Msg, M2);
+  EXPECT_EQ(CR.Jobs[1].ReadAt, 44u);
+  EXPECT_EQ(CR.Jobs[1].CompletedAt, std::optional<Time>(63));
+  CheckResult V = checkValidity(CR, C.Tasks, Arr, C.Wcets, 1);
+  ASSERT_FALSE(V.passed());
+  EXPECT_NE(V.describe().find("(e) duplicate job id j1"), std::string::npos)
+      << V.describe();
+}
+
+TEST(Validity, DuplicateIdsBothSelectedCountTheSameIdPair) {
+  SimulatedRun R = makeRun(1, 1);
+  const auto &Arrs = R.Arr.arrivals();
+  ASSERT_GE(Arrs.size(), 2u);
+  ConversionResult Bad;
+  for (int K = 0; K < 2; ++K) {
+    ConvertedJob CJ;
+    CJ.J = mkJob(1, Arrs[K].Msg.Task, Arrs[K].Msg.Id);
+    CJ.ReadAt = Arrs[K].At + 1;
+    CJ.SelectedAt = Arrs[K].At + 2;
+    Bad.Jobs.push_back(CJ);
+  }
+  CheckResult V = checkValidity(Bad, R.Client.Tasks, R.Arr,
+                                R.Client.Wcets, 1);
+  EXPECT_EQ(V.failures(),
+            std::vector<std::string>{"(e) duplicate job id j1"});
+  // (b)/(e): 4 per entry; (d) ordering: 1 per entry; (c): 1. Entries
+  // that share an id share one record, which counts once as the selected
+  // job and once more as its competitor.
+  EXPECT_EQ(V.checksPerformed(), 11u);
+}
