@@ -9,10 +9,12 @@
 /// and gates on the wins they were built for:
 ///
 ///  1. single-point curve evaluation — the same nested release curve
-///     evaluated through the virtual ArrivalCurve tree, through the
-///     sweep engine's MemoCurve, and through FlatCurveTable. Gate:
-///     flat ≥ 3× the memoized throughput on one thread (checksums
-///     asserted identical, so the comparison is apples-to-apples);
+///     evaluated through the virtual ArrivalCurve tree, through
+///     MemoCurve (the sharded eval memo the sweep engine used before
+///     flat tables, kept in this file as the experiment's baseline), and
+///     through FlatCurveTable. Gate: flat ≥ 3× the memoized throughput
+///     on one thread (checksums asserted identical, so the comparison
+///     is apples-to-apples);
 ///
 ///  2. warm-started fixpoints — a 10k-point neighbor grid (each point a
 ///     small perturbation of the last) analyzed cold (no seeding at
@@ -33,17 +35,95 @@
 
 #include "core/curve_table.h"
 #include "rta/sweep.h"
+#include "support/check.h"
 #include "support/parallel.h"
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <shared_mutex>
+#include <unordered_map>
 #include <vector>
 
 using namespace rprosa;
 
 namespace {
+
+/// A thread-safe memoizing view of a pure arrival curve. eval() caches
+/// (Delta -> bound) in a sharded map; describe() delegates, so memoized
+/// and plain curves render identically everywhere.
+class MemoCurve : public ArrivalCurve {
+public:
+  explicit MemoCurve(ArrivalCurvePtr Inner);
+
+  std::uint64_t eval(Duration Delta) const override;
+  std::string describe() const override { return Inner->describe(); }
+
+  /// Forwarded verbatim: a memoized curve must compile to the same flat
+  /// table as its inner curve (the default would drop the tail and
+  /// force horizon-length scans).
+  std::optional<CurveTail> tail() const override { return Inner->tail(); }
+
+  const ArrivalCurvePtr &inner() const { return Inner; }
+
+  /// Cache effectiveness counters (exact; relaxed atomics — ordering is
+  /// irrelevant for counts). Miss semantics: a miss is counted only by
+  /// the evaluation that actually inserted its Δ into the cache, so
+  /// misses() equals the number of distinct Δs cached and can never
+  /// exceed the unique-Δ count; when two lanes race on the same Δ, the
+  /// race loser counts as a hit. hits() + misses() == eval() calls.
+  std::uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
+  std::uint64_t misses() const {
+    return Misses.load(std::memory_order_relaxed);
+  }
+
+private:
+  static constexpr std::size_t NumShards = 16;
+  struct Shard {
+    mutable std::shared_mutex M;
+    mutable std::unordered_map<Duration, std::uint64_t> Map;
+  };
+
+  ArrivalCurvePtr Inner;
+  mutable std::array<Shard, NumShards> Shards;
+  mutable std::atomic<std::uint64_t> Hits{0};
+  mutable std::atomic<std::uint64_t> Misses{0};
+};
+
+MemoCurve::MemoCurve(ArrivalCurvePtr InnerCurve)
+    : Inner(std::move(InnerCurve)) {
+  RPROSA_CHECK(Inner != nullptr, "MemoCurve requires a curve to wrap");
+}
+
+std::uint64_t MemoCurve::eval(Duration Delta) const {
+  Shard &S = Shards[std::hash<Duration>{}(Delta) % NumShards];
+  {
+    std::shared_lock<std::shared_mutex> L(S.M);
+    auto It = S.Map.find(Delta);
+    if (It != S.Map.end()) {
+      Hits.fetch_add(1, std::memory_order_relaxed);
+      return It->second;
+    }
+  }
+  // Evaluate outside any lock: the inner curve is pure, so a racing
+  // duplicate evaluation computes the same value. A miss is counted
+  // only by the evaluation whose emplace actually inserts the point:
+  // misses() == distinct cached Δs, and hits() + misses() == eval()
+  // calls, even when two lanes race on the same Δ (the race loser did
+  // find the point cached by the time the cache settled, so it counts
+  // as a hit).
+  std::uint64_t V = Inner->eval(Delta);
+  bool Inserted = false;
+  {
+    std::unique_lock<std::shared_mutex> L(S.M);
+    Inserted = S.Map.emplace(Delta, V).second;
+  }
+  (Inserted ? Misses : Hits).fetch_add(1, std::memory_order_relaxed);
+  return V;
+}
 
 double msSince(std::chrono::steady_clock::time_point T0) {
   return std::chrono::duration<double, std::milli>(
@@ -131,7 +211,6 @@ struct SweepRun {
   double Ms = 0;
   std::string Json;     ///< Plain rendering — the byte-compare currency.
   std::string TelJson;  ///< Telemetry-wrapped rendering (3-arg overload).
-  CurveCacheStats Cache;
   FixpointCounts Counts;
 };
 
@@ -152,7 +231,6 @@ SweepRun runSweep(const std::vector<SweepPoint> &Points, unsigned Threads,
   Out.Ms = msSince(T0);
   Out.Json = sweepResultsJson(Local, Results);
   Out.TelJson = sweepResultsJson(Local, Results, Runner.telemetry());
-  Out.Cache = Runner.telemetry().Cache;
   Out.Counts = Runner.telemetry().Fixpoints;
   return Out;
 }
@@ -238,10 +316,9 @@ int main(int argc, char **argv) {
               SavedPct,
               static_cast<unsigned long long>(Warm.Counts.Seeded),
               WarmBytesEqual ? "byte-identical" : "DIFFER");
-  std::printf("  curve cache: %zu curves, %llu hits / %llu misses\n\n",
-              Warm.Cache.Curves,
-              static_cast<unsigned long long>(Warm.Cache.Hits),
-              static_cast<unsigned long long>(Warm.Cache.Misses));
+  std::printf("  supply memo: %llu hits / %llu misses\n\n",
+              static_cast<unsigned long long>(Warm.Counts.SupplyMemoHits),
+              static_cast<unsigned long long>(Warm.Counts.SupplyMemoMisses));
   if (!WarmBytesEqual) {
     std::printf("E21 FAILED: warm-started sweep diverged from cold\n");
     Ok = false;
@@ -296,9 +373,8 @@ int main(int argc, char **argv) {
         "  \"warm_saved_pct\": %.2f,\n"
         "  \"warm_seeded\": %llu,\n"
         "  \"warm_byte_identical\": %s,\n"
-        "  \"curve_cache_curves\": %zu,\n"
-        "  \"curve_cache_hits\": %llu,\n"
-        "  \"curve_cache_misses\": %llu,\n"
+        "  \"supply_memo_hits\": %llu,\n"
+        "  \"supply_memo_misses\": %llu,\n"
         "  \"sweep_points\": [%zu, %zu, %zu],\n"
         "  \"sweep_serial_ms\": [%.3f, %.3f, %.3f],\n"
         "  \"sweep_parallel_ms\": [%.3f, %.3f, %.3f]\n"
@@ -307,9 +383,10 @@ int main(int argc, char **argv) {
         static_cast<unsigned long long>(ColdIters),
         static_cast<unsigned long long>(WarmIters), SavedPct,
         static_cast<unsigned long long>(Warm.Counts.Seeded),
-        WarmBytesEqual ? "true" : "false", Warm.Cache.Curves,
-        static_cast<unsigned long long>(Warm.Cache.Hits),
-        static_cast<unsigned long long>(Warm.Cache.Misses), Scales[0],
+        WarmBytesEqual ? "true" : "false",
+        static_cast<unsigned long long>(Warm.Counts.SupplyMemoHits),
+        static_cast<unsigned long long>(Warm.Counts.SupplyMemoMisses),
+        Scales[0],
         Scales[1], Scales[2], SerialMs[0], SerialMs[1], SerialMs[2], ParallelMs[0],
         ParallelMs[1], ParallelMs[2]);
     std::fclose(F);

@@ -127,10 +127,12 @@ void BM_SbfEval(benchmark::State &State) {
   const Fixture &F = sharedFixture();
   OverheadBounds B = OverheadBounds::compute(F.Client.Wcets, 2);
   Duration J = maxReleaseJitter(B);
-  std::vector<ArrivalCurvePtr> Beta;
+  std::vector<ArrivalCurvePtr> Alphas;
   for (const Task &T : F.Client.Tasks.tasks())
-    Beta.push_back(makeReleaseCurve(T.Curve, J));
-  RosslSupply Supply(Beta, B, 100 * TickSec);
+    Alphas.push_back(T.Curve);
+  const Time Cap = 100 * TickSec;
+  RosslSupply Supply(std::make_shared<FlatReleaseSet>(Alphas, J, Cap), B,
+                     Cap);
   Duration Delta = 1;
   for (auto _ : State) {
     benchmark::DoNotOptimize(Supply.supplyBound(Delta));

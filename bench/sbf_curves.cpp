@@ -63,10 +63,12 @@ int main(int argc, char **argv) {
 
   OverheadBounds B = OverheadBounds::compute(Client.Wcets, 2);
   Duration J = maxReleaseJitter(B);
-  std::vector<ArrivalCurvePtr> Beta;
+  std::vector<ArrivalCurvePtr> Alphas;
   for (const Task &T : Client.Tasks.tasks())
-    Beta.push_back(makeReleaseCurve(T.Curve, J));
-  RosslSupply Supply(Beta, B, 100 * TickSec);
+    Alphas.push_back(T.Curve);
+  const Time Cap = 100 * TickSec;
+  RosslSupply Supply(std::make_shared<FlatReleaseSet>(Alphas, J, Cap), B,
+                     Cap);
 
   std::vector<Time> Anchors = CR.Sched.busyWindowAnchors();
   const auto &Segs = CR.Sched.segments();

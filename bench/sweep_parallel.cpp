@@ -13,8 +13,7 @@
 ///     thread and once on the full pool, timed, with every per-point
 ///     result compared field by field; and
 ///  2. an RTA-only SweepRunner grid whose canonical JSON rendering must
-///     be *byte-identical* between the serial and parallel runs, and
-///     between the memoized and unmemoized runs.
+///     be *byte-identical* between the serial and parallel runs.
 ///
 /// Emits BENCH_sweep_parallel.json with the wall-clock numbers. The
 /// ≥ 2× speedup gate is enforced only when the pool actually has ≥ 4
@@ -130,10 +129,9 @@ std::vector<SweepPoint> rtaGrid(std::size_t NumSets) {
 }
 
 std::string runRtaGrid(const std::vector<SweepPoint> &Points,
-                       unsigned Threads, bool Memoize, std::size_t Chunk) {
+                       unsigned Threads, std::size_t Chunk) {
   SweepOptions Opts;
   Opts.Threads = Threads;
-  Opts.MemoizeCurves = Memoize;
   Opts.ChunkSize = Chunk;
   SweepRunner Runner(Opts);
   return sweepResultsJson(Points, Runner.run(Points));
@@ -168,17 +166,13 @@ int main(int argc, char **argv) {
               Speedup, ResultsEqual ? "identical" : "DIFFER");
 
   // 2. RTA grid: byte-identity of the canonical JSON across thread
-  // counts and memoization settings.
+  // counts.
   std::vector<SweepPoint> Points = rtaGrid(Smoke ? 4 : 24);
-  std::string JsonSerial = runRtaGrid(Points, 1, true, Chunk);
-  std::string JsonParallel = runRtaGrid(Points, Threads, true, Chunk);
-  std::string JsonUnmemoized = runRtaGrid(Points, 1, false, Chunk);
+  std::string JsonSerial = runRtaGrid(Points, 1, Chunk);
+  std::string JsonParallel = runRtaGrid(Points, Threads, Chunk);
   bool BytesEqual = JsonSerial == JsonParallel;
-  bool MemoEqual = JsonSerial == JsonUnmemoized;
-  std::printf("rta grid (%zu points): serial-vs-parallel JSON %s, "
-              "memoized-vs-unmemoized JSON %s\n\n",
-              Points.size(), BytesEqual ? "byte-identical" : "DIFFERS",
-              MemoEqual ? "byte-identical" : "DIFFERS");
+  std::printf("rta grid (%zu points): serial-vs-parallel JSON %s\n\n",
+              Points.size(), BytesEqual ? "byte-identical" : "DIFFERS");
 
   // 3. The small-batch regression gate: a 3-point grid must not pay
   // for the pool. Best-of-3 on each side to damp scheduler noise.
@@ -214,19 +208,17 @@ int main(int argc, char **argv) {
                  "  \"tiny_parallel_ms\": %.3f,\n"
                  "  \"tiny_speedup\": %.3f,\n"
                  "  \"results_identical\": %s,\n"
-                 "  \"json_byte_identical\": %s,\n"
-                 "  \"memo_byte_identical\": %s\n"
+                 "  \"json_byte_identical\": %s\n"
                  "}\n",
                  Grid.size(), Parallel.threads(), SerialMs, ParallelMs,
                  Speedup, TinySerialMs, TinyParallelMs, TinySpeedup,
                  ResultsEqual ? "true" : "false",
-                 BytesEqual ? "true" : "false",
-                 MemoEqual ? "true" : "false");
+                 BytesEqual ? "true" : "false");
     std::fclose(F);
     std::printf("wrote BENCH_sweep_parallel.json\n");
   }
 
-  bool Ok = ResultsEqual && BytesEqual && MemoEqual;
+  bool Ok = ResultsEqual && BytesEqual;
   // The wall-clock gate applies only where the hardware can deliver it:
   // a pool of >= 4 threads on >= 4 cores must cut the grid's time at
   // least in half. (Oversubscribing a smaller machine with --threads=4
@@ -246,7 +238,7 @@ int main(int argc, char **argv) {
                 TinySpeedup);
     Ok = false;
   }
-  if (!Ok && (ResultsEqual && BytesEqual && MemoEqual) == false) {
+  if (!Ok && (ResultsEqual && BytesEqual) == false) {
     std::printf("E18 FAILED: parallel and serial runs disagree\n");
   }
   if (!Ok)

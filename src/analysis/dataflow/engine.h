@@ -62,6 +62,11 @@
 
 namespace rprosa::analysis::dataflow {
 
+/// The wide integer the numeric domains (interval, zone, witness) use
+/// to compute int64 bound arithmetic without overflow before clamping.
+/// __extension__ keeps -Wpedantic quiet; GCC and Clang both provide it.
+__extension__ typedef __int128 I128;
+
 enum class Direction : std::uint8_t { Forward, Backward };
 
 /// Precomputed iteration structure of one CFG: reverse post-order,

@@ -14,8 +14,6 @@ using namespace rprosa::analysis;
 using namespace rprosa::analysis::dataflow;
 using namespace rprosa::caesium;
 
-__extension__ typedef __int128 I128; // NOLINT: GCC/Clang both provide it.
-
 bool ValueInterval::joinWith(const ValueInterval &O) {
   bool Changed = false;
   if (O.Lo < Lo) {

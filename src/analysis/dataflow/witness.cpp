@@ -37,7 +37,7 @@ struct TrapAlt {
   struct Con {
     DiffExpr D;
     bool Le = true;
-    __int128 C = 0;
+    I128 C = 0;
   };
   std::vector<Con> Cons;
   std::string Desc;
@@ -51,7 +51,7 @@ bool applyAlt(Zone &Z, const TrapAlt &A) {
   return !Z.isEmpty();
 }
 
-void addEqCons(TrapAlt &A, const DiffExpr &D, __int128 C) {
+void addEqCons(TrapAlt &A, const DiffExpr &D, I128 C) {
   A.Cons.push_back({D, true, C});
   A.Cons.push_back({D, false, C});
 }
@@ -75,11 +75,11 @@ void collectOverflowAlts(const Expr &E, std::vector<TrapAlt> &Alts,
       return;
     }
     TrapAlt Hi;
-    Hi.Cons.push_back({S, false, static_cast<__int128>(INT64_MAX) + 1});
+    Hi.Cons.push_back({S, false, static_cast<I128>(INT64_MAX) + 1});
     Hi.Desc = printExpr(E) + " > INT64_MAX";
     Alts.push_back(std::move(Hi));
     TrapAlt Lo;
-    Lo.Cons.push_back({S, true, static_cast<__int128>(INT64_MIN) - 1});
+    Lo.Cons.push_back({S, true, static_cast<I128>(INT64_MIN) - 1});
     Lo.Desc = printExpr(E) + " < INT64_MIN";
     Alts.push_back(std::move(Lo));
   } else if (E.K == Expr::Kind::Div || E.K == Expr::Kind::Mod) {
@@ -132,7 +132,7 @@ std::vector<TrapAlt> trapAlternatives(const Cfg &G, const Finding &F,
     Sock.Ok = true;
     Sock.Pos = Node.Reg + 1;
     TrapAlt Hi;
-    Hi.Cons.push_back({Sock, false, static_cast<__int128>(NumSockets)});
+    Hi.Cons.push_back({Sock, false, static_cast<I128>(NumSockets)});
     Hi.Desc = "socket index >= " + std::to_string(NumSockets);
     Alts.push_back(std::move(Hi));
     TrapAlt Lo;
@@ -330,7 +330,7 @@ SearchResult searchTrapPath(const Cfg &G, const Finding &F,
       {
         ExecState NS = S;
         if (NS.Z.constrainWide(SockV, 0,
-                               static_cast<__int128>(Opts.NumSockets) - 1) &&
+                               static_cast<I128>(Opts.NumSockets) - 1) &&
             NS.Z.constrainWide(0, SockV, 0)) {
           const std::uint32_t DstV = Node.Dst + 1;
           ExecState::ReadEvt Evt;
@@ -338,13 +338,13 @@ SearchResult searchTrapPath(const Cfg &G, const Finding &F,
           Evt.Success = true;
           if (NS.InputsUsed < Opts.MaxScriptedReads) {
             const std::uint32_t V = InputBase + NS.InputsUsed++;
-            NS.Z.constrainWide(V, 0, static_cast<__int128>(UINT32_MAX));
+            NS.Z.constrainWide(V, 0, static_cast<I128>(UINT32_MAX));
             NS.Z.constrainWide(0, V, 0);
             NS.Z.setCopyShift(DstV, V, 0);
             Evt.Var = V;
           } else {
             NS.Z.forget(DstV);
-            NS.Z.constrainWide(DstV, 0, static_cast<__int128>(UINT32_MAX));
+            NS.Z.constrainWide(DstV, 0, static_cast<I128>(UINT32_MAX));
             NS.Z.constrainWide(0, DstV, 0);
             markNotReplayable(NS, "scripted-read budget exhausted");
           }
@@ -362,7 +362,7 @@ SearchResult searchTrapPath(const Cfg &G, const Finding &F,
       {
         ExecState NS = std::move(S);
         if (NS.Z.constrainWide(SockV, 0,
-                               static_cast<__int128>(Opts.NumSockets) - 1) &&
+                               static_cast<I128>(Opts.NumSockets) - 1) &&
             NS.Z.constrainWide(0, SockV, 0)) {
           NS.Z.setConst(Node.Dst + 1, -1);
           if (SockValid)

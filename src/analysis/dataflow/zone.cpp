@@ -21,7 +21,7 @@ namespace {
 /// every later 128-bit sum far from the int64 edges.
 constexpr std::int64_t ZoneNegClamp = -(std::int64_t{1} << 62);
 
-std::int64_t clampBound(__int128 S) {
+std::int64_t clampBound(I128 S) {
   if (S >= ZoneInf)
     return ZoneInf;
   if (S < ZoneNegClamp)
@@ -29,10 +29,10 @@ std::int64_t clampBound(__int128 S) {
   return static_cast<std::int64_t>(S);
 }
 
-std::int64_t satAdd(std::int64_t A, __int128 B) {
+std::int64_t satAdd(std::int64_t A, I128 B) {
   if (A == ZoneInf || B >= ZoneInf)
     return ZoneInf;
-  return clampBound(static_cast<__int128>(A) + B);
+  return clampBound(static_cast<I128>(A) + B);
 }
 
 } // namespace
@@ -106,7 +106,7 @@ bool Zone::constrain(std::uint32_t I, std::uint32_t J, std::int64_t C) {
   return true;
 }
 
-bool Zone::constrainWide(std::uint32_t I, std::uint32_t J, __int128 C) {
+bool Zone::constrainWide(std::uint32_t I, std::uint32_t J, I128 C) {
   if (C >= ZoneInf)
     return !isEmpty();
   return constrain(I, J, clampBound(C));
@@ -128,10 +128,10 @@ void Zone::forget(std::uint32_t I) {
 void Zone::setConst(std::uint32_t I, std::int64_t C) {
   forget(I);
   constrainWide(I, 0, C);
-  constrainWide(0, I, -static_cast<__int128>(C));
+  constrainWide(0, I, -static_cast<I128>(C));
 }
 
-void Zone::shift(std::uint32_t I, __int128 C) {
+void Zone::shift(std::uint32_t I, I128 C) {
   close();
   if (Empty)
     return;
@@ -143,7 +143,7 @@ void Zone::shift(std::uint32_t I, __int128 C) {
   }
 }
 
-void Zone::setCopyShift(std::uint32_t I, std::uint32_t J, __int128 C) {
+void Zone::setCopyShift(std::uint32_t I, std::uint32_t J, I128 C) {
   if (I == J) {
     shift(I, C);
     return;
@@ -218,13 +218,13 @@ namespace {
 
 struct LinAcc {
   std::map<std::uint32_t, int> Coeff;
-  __int128 K = 0;
+  I128 K = 0;
 };
 
 bool linOf(const Expr &E, int Sign, LinAcc &A) {
   switch (E.K) {
   case Expr::Kind::Lit:
-    A.K += static_cast<__int128>(Sign) * E.Lit;
+    A.K += static_cast<I128>(Sign) * E.Lit;
     return true;
   case Expr::Kind::Reg:
     A.Coeff[E.Reg + 1] += Sign;
@@ -276,14 +276,14 @@ DiffExpr rprosa::analysis::dataflow::diffExprOfPair(const Expr &L,
 }
 
 bool rprosa::analysis::dataflow::constrainDiffLe(Zone &Z, const DiffExpr &D,
-                                                 __int128 C) {
+                                                 I128 C) {
   if (!D.Ok)
     return !Z.isEmpty();
   return Z.constrainWide(D.Pos, D.Neg, C - D.K);
 }
 
 bool rprosa::analysis::dataflow::constrainDiffGe(Zone &Z, const DiffExpr &D,
-                                                 __int128 C) {
+                                                 I128 C) {
   if (!D.Ok)
     return !Z.isEmpty();
   return Z.constrainWide(D.Neg, D.Pos, D.K - C);
@@ -404,11 +404,11 @@ ZoneDomain::State ZoneDomain::transfer(const Cfg &G, NodeId N,
     std::uint32_t SockV = Node.Reg + 1;
     bool Feasible =
         S.Z.constrainWide(SockV, 0,
-                          static_cast<__int128>(NumSockets) - 1) &&
+                          static_cast<I128>(NumSockets) - 1) &&
         S.Z.constrainWide(0, SockV, 0);
     std::uint32_t D = Node.Dst + 1;
     S.Z.forget(D);
-    S.Z.constrainWide(D, 0, static_cast<__int128>(UINT32_MAX));
+    S.Z.constrainWide(D, 0, static_cast<I128>(UINT32_MAX));
     S.Z.constrain(0, D, 1); // result >= -1
     if (!Feasible)
       S.Reachable = false;

@@ -73,7 +73,7 @@ public:
 
   /// constrain() with a wide bound: C >= ZoneInf is a no-op (trivially
   /// true), C below the negative clamp is loosened up to it.
-  bool constrainWide(std::uint32_t I, std::uint32_t J, __int128 C);
+  bool constrainWide(std::uint32_t I, std::uint32_t J, I128 C);
 
   /// Drops every constraint mentioning x_I (havoc).
   void forget(std::uint32_t I);
@@ -82,10 +82,10 @@ public:
   void setConst(std::uint32_t I, std::int64_t C);
 
   /// x_I := x_I + C (exact shift of every bound involving x_I).
-  void shift(std::uint32_t I, __int128 C);
+  void shift(std::uint32_t I, I128 C);
 
   /// x_I := x_J + C, I != J.
-  void setCopyShift(std::uint32_t I, std::uint32_t J, __int128 C);
+  void setCopyShift(std::uint32_t I, std::uint32_t J, I128 C);
 
   /// Convex-hull join (pointwise max of closed matrices). Returns true
   /// iff this zone grew.
@@ -128,7 +128,7 @@ struct DiffExpr {
   bool Ok = false;
   std::uint32_t Pos = 0;
   std::uint32_t Neg = 0;
-  __int128 K = 0;
+  I128 K = 0;
 };
 
 /// \p E as a DiffExpr over register variables (reg r -> var r + 1).
@@ -138,8 +138,8 @@ DiffExpr diffExprOf(const caesium::Expr &E);
 DiffExpr diffExprOfPair(const caesium::Expr &L, const caesium::Expr &R);
 
 /// Adds D <= C resp. D >= C to \p Z. Returns false iff infeasible.
-bool constrainDiffLe(Zone &Z, const DiffExpr &D, __int128 C);
-bool constrainDiffGe(Zone &Z, const DiffExpr &D, __int128 C);
+bool constrainDiffLe(Zone &Z, const DiffExpr &D, I128 C);
+bool constrainDiffGe(Zone &Z, const DiffExpr &D, I128 C);
 
 /// Refines \p Z by the branch condition \p E being \p WantTrue.
 /// Returns false iff the refinement is contradictory (edge infeasible);

@@ -38,8 +38,8 @@
 /// token vector is ever materialised, so multi-MB generated specs parse
 /// in one cheap pass. Nodes go straight into the caller's AstArena.
 /// The pre-refactor two-pass design survives as parseProgramReference
-/// (parser_reference.cpp): the E24 throughput baseline and the
-/// differential-fuzz oracle for the new frontend.
+/// (parser_reference.h, outside this library): the E24 throughput
+/// baseline and the differential-fuzz oracle for the new frontend.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -72,16 +72,6 @@ struct ParseDiag {
 std::optional<StmtPtr> parseProgram(AstArena &A, std::string_view Source,
                                     rprosa::CheckResult *Diags = nullptr,
                                     ParseDiag *Err = nullptr);
-
-/// The pre-refactor frontend (materialize-all-tokens lexer, then a
-/// recursive descent over the token vector), kept verbatim as the E24
-/// baseline and as a differential oracle: on every input, it must
-/// accept exactly when parseProgram accepts, with print-identical
-/// trees. Diagnostics carry line only (the old format) — use
-/// parseProgram for user-facing errors.
-std::optional<StmtPtr>
-parseProgramReference(AstArena &A, std::string_view Source,
-                      rprosa::CheckResult *Diags = nullptr);
 
 /// Renders a caret snippet for a parse error:
 ///

@@ -7,7 +7,7 @@
 // The pre-refactor frontend, kept as-is: a two-pass design that first
 // materialises every token into a vector (with a std::string per
 // identifier) and then runs recursive descent over it. It exists for
-// two jobs (see parser.h):
+// two jobs (see parser_reference.h):
 //
 //  - the E24 baseline: bench/parse_cost measures the streaming
 //    state-stack frontend against this one on generated specs;
@@ -22,10 +22,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "caesium/parser.h"
+#include "caesium/parser_reference.h"
 
 #include <cctype>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 using namespace rprosa;

@@ -12,8 +12,20 @@
 
 using namespace rprosa;
 
-FlatCurveTable::FlatCurveTable(ArrivalCurvePtr Curve, Duration Horizon,
-                               FlatCompileOptions Opts)
+namespace {
+
+/// Hard cap on the number of breakpoints compiled for curves without a
+/// certified tail; beyond the covered range eval falls back to the
+/// source curve.
+constexpr std::size_t MaxBreakpoints = 1 << 14;
+
+/// When the covered range fits, additionally build a dense
+/// value-per-tick array for O(1) direct-index eval.
+constexpr std::size_t DenseLimit = 1 << 16;
+
+} // namespace
+
+FlatCurveTable::FlatCurveTable(ArrivalCurvePtr Curve, Duration Horizon)
     : Source(std::move(Curve)) {
   RPROSA_CHECK(Source != nullptr, "FlatCurveTable requires a curve");
 
@@ -44,7 +56,7 @@ FlatCurveTable::FlatCurveTable(ArrivalCurvePtr Curve, Duration Horizon,
       Cur = End; // Flat through End: no further breakpoints.
       break;
     }
-    if (Breaks.size() >= Opts.MaxBreakpoints) {
+    if (Breaks.size() >= MaxBreakpoints) {
       Complete = false; // Table budget exhausted; exact through Cur.
       break;
     }
@@ -71,7 +83,7 @@ FlatCurveTable::FlatCurveTable(ArrivalCurvePtr Curve, Duration Horizon,
     TailValidTo = Tail->ValidTo;
   }
 
-  if (Complete && Covered < Opts.DenseLimit) {
+  if (Complete && Covered < DenseLimit) {
     DenseVals.resize(static_cast<std::size_t>(Covered) + 1);
     std::size_t B = 0;
     for (Duration D = 0; D <= Covered; ++D) {

@@ -9,9 +9,7 @@
 /// evaluation inside fixpoint iteration: each Kleene iterate sums
 /// β_k(Δ) over tasks, and the SBF's job bound sums them again. With the
 /// polymorphic ArrivalCurve tree each of those evaluations is a chain
-/// of virtual calls behind shared_ptrs (Shifted → Sum → parts...), or —
-/// under the sweep engine's MemoCurve — a sharded hash-map lookup
-/// through a shared_mutex.
+/// of virtual calls behind shared_ptrs (Shifted → Sum → parts...).
 ///
 /// FlatCurveTable compiles a curve once into a contiguous step-function
 /// table: strictly increasing breakpoints `Breaks` with values `Vals`,
@@ -34,7 +32,9 @@
 /// FlatReleaseSet packages what an analysis run actually needs: one
 /// table per task's arrival curve α_i plus the common release jitter J,
 /// so every release-curve evaluation β_i(Δ) = α_i(Δ + J) is an offset
-/// into the task's table rather than a ShiftedCurve virtual chain.
+/// into the task's table rather than a ShiftedCurve virtual chain. It is
+/// the RTA's only release-curve path: the busy-window fixpoints and the
+/// SBF's job bound (rta/sbf.h) both evaluate through it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,17 +51,6 @@
 
 namespace rprosa {
 
-/// Tuning of FlatCurveTable compilation.
-struct FlatCompileOptions {
-  /// Hard cap on the number of breakpoints compiled for curves without
-  /// a certified tail; beyond the covered range eval falls back to the
-  /// source curve.
-  std::size_t MaxBreakpoints = 1 << 14;
-  /// When the covered range fits, additionally build a dense
-  /// value-per-tick array for O(1) direct-index eval.
-  std::size_t DenseLimit = 1 << 16;
-};
-
 /// A compiled step-function view of one ArrivalCurve. Immutable after
 /// construction and lock-free to evaluate, so one table may be shared
 /// across sweep threads freely.
@@ -73,8 +62,7 @@ public:
   /// horizon stay exact (tail extrapolation or source fallback), only
   /// potentially slower.
   explicit FlatCurveTable(ArrivalCurvePtr Curve,
-                          Duration Horizon = 100 * TickSec,
-                          FlatCompileOptions Opts = FlatCompileOptions());
+                          Duration Horizon = 100 * TickSec);
 
   /// Exactly Source->eval(Delta), via the table.
   std::uint64_t eval(Duration Delta) const {

@@ -6,10 +6,11 @@
 
 #include "rta/rta_npfp.h"
 
+#include "rta/analysis_setup.h"
+
 #include "support/check.h"
 
 #include <algorithm>
-#include <memory>
 
 using namespace rprosa;
 
@@ -48,32 +49,9 @@ class NpfpAnalysis {
 public:
   NpfpAnalysis(const TaskSet &Tasks, const BasicActionWcets &W,
                std::uint32_t NumSockets, const RtaConfig &Cfg)
-      : Tasks(Tasks), Cfg(Cfg) {
-    Bounds = OverheadBounds::compute(W, NumSockets);
-    Jitter = Cfg.AccountOverheads ? maxReleaseJitter(Bounds) : 0;
-    std::vector<ArrivalCurvePtr> Alphas;
-    for (const Task &T : Tasks.tasks())
-      Alphas.push_back(T.Curve);
-    // The hot-path kernel: every β_k evaluation below goes through one
-    // flat compilation of the task curves (core/curve_table.h), never
-    // the virtual curve tree. Identical values by construction.
-    Flat = std::make_shared<FlatReleaseSet>(
-        Alphas, Jitter, satAdd(Cfg.FixedPointCap, 2));
-    if (Cfg.AccountOverheads) {
-      std::vector<ArrivalCurvePtr> Beta;
-      for (const ArrivalCurvePtr &A : Alphas)
-        Beta.push_back(makeReleaseCurve(A, Jitter));
-      auto Rossl = std::make_unique<RosslSupply>(std::move(Beta), Bounds,
-                                                 Cfg.FixedPointCap,
-                                                 !Cfg.AblateCarryIn);
-      Rossl->setFlatCurves(Flat);
-      Rossl->setWarmSeeding(Cfg.WarmIntraPoint);
-      Rossl->setTelemetry(Cfg.Telemetry);
-      Supply = std::move(Rossl);
-    } else {
-      Supply = std::make_unique<IdealSupply>();
-    }
-  }
+      : Tasks(Tasks), Cfg(Cfg),
+        Setup(detail::setUpAnalysis(Tasks, W, NumSockets, Cfg,
+                                    satAdd(Cfg.FixedPointCap, 2))) {}
 
   RtaResult run();
 
@@ -84,7 +62,7 @@ private:
   Duration workloadOf(const std::vector<TaskId> &Ks, Duration Len) const {
     Duration Sum = 0;
     for (TaskId K : Ks)
-      Sum = satAdd(Sum, satMul(Flat->evalRelease(K, Len),
+      Sum = satAdd(Sum, satMul(Setup.Releases->evalRelease(K, Len),
                                Tasks.task(K).Wcet));
     return Sum;
   }
@@ -102,10 +80,7 @@ private:
 
   const TaskSet &Tasks;
   RtaConfig Cfg;
-  OverheadBounds Bounds;
-  Duration Jitter = 0;
-  std::shared_ptr<const FlatReleaseSet> Flat;
-  std::unique_ptr<SupplyModel> Supply;
+  detail::AnalysisSetup Setup;
 };
 
 } // namespace
@@ -113,7 +88,7 @@ private:
 TaskRta NpfpAnalysis::analyzeTask(TaskId I) const {
   TaskRta Out;
   Out.Task = I;
-  Out.Jitter = Jitter;
+  Out.Jitter = Setup.Jitter;
   const Task &Ti = Tasks.task(I);
 
   // Non-preemptive blocking: one lower-priority job may have just
@@ -131,7 +106,7 @@ TaskRta NpfpAnalysis::analyzeTask(TaskId I) const {
   auto BusyStep = [&](Time L) {
     Duration Work = satAdd(Out.Blocking, workloadOf(HepAll, L));
     // A busy window is at least one instant long.
-    return std::max<Time>(1, Supply->timeToSupply(Work));
+    return std::max<Time>(1, Setup.Supply->timeToSupply(Work));
   };
   // Seed the busy window from a demand-dominated neighbor's solution
   // when the caller supplied one (sound per warm_start.h: the
@@ -143,7 +118,7 @@ TaskRta NpfpAnalysis::analyzeTask(TaskId I) const {
   Out.BusyWindow = *L;
 
   // Walk the release offsets A_q within the busy window.
-  FlatReleaseView BetaI(*Flat, I);
+  FlatReleaseView BetaI(*Setup.Releases, I);
   Duration Rmax = 0;
   Time PrevS = 0; // S_{q-1}: a sound seed for S_q (Prior and A_q grow).
   for (std::uint64_t Q = 1; Q <= Cfg.MaxOffsets; ++Q) {
@@ -160,7 +135,7 @@ TaskRta NpfpAnalysis::analyzeTask(TaskId I) const {
     // releases up to (and including) the candidate start.
     auto StartStep = [&](Time T) {
       Duration Work = satAdd(Prior, workloadOf(HepOthers, satAdd(T, 1)));
-      return std::max<Time>(Aq, Supply->timeToSupply(Work));
+      return std::max<Time>(Aq, Setup.Supply->timeToSupply(Work));
     };
     std::optional<Time> S =
         solve(StartStep, Aq, Cfg.WarmIntraPoint ? PrevS : 0);
@@ -173,7 +148,7 @@ TaskRta NpfpAnalysis::analyzeTask(TaskId I) const {
     // job's own execution.
     Duration WorkAtStart =
         satAdd(Prior, workloadOf(HepOthers, satAdd(*S, 1)));
-    Time F = Supply->timeToSupply(satAdd(WorkAtStart, Ti.Wcet));
+    Time F = Setup.Supply->timeToSupply(satAdd(WorkAtStart, Ti.Wcet));
     if (exceedsCap(F, Cfg.FixedPointCap))
       return Out; // Unbounded.
 
@@ -185,13 +160,13 @@ TaskRta NpfpAnalysis::analyzeTask(TaskId I) const {
 
   Out.Bounded = true;
   Out.ReleaseRelativeBound = Rmax;
-  Out.ResponseBound = satAdd(Rmax, Jitter);
+  Out.ResponseBound = satAdd(Rmax, Setup.Jitter);
   return Out;
 }
 
 RtaResult NpfpAnalysis::run() {
   RtaResult Res;
-  Res.Bounds = Bounds;
+  Res.Bounds = Setup.Bounds;
   for (const Task &T : Tasks.tasks())
     Res.PerTask.push_back(analyzeTask(T.Id));
   return Res;

@@ -6,8 +6,9 @@
 
 #include "rta/rta_policies.h"
 
+#include "rta/analysis_setup.h"
+
 #include <algorithm>
-#include <memory>
 
 using namespace rprosa;
 
@@ -20,36 +21,9 @@ class OrderDrivenAnalysis {
 public:
   OrderDrivenAnalysis(const TaskSet &Tasks, const BasicActionWcets &W,
                       std::uint32_t NumSockets, const RtaConfig &Cfg)
-      : Tasks(Tasks), Cfg(Cfg) {
-    Bounds = OverheadBounds::compute(W, NumSockets);
-    Jitter = Cfg.AccountOverheads ? maxReleaseJitter(Bounds) : 0;
-    std::vector<ArrivalCurvePtr> Alphas;
-    Duration MaxDeadline = 0;
-    for (const Task &T : Tasks.tasks()) {
-      Alphas.push_back(T.Curve);
-      MaxDeadline = std::max(MaxDeadline, T.Deadline);
-    }
-    // All β_k evaluations go through one flat compilation (see
-    // rta_npfp.cpp). The EDF window can reach A + 1 + J + D_i − D_k,
-    // so the compile horizon includes the deadline spread.
-    Flat = std::make_shared<FlatReleaseSet>(
-        Alphas, Jitter,
-        satAdd(Cfg.FixedPointCap, satAdd(MaxDeadline, 2)));
-    if (Cfg.AccountOverheads) {
-      std::vector<ArrivalCurvePtr> Beta;
-      for (const ArrivalCurvePtr &A : Alphas)
-        Beta.push_back(makeReleaseCurve(A, Jitter));
-      auto Rossl = std::make_unique<RosslSupply>(std::move(Beta), Bounds,
-                                                 Cfg.FixedPointCap,
-                                                 !Cfg.AblateCarryIn);
-      Rossl->setFlatCurves(Flat);
-      Rossl->setWarmSeeding(Cfg.WarmIntraPoint);
-      Rossl->setTelemetry(Cfg.Telemetry);
-      Supply = std::move(Rossl);
-    } else {
-      Supply = std::make_unique<IdealSupply>();
-    }
-  }
+      : Tasks(Tasks), Cfg(Cfg),
+        Setup(detail::setUpAnalysis(Tasks, W, NumSockets, Cfg,
+                                    compileHorizon(Tasks, Cfg))) {}
 
   /// The interference window of task \p K against a job of task \p I
   /// released at offset \p A: releases of K within this window may
@@ -59,19 +33,28 @@ public:
 
   RtaResult run(WindowFn Window) {
     RtaResult Res;
-    Res.Bounds = Bounds;
+    Res.Bounds = Setup.Bounds;
     for (const Task &T : Tasks.tasks())
       Res.PerTask.push_back(analyzeTask(T.Id, Window));
     return Res;
   }
 
 private:
+  /// The EDF window can reach A + 1 + J + D_i − D_k, so the release
+  /// curves are compiled past the cap by the deadline spread.
+  static Duration compileHorizon(const TaskSet &Tasks, const RtaConfig &Cfg) {
+    Duration MaxDeadline = 0;
+    for (const Task &T : Tasks.tasks())
+      MaxDeadline = std::max(MaxDeadline, T.Deadline);
+    return satAdd(Cfg.FixedPointCap, satAdd(MaxDeadline, 2));
+  }
+
   Duration workloadAt(TaskId I, Time A, WindowFn Window) const {
     Duration Sum = 0;
     for (const Task &K : Tasks.tasks())
       Sum = satAdd(Sum,
-                   satMul(Flat->evalRelease(
-                              K.Id, Window(Tasks, I, K.Id, A, Jitter)),
+                   satMul(Setup.Releases->evalRelease(
+                              K.Id, Window(Tasks, I, K.Id, A, Setup.Jitter)),
                           K.Wcet));
     return Sum;
   }
@@ -79,14 +62,14 @@ private:
   TaskRta analyzeTask(TaskId I, WindowFn Window) const {
     TaskRta Out;
     Out.Task = I;
-    Out.Jitter = Jitter;
+    Out.Jitter = Setup.Jitter;
     Out.Blocking = Tasks.maxOtherWcet(I);
 
     // Busy-window bound: the workload formula evaluated at L (monotone
     // in L, so the least fixed point is sound).
     auto BusyStep = [&](Time L) {
       Duration Work = satAdd(Out.Blocking, workloadAt(I, L, Window));
-      return std::max<Time>(1, Supply->timeToSupply(Work));
+      return std::max<Time>(1, Setup.Supply->timeToSupply(Work));
     };
     std::uint64_t Iters = 0;
     Duration BusySeed = Cfg.Warm ? Cfg.Warm->busyWindowSeed(I) : 0;
@@ -98,7 +81,7 @@ private:
       return Out;
     Out.BusyWindow = *L;
 
-    FlatReleaseView BetaI(*Flat, I);
+    FlatReleaseView BetaI(*Setup.Releases, I);
     Duration Rmax = 0;
     for (std::uint64_t Q = 1; Q <= Cfg.MaxOffsets; ++Q) {
       Duration WindowLen = minWindowAdmittingIn(BetaI, Q,
@@ -109,7 +92,7 @@ private:
       if (Aq >= *L)
         break;
       Duration Work = satAdd(Out.Blocking, workloadAt(I, Aq, Window));
-      Time F = Supply->timeToSupply(Work);
+      Time F = Setup.Supply->timeToSupply(Work);
       // The job cannot complete before its own release + execution.
       // The floor must be folded in *before* the cap check: a finish
       // bound pushed past the cap (or saturated) by the floor is just
@@ -125,16 +108,13 @@ private:
 
     Out.Bounded = true;
     Out.ReleaseRelativeBound = Rmax;
-    Out.ResponseBound = satAdd(Rmax, Jitter);
+    Out.ResponseBound = satAdd(Rmax, Setup.Jitter);
     return Out;
   }
 
   const TaskSet &Tasks;
   RtaConfig Cfg;
-  OverheadBounds Bounds;
-  Duration Jitter = 0;
-  std::shared_ptr<const FlatReleaseSet> Flat;
-  std::unique_ptr<SupplyModel> Supply;
+  detail::AnalysisSetup Setup;
 };
 
 Duration fifoWindow(const TaskSet &, TaskId, TaskId, Time A,

@@ -8,42 +8,29 @@
 
 #include "support/check.h"
 
-#include <cassert>
-
 using namespace rprosa;
 
-RosslSupply::RosslSupply(std::vector<ArrivalCurvePtr> ReleaseCurves,
+RosslSupply::RosslSupply(std::shared_ptr<const FlatReleaseSet> Releases,
                          const OverheadBounds &B, Time Cap,
                          bool CarryInPerTask)
-    : ReleaseCurves(std::move(ReleaseCurves)), B(B), Cap(Cap),
+    : Releases(std::move(Releases)), B(B), Cap(Cap),
       CarryInPerTask(CarryInPerTask) {
-  for ([[maybe_unused]] const ArrivalCurvePtr &C : this->ReleaseCurves)
-    assert(C && "missing release curve");
+  RPROSA_CHECK(this->Releases != nullptr,
+               "RosslSupply requires a release set");
 }
 
-RosslSupply::RosslSupply(std::vector<ArrivalCurvePtr> ReleaseCurves,
-                         const TimingInputs &In, std::uint32_t NumSockets,
-                         Time Cap, bool CarryInPerTask)
-    : RosslSupply(std::move(ReleaseCurves),
-                  OverheadBounds::compute(In.Wcets, NumSockets), Cap,
-                  CarryInPerTask) {}
-
-void RosslSupply::setFlatCurves(std::shared_ptr<const FlatReleaseSet> F) {
-  RPROSA_CHECK(!F || F->size() == ReleaseCurves.size(),
-               "flat release set must cover every release curve");
-  Flat = std::move(F);
+RosslSupply::~RosslSupply() {
+  if (!Telemetry)
+    return;
+  std::lock_guard<std::mutex> L(MemoM);
+  Telemetry->noteSupplyMemo(MemoHits, MemoMisses);
 }
 
 std::uint64_t RosslSupply::jobBound(Duration Delta) const {
   std::uint64_t Carry = CarryInPerTask ? 1 : 0;
   std::uint64_t N = 0;
-  if (Flat) {
-    for (std::size_t I = 0; I < ReleaseCurves.size(); ++I)
-      N += Flat->evalRelease(I, Delta) + Carry;
-    return N;
-  }
-  for (const ArrivalCurvePtr &C : ReleaseCurves)
-    N += C->eval(Delta) + Carry;
+  for (std::size_t I = 0; I < Releases->size(); ++I)
+    N += Releases->evalRelease(I, Delta) + Carry;
   return N;
 }
 
@@ -70,13 +57,16 @@ Time RosslSupply::timeToSupply(Duration Work) const {
     auto It = TimeToSupplyMemo.upper_bound(Work);
     if (It != TimeToSupplyMemo.begin()) {
       --It; // Largest memoized W' <= Work.
-      if (It->first == Work)
+      if (It->first == Work) {
+        ++MemoHits;
         return It->second;
+      }
       if (WarmSeeds) {
         // The inverse is monotone in Work, so t(W') is a sound lower
         // seed for t(W) — and if no t below the cap exists for the
         // smaller demand, none exists for ours either.
         if (It->second == TimeInfinity) {
+          ++MemoHits;
           TimeToSupplyMemo.emplace(Work, TimeInfinity);
           return TimeInfinity;
         }
@@ -95,6 +85,7 @@ Time RosslSupply::timeToSupply(Duration Work) const {
     Telemetry->noteSupplyIterations(Iters);
   Time Out = T ? *T : TimeInfinity;
   std::lock_guard<std::mutex> L(MemoM);
+  ++MemoMisses;
   TimeToSupplyMemo.emplace(Work, Out);
   return Out;
 }

@@ -30,6 +30,10 @@
 /// The inverse timeToSupply(W) = min{t : SBF(t) ≥ W} is computed by the
 /// classic request-bound fixed point t ← W + BlackoutBound(t).
 ///
+/// NJobs reads β_i through a FlatReleaseSet (core/curve_table.h): the
+/// same compilation, shared by pointer, that the analyses' busy-window
+/// fixpoints evaluate, so the RTA has one release-curve path.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RPROSA_RTA_SBF_H
@@ -39,44 +43,33 @@
 #include "rta/bounds.h"
 #include "rta/warm_start.h"
 
-#include "core/arrival_curve.h"
 #include "core/curve_table.h"
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <vector>
 
 namespace rprosa {
 
 /// The restricted-supply model of Rössl.
 class RosslSupply : public SupplyModel {
 public:
-  /// \p ReleaseCurves are the jitter-shifted β_i, one per task. \p Cap
-  /// bounds the fixed-point search (beyond it the analysis reports
-  /// "unbounded"). \p CarryInPerTask controls the +1 carry-in job per
-  /// task in NJobs; disabling it is an ABLATION ONLY — it tightens the
-  /// bound but drops the busy-window carry-in argument the soundness
-  /// derivation needs (see the E14 experiment).
-  RosslSupply(std::vector<ArrivalCurvePtr> ReleaseCurves,
+  /// \p Releases compiles the task curves α_i with the release jitter
+  /// as its shift, so NJobs sums Releases->evalRelease(i, Δ) = β_i(Δ);
+  /// it must not be null. \p Cap bounds the fixed-point search (beyond
+  /// it the analysis reports "unbounded"). \p CarryInPerTask controls
+  /// the +1 carry-in job per task in NJobs; disabling it is an ABLATION
+  /// ONLY — it tightens the bound but drops the busy-window carry-in
+  /// argument the soundness derivation needs (see the E14 experiment).
+  RosslSupply(std::shared_ptr<const FlatReleaseSet> Releases,
               const OverheadBounds &B, Time Cap,
               bool CarryInPerTask = true);
 
-  /// Convenience: derives the overhead bounds from provenance-tagged
-  /// timing inputs (OverheadBounds::compute over In.Wcets), so a
-  /// statically derived WCET table can feed the supply model without
-  /// the caller computing bounds by hand.
-  RosslSupply(std::vector<ArrivalCurvePtr> ReleaseCurves,
-              const TimingInputs &In, std::uint32_t NumSockets, Time Cap,
-              bool CarryInPerTask = true);
-
-  /// Routes jobBound's release-curve evaluations through a shared flat
-  /// compilation (core/curve_table.h) instead of the virtual curves.
-  /// \p Flat must be the compilation of the *same* α_i/J the release
-  /// curves were built from (the analyses construct both from one
-  /// source); bit-exact either way, so this is purely the hot-path
-  /// kernel swap. Call before the first query.
-  void setFlatCurves(std::shared_ptr<const FlatReleaseSet> Flat);
+  /// Adds the memo's hit and miss totals to the telemetry sink, if any.
+  ~RosslSupply() override;
+  RosslSupply(const RosslSupply &) = delete;
+  RosslSupply &operator=(const RosslSupply &) = delete;
 
   /// Enables memo-seeded supply fixpoints: timeToSupply(W) starts from
   /// the memoized inverse of the largest W' ≤ W instead of from W (the
@@ -85,7 +78,10 @@ public:
   /// before the first query.
   void setWarmSeeding(bool Enabled) { WarmSeeds = Enabled; }
 
-  /// Reports supply-fixpoint iteration counts into \p Tel (not owned).
+  /// Reports supply-fixpoint iteration counts into \p Tel (not owned),
+  /// and on destruction the memo's totals: a hit is a timeToSupply call
+  /// answered from the memo (the monotone ∞ shortcut included), a miss
+  /// a call that ran the blackout fixpoint; Work == 0 is neither.
   void setTelemetry(FixpointTelemetry *Tel) { Telemetry = Tel; }
 
   /// NJobs(Δ): the job-count bound described above.
@@ -104,8 +100,7 @@ public:
   Time timeToSupply(Duration Work) const override;
 
 private:
-  std::vector<ArrivalCurvePtr> ReleaseCurves;
-  std::shared_ptr<const FlatReleaseSet> Flat;
+  std::shared_ptr<const FlatReleaseSet> Releases;
   OverheadBounds B;
   Time Cap;
   bool CarryInPerTask;
@@ -121,6 +116,8 @@ private:
   /// so warm seeding can find the nearest memoized W' ≤ W.
   mutable std::mutex MemoM;
   mutable std::map<Duration, Time> TimeToSupplyMemo;
+  mutable std::uint64_t MemoHits = 0;   ///< Guarded by MemoM.
+  mutable std::uint64_t MemoMisses = 0; ///< Guarded by MemoM.
 };
 
 } // namespace rprosa

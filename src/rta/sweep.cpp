@@ -8,94 +8,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 using namespace rprosa;
-
-//===----------------------------------------------------------------------===//
-// MemoCurve
-//===----------------------------------------------------------------------===//
-
-MemoCurve::MemoCurve(ArrivalCurvePtr InnerCurve)
-    : Inner(std::move(InnerCurve)) {
-  RPROSA_CHECK(Inner != nullptr, "MemoCurve requires a curve to wrap");
-}
-
-std::uint64_t MemoCurve::eval(Duration Delta) const {
-  Shard &S = Shards[std::hash<Duration>{}(Delta) % NumShards];
-  {
-    std::shared_lock<std::shared_mutex> L(S.M);
-    auto It = S.Map.find(Delta);
-    if (It != S.Map.end()) {
-      Hits.fetch_add(1, std::memory_order_relaxed);
-      return It->second;
-    }
-  }
-  // Evaluate outside any lock: the inner curve is pure, so a racing
-  // duplicate evaluation computes the same value. A miss is counted
-  // only by the evaluation whose emplace actually inserts the point:
-  // misses() == distinct cached Δs, and hits() + misses() == eval()
-  // calls, even when two lanes race on the same Δ (the race loser did
-  // find the point cached by the time the cache settled, so it counts
-  // as a hit). Pinned by sweep_test.
-  std::uint64_t V = Inner->eval(Delta);
-  bool Inserted = false;
-  {
-    std::unique_lock<std::shared_mutex> L(S.M);
-    Inserted = S.Map.emplace(Delta, V).second;
-  }
-  (Inserted ? Misses : Hits).fetch_add(1, std::memory_order_relaxed);
-  return V;
-}
-
-//===----------------------------------------------------------------------===//
-// CurveCache
-//===----------------------------------------------------------------------===//
-
-ArrivalCurvePtr CurveCache::memoize(const ArrivalCurvePtr &Curve) {
-  RPROSA_CHECK(Curve != nullptr, "cannot memoize a null curve");
-  // Memoizing a memo would stack caches for no benefit.
-  if (dynamic_cast<const MemoCurve *>(Curve.get()))
-    return Curve;
-  std::lock_guard<std::mutex> L(M);
-  auto It = Map.find(Curve.get());
-  if (It == Map.end())
-    It = Map.emplace(Curve.get(), std::make_shared<MemoCurve>(Curve)).first;
-  return It->second;
-}
-
-std::size_t CurveCache::size() const {
-  std::lock_guard<std::mutex> L(M);
-  return Map.size();
-}
-
-CurveCacheStats CurveCache::stats() const {
-  CurveCacheStats S;
-  std::lock_guard<std::mutex> L(M);
-  S.Curves = Map.size();
-  for (const auto &KV : Map) {
-    S.Hits += KV.second->hits();
-    S.Misses += KV.second->misses();
-  }
-  return S;
-}
 
 //===----------------------------------------------------------------------===//
 // SweepRunner
 //===----------------------------------------------------------------------===//
 
 SweepRunner::SweepRunner(SweepOptions O) : Opts(O), Pool(O.Threads) {}
-
-TaskSet SweepRunner::withMemoizedCurves(const TaskSet &Tasks) {
-  // Ids are assigned densely in insertion order, so the rebuilt set has
-  // identical ids, priorities and deadlines — only the curves are
-  // swapped for their shared memoized views.
-  TaskSet Out;
-  for (const Task &T : Tasks.tasks())
-    Out.addTask(T.Name, T.Wcet, T.Prio, Cache.memoize(T.Curve), T.Deadline);
-  return Out;
-}
 
 bool SweepRunner::canSeed(const SweepPoint &From, const SweepPoint &To) {
   if (From.Policy != To.Policy)
@@ -136,8 +56,9 @@ bool SweepRunner::canSeed(const SweepPoint &From, const SweepPoint &To) {
 
 SweepTelemetry SweepRunner::telemetry() const {
   SweepTelemetry T;
-  T.Cache = Cache.stats();
   T.Fixpoints = Tel.snapshot();
+  T.Cache.Hits = T.Fixpoints.SupplyMemoHits;
+  T.Cache.Misses = T.Fixpoints.SupplyMemoMisses;
   T.Threads = Pool.threads();
   T.ChunkSize = LastChunk.load(std::memory_order_relaxed);
   return T;
@@ -145,25 +66,10 @@ SweepTelemetry SweepRunner::telemetry() const {
 
 std::vector<RtaResult> SweepRunner::run(const std::vector<SweepPoint> &Points) {
   const std::size_t N = Points.size();
-  // Memoization rewrite happens up front, on the submitting thread:
-  // CurveCache::memoize is thread-safe, but doing it here keeps the
-  // parallel region free of cache-structure churn.
-  std::vector<const SweepPoint *> Work(N);
-  std::vector<TaskSet> Memoized;
-  if (Opts.MemoizeCurves)
-    Memoized.reserve(N);
-  for (std::size_t I = 0; I < N; ++I) {
-    Work[I] = &Points[I];
-    if (Opts.MemoizeCurves)
-      Memoized.push_back(withMemoizedCurves(Points[I].Tasks));
-  }
-
   // The chunk size must be fixed here (not inside the pool): the
   // warm-start plan below is only sound within the chunk boundaries the
-  // pool will actually use. Mirrors parallelForChunked's derivation.
-  std::size_t C = Opts.ChunkSize;
-  if (C == 0)
-    C = std::max<std::size_t>(1, N / (8 * Pool.threads()));
+  // pool will actually use.
+  const std::size_t C = Pool.chunkSize(N, Opts.ChunkSize);
   LastChunk.store(C, std::memory_order_relaxed);
 
   // Warm-start plan: Seed[I] is the nearest earlier point in I's chunk
@@ -200,8 +106,7 @@ std::vector<RtaResult> SweepRunner::run(const std::vector<SweepPoint> &Points) {
   // never on scheduling.
   std::vector<RtaResult> Results(N);
   Pool.parallelForChunked(N, C, [&](std::size_t I) {
-    const SweepPoint &P = *Work[I];
-    const TaskSet &TS = Opts.MemoizeCurves ? Memoized[I] : P.Tasks;
+    const SweepPoint &P = Points[I];
     RtaConfig Cfg = P.Cfg;
     Cfg.Telemetry = &Tel;
     WarmStart W;
@@ -210,8 +115,8 @@ std::vector<RtaResult> SweepRunner::run(const std::vector<SweepPoint> &Points) {
       if (!W.empty())
         Cfg.Warm = &W;
     }
-    Results[I] =
-        analyzePolicy(TS, P.Sbf.Wcets, P.Sbf.NumSockets, P.Policy, Cfg);
+    Results[I] = analyzePolicy(P.Tasks, P.Sbf.Wcets, P.Sbf.NumSockets,
+                               P.Policy, Cfg);
   });
   return Results;
 }
@@ -297,11 +202,9 @@ std::string rprosa::sweepResultsJson(const std::vector<SweepPoint> &Points,
   appendU64(Out, Tel.Threads);
   Out += ", \"chunk\": ";
   appendU64(Out, Tel.ChunkSize);
-  Out += ", \"curves\": ";
-  appendU64(Out, Tel.Cache.Curves);
-  Out += ", \"curve_hits\": ";
+  Out += ", \"supply_memo_hits\": ";
   appendU64(Out, Tel.Cache.Hits);
-  Out += ", \"curve_misses\": ";
+  Out += ", \"supply_memo_misses\": ";
   appendU64(Out, Tel.Cache.Misses);
   Out += ", \"fixpoints\": ";
   appendU64(Out, Tel.Fixpoints.Fixpoints);

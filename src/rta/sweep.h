@@ -19,18 +19,11 @@
 /// run with 1 thread — same values, same order, same rendered JSON.
 /// Nothing downstream may depend on completion order.
 ///
-/// Memoization: points in a sweep overwhelmingly share curve objects
-/// (the same TaskSet analyzed at many socket counts or configs), so the
-/// runner wraps each distinct curve — keyed by the identity of the
-/// underlying ArrivalCurve object — in a thread-safe memo (MemoCurve)
-/// shared across all points. Since the flat-kernel rework the analyses
-/// themselves evaluate curves through FlatCurveTable (compiled once per
-/// point, never the virtual tree), so the memo's remaining job is to
-/// amortize the *compilation* scans across points; MemoCurve forwards
-/// tail() so memoized curves compile exactly like their inner curve.
-/// Memoization is semantically invisible (curves are pure); sweep_test
-/// asserts memoized == unmemoized, and hit/miss counters surface in the
-/// telemetry block of sweepResultsJson.
+/// Curves: each point's analysis compiles its own FlatReleaseSet
+/// (core/curve_table.h); there is no sweep-wide curve state. A curve
+/// with a certified periodic tail (every curve outside the tests)
+/// compiles in a few dozen evaluations, so a cache shared across points
+/// would save less than its locks cost.
 ///
 /// Warm starts: consecutive points of a sweep are usually tiny
 /// perturbations of each other (one more socket, one larger WCET). When
@@ -52,11 +45,8 @@
 
 #include "support/parallel.h"
 
-#include <array>
 #include <atomic>
-#include <mutex>
-#include <shared_mutex>
-#include <unordered_map>
+#include <cstdint>
 
 namespace rprosa {
 
@@ -78,86 +68,13 @@ struct SweepPoint {
   SchedPolicy Policy = SchedPolicy::Npfp;
 };
 
-/// A thread-safe memoizing view of a pure arrival curve. eval() caches
-/// (Delta -> bound) in a sharded map; describe() delegates, so memoized
-/// and plain curves render identically everywhere.
-class MemoCurve : public ArrivalCurve {
-public:
-  explicit MemoCurve(ArrivalCurvePtr Inner);
-
-  std::uint64_t eval(Duration Delta) const override;
-  std::string describe() const override { return Inner->describe(); }
-
-  /// Forwarded verbatim: a memoized curve must compile to the same flat
-  /// table as its inner curve (the default would drop the tail and
-  /// force horizon-length scans).
-  std::optional<CurveTail> tail() const override { return Inner->tail(); }
-
-  const ArrivalCurvePtr &inner() const { return Inner; }
-
-  /// Cache effectiveness counters (exact; relaxed atomics — ordering is
-  /// irrelevant for counts). Miss semantics: a miss is counted only by
-  /// the evaluation that actually inserted its Δ into the cache, so
-  /// misses() equals the number of distinct Δs cached and can never
-  /// exceed the unique-Δ count; when two lanes race on the same Δ, the
-  /// race loser counts as a hit. hits() + misses() == eval() calls.
-  std::uint64_t hits() const { return Hits.load(std::memory_order_relaxed); }
-  std::uint64_t misses() const {
-    return Misses.load(std::memory_order_relaxed);
-  }
-
-private:
-  static constexpr std::size_t NumShards = 16;
-  struct Shard {
-    mutable std::shared_mutex M;
-    mutable std::unordered_map<Duration, std::uint64_t> Map;
-  };
-
-  ArrivalCurvePtr Inner;
-  mutable std::array<Shard, NumShards> Shards;
-  mutable std::atomic<std::uint64_t> Hits{0};
-  mutable std::atomic<std::uint64_t> Misses{0};
-};
-
-/// Aggregated MemoCurve effectiveness across a CurveCache.
-struct CurveCacheStats {
-  std::size_t Curves = 0;   ///< Distinct curves memoized.
-  std::uint64_t Hits = 0;   ///< eval() calls answered from a memo.
-  std::uint64_t Misses = 0; ///< eval() calls forwarded to the inner curve.
-};
-
-/// The sweep-wide cache: one shared MemoCurve per distinct underlying
-/// curve object. Keyed by object identity (the pointer), which is safe
-/// because the cache holds a shared_ptr to every key it has seen — a
-/// cached address can never be recycled for a different curve while the
-/// cache lives.
-class CurveCache {
-public:
-  /// Returns the memoized view of \p Curve, creating it on first sight.
-  /// Idempotent: the same curve object always yields the same memo.
-  ArrivalCurvePtr memoize(const ArrivalCurvePtr &Curve);
-
-  std::size_t size() const;
-
-  /// Sums hit/miss counters over every memoized curve.
-  CurveCacheStats stats() const;
-
-private:
-  mutable std::mutex M;
-  std::unordered_map<const ArrivalCurve *, std::shared_ptr<MemoCurve>> Map;
-};
-
 /// Tuning of a SweepRunner.
 struct SweepOptions {
   /// Total parallelism; 0 = defaultParallelism(), 1 = fully serial (the
   /// benches' --serial escape hatch).
   unsigned Threads = 0;
-  /// Share curve evaluations across points (see MemoCurve). Disabled
-  /// only by the equivalence tests and ablation measurements.
-  bool MemoizeCurves = true;
   /// Contiguous indices handed to a lane per claim; 0 derives
-  /// max(1, Points / (8 · Threads)) — the parallelForChunked default.
-  /// Benches expose it as --chunk=N.
+  /// ThreadPool::chunkSize's default. Benches expose it as --chunk=N.
   std::size_t ChunkSize = 0;
   /// Seed each point's fixpoints from a demand-dominated predecessor in
   /// its chunk (sound: results are byte-identical either way; disabling
@@ -169,7 +86,12 @@ struct SweepOptions {
 /// it computed): rendered into the optional "telemetry" block of
 /// sweepResultsJson. Results never depend on any of it.
 struct SweepTelemetry {
-  CurveCacheStats Cache;
+  /// The supply memo's totals, copied from Fixpoints.SupplyMemoHits and
+  /// .SupplyMemoMisses (see RosslSupply::setTelemetry).
+  struct {
+    std::uint64_t Hits = 0;
+    std::uint64_t Misses = 0;
+  } Cache;
   FixpointCounts Fixpoints;
   unsigned Threads = 0;
   std::size_t ChunkSize = 0;
@@ -177,7 +99,7 @@ struct SweepTelemetry {
 
 /// Evaluates batches of SweepPoints concurrently with deterministic,
 /// input-ordered results. Reusable: consecutive run() calls share the
-/// pool and the curve cache.
+/// pool.
 class SweepRunner {
 public:
   explicit SweepRunner(SweepOptions Opts = {});
@@ -190,10 +112,10 @@ public:
 
   unsigned threads() const { return Pool.threads(); }
   ThreadPool &pool() { return Pool; }
-  CurveCache &cache() { return Cache; }
 
-  /// Snapshot of the cache and fixpoint counters, accumulated since the
-  /// last resetTelemetry(). ChunkSize is the chunk of the latest run().
+  /// Snapshot of the fixpoint and supply-memo counters, accumulated
+  /// since the last resetTelemetry(). ChunkSize is the chunk of the
+  /// latest run().
   SweepTelemetry telemetry() const;
   void resetTelemetry() { Tel.reset(); }
 
@@ -206,11 +128,8 @@ public:
   static bool canSeed(const SweepPoint &From, const SweepPoint &To);
 
 private:
-  TaskSet withMemoizedCurves(const TaskSet &Tasks);
-
   SweepOptions Opts;
   ThreadPool Pool;
-  CurveCache Cache;
   FixpointTelemetry Tel;
   /// Chunk size of the latest run(). Atomic because telemetry() is
   /// documented as callable while a run() is in flight on another
@@ -228,9 +147,10 @@ std::string sweepResultsJson(const std::vector<SweepPoint> &Points,
 
 /// The telemetry-carrying rendering: {"results": <plain form>,
 /// "telemetry": {...}}. The "results" value is byte-identical to the
-/// two-argument overload; the telemetry block (cache hits, fixpoint
-/// iteration counts, thread/chunk shape) legitimately varies across
-/// thread counts, so byte-identity gates compare the plain form.
+/// two-argument overload; the telemetry block (supply-memo hits,
+/// fixpoint iteration counts, thread/chunk shape) depends on the thread
+/// count, which sets the default chunk, so byte-identity gates compare
+/// the plain form.
 std::string sweepResultsJson(const std::vector<SweepPoint> &Points,
                              const std::vector<RtaResult> &Results,
                              const SweepTelemetry &Tel);

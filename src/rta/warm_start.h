@@ -54,12 +54,18 @@ struct FixpointCounts {
   std::uint64_t Iterations = 0;  ///< F applications across them.
   std::uint64_t SupplyIterations = 0; ///< Blackout-fixpoint F applications.
   std::uint64_t Seeded = 0;      ///< Calls that started from a warm seed.
+  /// RosslSupply::timeToSupply calls answered from its memo (sbf.h).
+  std::uint64_t SupplyMemoHits = 0;
+  /// RosslSupply::timeToSupply calls that ran the blackout fixpoint.
+  std::uint64_t SupplyMemoMisses = 0;
 
   FixpointCounts &operator+=(const FixpointCounts &O) {
     Fixpoints += O.Fixpoints;
     Iterations += O.Iterations;
     SupplyIterations += O.SupplyIterations;
     Seeded += O.Seeded;
+    SupplyMemoHits += O.SupplyMemoHits;
+    SupplyMemoMisses += O.SupplyMemoMisses;
     return *this;
   }
 };
@@ -80,12 +86,20 @@ public:
     SupplyIterations.fetch_add(Iters, std::memory_order_relaxed);
   }
 
+  /// One supply's memo totals, added once when the supply retires.
+  void noteSupplyMemo(std::uint64_t Hits, std::uint64_t Misses) {
+    SupplyMemoHits.fetch_add(Hits, std::memory_order_relaxed);
+    SupplyMemoMisses.fetch_add(Misses, std::memory_order_relaxed);
+  }
+
   FixpointCounts snapshot() const {
     FixpointCounts C;
     C.Fixpoints = Fixpoints.load(std::memory_order_relaxed);
     C.Iterations = Iterations.load(std::memory_order_relaxed);
     C.SupplyIterations = SupplyIterations.load(std::memory_order_relaxed);
     C.Seeded = Seeded.load(std::memory_order_relaxed);
+    C.SupplyMemoHits = SupplyMemoHits.load(std::memory_order_relaxed);
+    C.SupplyMemoMisses = SupplyMemoMisses.load(std::memory_order_relaxed);
     return C;
   }
 
@@ -94,6 +108,8 @@ public:
     Iterations.store(0, std::memory_order_relaxed);
     SupplyIterations.store(0, std::memory_order_relaxed);
     Seeded.store(0, std::memory_order_relaxed);
+    SupplyMemoHits.store(0, std::memory_order_relaxed);
+    SupplyMemoMisses.store(0, std::memory_order_relaxed);
   }
 
 private:
@@ -101,6 +117,8 @@ private:
   std::atomic<std::uint64_t> Iterations{0};
   std::atomic<std::uint64_t> SupplyIterations{0};
   std::atomic<std::uint64_t> Seeded{0};
+  std::atomic<std::uint64_t> SupplyMemoHits{0};
+  std::atomic<std::uint64_t> SupplyMemoMisses{0};
 };
 
 /// Per-task fixpoint seeds extracted from an already-solved

@@ -141,8 +141,7 @@ void ThreadPool::parallelForChunked(
     const std::function<void(std::size_t)> &Body) {
   if (N == 0)
     return;
-  if (ChunkSize == 0)
-    ChunkSize = std::max<std::size_t>(1, N / (8 * NumThreads));
+  ChunkSize = chunkSize(N, ChunkSize);
   if (NumThreads <= 1 || N <= ChunkSize) {
     // The serial escape hatch (also taken when one chunk covers the
     // whole batch): an inline loop, no threads at all.

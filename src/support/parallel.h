@@ -27,6 +27,7 @@
 #ifndef RPROSA_SUPPORT_PARALLEL_H
 #define RPROSA_SUPPORT_PARALLEL_H
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -100,11 +101,20 @@ public:
   /// bodies amortize the claim and the wakeups across C calls. Chunk
   /// boundaries are multiples of C independent of the thread count
   /// (each chunk is processed in ascending index order by one lane),
-  /// and only as many workers are woken as there are chunks. \p
-  /// ChunkSize == 0 picks max(1, N / (8 · threads())) — large enough
-  /// to amortize, small enough that imbalance still self-corrects.
+  /// and only as many workers are woken as there are chunks. C is
+  /// chunkSize(N, ChunkSize).
   void parallelForChunked(std::size_t N, std::size_t ChunkSize,
                           const std::function<void(std::size_t)> &Body);
+
+  /// The chunk parallelForChunked(N, \p Requested, ...) uses:
+  /// \p Requested itself, or for 0 max(1, N / (8 · threads())) — large
+  /// enough to amortize, small enough that imbalance still
+  /// self-corrects. Callers that plan per chunk (the sweep's warm
+  /// starts) derive their boundaries here.
+  std::size_t chunkSize(std::size_t N, std::size_t Requested) const {
+    return Requested != 0 ? Requested
+                          : std::max<std::size_t>(1, N / (8 * NumThreads));
+  }
 
 private:
   void workerLoop();

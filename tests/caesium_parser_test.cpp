@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "caesium/parser.h"
+#include "caesium/parser_reference.h"
 
 #include "caesium/interp.h"
 #include "caesium/print.h"

@@ -16,7 +16,6 @@
 #include "core/curve_table.h"
 
 #include "rta/jitter.h"
-#include "rta/sweep.h"
 
 #include <gtest/gtest.h>
 
@@ -125,18 +124,6 @@ TEST(FlatCurveTable, CombinatorEquivalence) {
 
 TEST(FlatCurveTable, ZeroCurveEquivalence) {
   expectEquivalent(std::make_shared<ZeroCurve>(), 1000);
-}
-
-TEST(FlatCurveTable, MemoCurveCompilesLikeItsInner) {
-  // MemoCurve forwards tail(), so a memoized curve must compile to an
-  // equivalent table — this is what keeps the sweep engine's memoized
-  // task sets on the fast extrapolating path.
-  auto P = std::make_shared<PeriodicCurve>(7);
-  auto Memo = std::make_shared<MemoCurve>(P);
-  expectEquivalent(Memo, 1000);
-  FlatCurveTable FromMemo(Memo, 1000), FromPlain(P, 1000);
-  EXPECT_EQ(FromMemo.hasTail(), FromPlain.hasTail());
-  EXPECT_EQ(FromMemo.breakpoints(), FromPlain.breakpoints());
 }
 
 TEST(FlatCurveTable, TailKeepsTablesSmall) {

@@ -19,13 +19,19 @@ using namespace rprosa::testutil;
 
 namespace {
 
+/// The release set the analyses build: the raw α_i, shifted by J.
+std::shared_ptr<const FlatReleaseSet>
+releases(std::vector<ArrivalCurvePtr> Alphas, Duration J, Time Cap) {
+  return std::make_shared<FlatReleaseSet>(Alphas, J, Cap);
+}
+
 RosslSupply makeSupply(std::uint32_t NumSockets = 1,
                        Duration Period = 1000) {
   OverheadBounds B = OverheadBounds::compute(tinyWcets(), NumSockets);
   Duration J = maxReleaseJitter(B);
-  std::vector<ArrivalCurvePtr> Beta = {
-      makeReleaseCurve(std::make_shared<PeriodicCurve>(Period), J)};
-  return RosslSupply(std::move(Beta), B, /*Cap=*/1000000);
+  return RosslSupply(
+      releases({std::make_shared<PeriodicCurve>(Period)}, J, 1000000), B,
+      /*Cap=*/1000000);
 }
 
 } // namespace
@@ -53,6 +59,66 @@ TEST(RosslSupply, JobBoundIncludesCarryIn) {
   // At Delta=0 the release curve gives 0, but one carry-in per task.
   EXPECT_EQ(S.jobBound(0), 1u);
   EXPECT_GE(S.jobBound(10000), 10u);
+}
+
+TEST(RosslSupply, JobBoundSumsTheReleaseCurves) {
+  // NJobs(Δ) = Σ_i (β_i(Δ) + 1) with β_i = makeReleaseCurve(α_i, J).
+  OverheadBounds B = OverheadBounds::compute(tinyWcets(), 2);
+  Duration J = maxReleaseJitter(B);
+  std::vector<ArrivalCurvePtr> Alphas = {
+      std::make_shared<PeriodicCurve>(700),
+      std::make_shared<LeakyBucketCurve>(3, 2000)};
+  RosslSupply S(releases(Alphas, J, 1000000), B, 1000000);
+  for (Duration D : {0ull, 1ull, 50ull, 699ull, 5000ull, 123456ull}) {
+    std::uint64_t Expected = 0;
+    for (const ArrivalCurvePtr &A : Alphas)
+      Expected += makeReleaseCurve(A, J)->eval(D) + 1;
+    EXPECT_EQ(S.jobBound(D), Expected) << "Delta=" << D;
+  }
+}
+
+TEST(RosslSupply, RequiresAReleaseSet) {
+  OverheadBounds B = OverheadBounds::compute(tinyWcets(), 1);
+  EXPECT_DEATH(RosslSupply(nullptr, B, 1000),
+               "RosslSupply requires a release set");
+}
+
+TEST(RosslSupply, MemoCountersFollowTheContract) {
+  // A hit is a timeToSupply call answered from the memo, a miss one
+  // that ran the blackout fixpoint, and Work == 0 is neither. The
+  // totals reach the sink once, when the supply retires.
+  FixpointTelemetry Tel;
+  {
+    RosslSupply S = makeSupply();
+    S.setTelemetry(&Tel);
+    for (Duration W : {0ull, 100ull, 100ull, 200ull, 0ull, 100ull, 50ull})
+      S.timeToSupply(W);
+    EXPECT_EQ(Tel.snapshot().SupplyMemoHits, 0u);
+    EXPECT_EQ(Tel.snapshot().SupplyMemoMisses, 0u);
+  }
+  FixpointCounts C = Tel.snapshot();
+  EXPECT_EQ(C.SupplyMemoHits, 2u);   // The repeated 100s.
+  EXPECT_EQ(C.SupplyMemoMisses, 3u); // 100, 200 and 50.
+  EXPECT_GT(C.SupplyIterations, 0u);
+
+  // With warm seeding, a demand above a memoized ∞ is answered by the
+  // monotone shortcut without a fixpoint: a hit.
+  OverheadBounds B = OverheadBounds::compute(tinyWcets(), 4);
+  Tel.reset();
+  {
+    RosslSupply S(releases({std::make_shared<PeriodicCurve>(10)}, 0,
+                           100000),
+                  B, /*Cap=*/100000);
+    S.setWarmSeeding(true);
+    S.setTelemetry(&Tel);
+    EXPECT_EQ(S.timeToSupply(50), TimeInfinity); // Miss.
+    EXPECT_EQ(S.timeToSupply(60), TimeInfinity); // Shortcut hit.
+    EXPECT_EQ(S.timeToSupply(60), TimeInfinity); // Exact hit.
+    EXPECT_EQ(S.timeToSupply(0), 0u);            // Neither.
+  }
+  C = Tel.snapshot();
+  EXPECT_EQ(C.SupplyMemoHits, 2u);
+  EXPECT_EQ(C.SupplyMemoMisses, 1u);
 }
 
 TEST(RosslSupply, BlackoutDecomposition) {
@@ -94,9 +160,8 @@ TEST(RosslSupply, TimeToSupplyDivergesUnderOverload) {
   // A release rate so high that blackout eats all time: one job every
   // 10 ticks, but per-job overhead far exceeds 10 ticks.
   OverheadBounds B = OverheadBounds::compute(tinyWcets(), 4);
-  std::vector<ArrivalCurvePtr> Beta = {
-      std::make_shared<PeriodicCurve>(10)};
-  RosslSupply S(std::move(Beta), B, /*Cap=*/100000);
+  RosslSupply S(releases({std::make_shared<PeriodicCurve>(10)}, 0, 100000),
+                B, /*Cap=*/100000);
   EXPECT_EQ(S.timeToSupply(50), TimeInfinity);
 }
 
@@ -152,10 +217,10 @@ TEST(RosslSupply, EmpiricalSoundnessOnSimulatedRun) {
 
   OverheadBounds B = OverheadBounds::compute(C.Wcets, 2);
   Duration J = maxReleaseJitter(B);
-  std::vector<ArrivalCurvePtr> Beta;
+  std::vector<ArrivalCurvePtr> Alphas;
   for (const Task &T : C.Tasks.tasks())
-    Beta.push_back(makeReleaseCurve(T.Curve, J));
-  RosslSupply S(std::move(Beta), B, 1000000);
+    Alphas.push_back(T.Curve);
+  RosslSupply S(releases(Alphas, J, 1000000), B, 1000000);
 
   std::vector<Time> Anchors = CR.Sched.busyWindowAnchors();
 

@@ -7,8 +7,8 @@
 /// \file
 /// The determinism contract of rta/sweep.h, asserted literally: a sweep
 /// on T threads returns results byte-identical (through the canonical
-/// JSON rendering) to the same sweep on one thread, and memoized curve
-/// evaluation is semantically invisible.
+/// JSON rendering) to the same sweep on one thread, and its telemetry
+/// counts what one run did.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,9 +17,6 @@
 #include "test_util.h"
 
 #include <gtest/gtest.h>
-
-#include <atomic>
-#include <memory>
 
 using namespace rprosa;
 using namespace rprosa::testutil;
@@ -46,31 +43,26 @@ std::vector<SweepPoint> fixtureGrid() {
   return Points;
 }
 
-std::string runGridJson(unsigned Threads, bool Memoize) {
+std::string runGridJson(unsigned Threads) {
   SweepOptions Opts;
   Opts.Threads = Threads;
-  Opts.MemoizeCurves = Memoize;
   SweepRunner Runner(Opts);
   std::vector<SweepPoint> Points = fixtureGrid();
   return sweepResultsJson(Points, Runner.run(Points));
 }
 
-/// An arrival curve that counts its evaluations (for the memo tests).
-class CountingCurve : public ArrivalCurve {
-public:
-  explicit CountingCurve(Duration Period) : Inner(Period) {}
-
-  std::uint64_t eval(Duration Delta) const override {
-    Evals.fetch_add(1, std::memory_order_relaxed);
-    return Inner.eval(Delta);
-  }
-  std::string describe() const override { return Inner.describe(); }
-
-  mutable std::atomic<std::uint64_t> Evals{0};
-
-private:
-  PeriodicCurve Inner;
-};
+/// Asserts every counter of two telemetry snapshots is equal.
+void expectSameCounters(const SweepTelemetry &A, const SweepTelemetry &B) {
+  EXPECT_EQ(A.Cache.Hits, B.Cache.Hits);
+  EXPECT_EQ(A.Cache.Misses, B.Cache.Misses);
+  EXPECT_EQ(A.Fixpoints.Fixpoints, B.Fixpoints.Fixpoints);
+  EXPECT_EQ(A.Fixpoints.Iterations, B.Fixpoints.Iterations);
+  EXPECT_EQ(A.Fixpoints.SupplyIterations, B.Fixpoints.SupplyIterations);
+  EXPECT_EQ(A.Fixpoints.Seeded, B.Fixpoints.Seeded);
+  EXPECT_EQ(A.Fixpoints.SupplyMemoHits, B.Fixpoints.SupplyMemoHits);
+  EXPECT_EQ(A.Fixpoints.SupplyMemoMisses, B.Fixpoints.SupplyMemoMisses);
+  EXPECT_EQ(A.ChunkSize, B.ChunkSize);
+}
 
 } // namespace
 
@@ -95,22 +87,55 @@ TEST(SweepRunner, MatchesDirectAnalysisPointwise) {
 }
 
 TEST(SweepRunner, SerialAndParallelJsonAreByteIdentical) {
-  std::string Serial = runGridJson(1, true);
+  std::string Serial = runGridJson(1);
   for (unsigned Threads : {2u, 4u, 8u})
-    EXPECT_EQ(Serial, runGridJson(Threads, true)) << Threads << " threads";
-}
-
-TEST(SweepRunner, MemoizationIsSemanticallyInvisible) {
-  EXPECT_EQ(runGridJson(1, true), runGridJson(1, false));
-  EXPECT_EQ(runGridJson(4, true), runGridJson(4, false));
+    EXPECT_EQ(Serial, runGridJson(Threads)) << Threads << " threads";
 }
 
 TEST(SweepRunner, RepeatRunsOnOneRunnerAreStable) {
   SweepRunner Runner;
   std::vector<SweepPoint> Points = fixtureGrid();
   std::string First = sweepResultsJson(Points, Runner.run(Points));
-  // Later runs hit the warm curve cache; results must not change.
   EXPECT_EQ(First, sweepResultsJson(Points, Runner.run(Points)));
+}
+
+TEST(SweepRunner, ResetTelemetryClearsEveryCounter) {
+  // telemetry() counts what happened since the last resetTelemetry():
+  // run, reset, run must report exactly what a fresh runner reports
+  // after one run.
+  std::vector<SweepPoint> Points = fixtureGrid();
+  SweepOptions Opts;
+  Opts.Threads = 2;
+  SweepRunner Fresh(Opts);
+  Fresh.run(Points);
+  SweepTelemetry Once = Fresh.telemetry();
+  ASSERT_GT(Once.Cache.Hits, 0u);
+  ASSERT_GT(Once.Cache.Misses, 0u);
+
+  SweepRunner Reused(Opts);
+  Reused.run(Points);
+  Reused.resetTelemetry();
+  Reused.run(Points);
+  expectSameCounters(Reused.telemetry(), Once);
+}
+
+TEST(SweepRunner, TelemetryCountersIgnoreTheThreadCount) {
+  // Each point's analysis owns its supply, and the warm-start plan
+  // depends only on the chunk size: with the chunk fixed, every
+  // counter is the same on any number of threads.
+  std::vector<SweepPoint> Points = fixtureGrid();
+  auto CountersAt = [&](unsigned Threads) {
+    SweepOptions Opts;
+    Opts.Threads = Threads;
+    Opts.ChunkSize = 3;
+    SweepRunner Runner(Opts);
+    Runner.run(Points);
+    return Runner.telemetry();
+  };
+  SweepTelemetry Serial = CountersAt(1);
+  EXPECT_EQ(Serial.Cache.Hits, Serial.Fixpoints.SupplyMemoHits);
+  EXPECT_EQ(Serial.Cache.Misses, Serial.Fixpoints.SupplyMemoMisses);
+  expectSameCounters(CountersAt(4), Serial);
 }
 
 TEST(SweepRunner, SchedulableVectorMatchesAllBounded) {
@@ -127,95 +152,6 @@ TEST(SweepRunner, EmptyBatch) {
   SweepRunner Runner;
   EXPECT_TRUE(Runner.run({}).empty());
   EXPECT_EQ(sweepResultsJson({}, {}), "[\n]\n");
-}
-
-TEST(MemoCurve, CachesAndDelegates) {
-  auto Counting = std::make_shared<CountingCurve>(100);
-  MemoCurve Memo(Counting);
-  EXPECT_EQ(Memo.eval(250), Counting->eval(250));
-  std::uint64_t After = Counting->Evals.load();
-  // Repeats of an already-cached Delta must not reach the inner curve.
-  for (int I = 0; I < 10; ++I)
-    EXPECT_EQ(Memo.eval(250), 3u);
-  EXPECT_EQ(Counting->Evals.load(), After);
-  EXPECT_EQ(Memo.describe(), Counting->describe());
-}
-
-TEST(MemoCurve, MissIsCountedByTheInsertingEvaluationOnly) {
-  // The pinned counter contract (sweep.h): misses() == the number of
-  // distinct Δs cached, hits() + misses() == eval() calls — also under
-  // races, where the lane that loses the insert counts as a hit.
-  auto Counting = std::make_shared<CountingCurve>(100);
-  MemoCurve Memo(Counting);
-
-  // Serial shape first: 4 distinct Δs, 3 repeats each.
-  for (int Rep = 0; Rep < 3; ++Rep)
-    for (Duration D : {50u, 150u, 250u, 350u})
-      Memo.eval(D);
-  EXPECT_EQ(Memo.misses(), 4u);
-  EXPECT_EQ(Memo.hits(), 8u);
-
-  // Concurrent same-Δ storm: many lanes hammer one fresh Δ per round.
-  // Exactly one insert can win each round, so misses() grows by the
-  // number of rounds regardless of interleaving.
-  ThreadPool Pool(4);
-  const std::size_t Lanes = 16, Rounds = 8;
-  for (std::size_t R = 0; R < Rounds; ++R) {
-    Duration Fresh = 1000 + static_cast<Duration>(R) * 10;
-    Pool.parallelFor(Lanes, [&](std::size_t) { Memo.eval(Fresh); });
-  }
-  EXPECT_EQ(Memo.misses(), 4u + Rounds);
-  EXPECT_EQ(Memo.hits() + Memo.misses(), 12u + Lanes * Rounds);
-}
-
-TEST(CurveCache, SharesOneMemoPerCurveIdentity) {
-  CurveCache Cache;
-  ArrivalCurvePtr A = std::make_shared<PeriodicCurve>(100);
-  ArrivalCurvePtr B = std::make_shared<PeriodicCurve>(100);
-  ArrivalCurvePtr MA1 = Cache.memoize(A);
-  ArrivalCurvePtr MA2 = Cache.memoize(A);
-  ArrivalCurvePtr MB = Cache.memoize(B);
-  EXPECT_EQ(MA1.get(), MA2.get()); // Same identity -> same memo.
-  EXPECT_NE(MA1.get(), MB.get()); // Equal shape, distinct identity.
-  EXPECT_EQ(Cache.size(), 2u);
-  // Memoizing a memo must not stack another cache on top.
-  EXPECT_EQ(Cache.memoize(MA1).get(), MA1.get());
-  EXPECT_EQ(Cache.size(), 2u);
-}
-
-TEST(CurveCache, SharedAcrossPointsOfOneRun) {
-  // Points sharing curve objects (the sensitivity-search shape: same
-  // curves, different WCETs) evaluate through one shared memo: the
-  // total inner evaluations with two identical points must be well
-  // below twice the single-point count.
-  auto MakePoints = [](const ArrivalCurvePtr &C, std::size_t N) {
-    std::vector<SweepPoint> Points;
-    for (std::size_t I = 0; I < N; ++I) {
-      SweepPoint P;
-      P.Tasks.addTask("t", 40, 1, C);
-      P.Cfg.FixedPointCap = 1 * TickSec;
-      P.Sbf.Wcets = tinyWcets();
-      P.Policy = SchedPolicy::Npfp;
-      Points.push_back(std::move(P));
-    }
-    return Points;
-  };
-
-  auto CountEvals = [&](std::size_t N) {
-    auto Counting = std::make_shared<CountingCurve>(500);
-    SweepOptions Opts;
-    Opts.Threads = 1;
-    SweepRunner Runner(Opts);
-    Runner.run(MakePoints(Counting, N));
-    return Counting->Evals.load();
-  };
-
-  std::uint64_t One = CountEvals(1);
-  std::uint64_t Four = CountEvals(4);
-  ASSERT_GT(One, 0u);
-  // Identical points replay the same Deltas, so the shared memo absorbs
-  // virtually all repeat evaluations.
-  EXPECT_LT(Four, 2 * One);
 }
 
 //===----------------------------------------------------------------------===//

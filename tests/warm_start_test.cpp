@@ -276,7 +276,7 @@ TEST(WarmStartGuard, TelemetryJsonWrapsThePlainRendering) {
   std::string Embedded = Plain.substr(0, Plain.size() - 1);
   EXPECT_NE(Wrapped.find(Embedded), std::string::npos);
   EXPECT_NE(Wrapped.find("\"telemetry\": {"), std::string::npos);
-  EXPECT_NE(Wrapped.find("\"curve_hits\": "), std::string::npos);
+  EXPECT_NE(Wrapped.find("\"supply_memo_hits\": "), std::string::npos);
   EXPECT_NE(Wrapped.find("\"iterations\": "), std::string::npos);
   EXPECT_EQ(Wrapped.back(), '\n');
 }
