@@ -21,7 +21,6 @@
 #include "sim/environment.h"
 #include "sim/workload.h"
 #include "trace/consistency.h"
-#include "trace/online_monitor.h"
 #include "trace/serialize.h"
 #include "trace/functional.h"
 #include "trace/protocol.h"
@@ -198,19 +197,5 @@ void BM_SerializeRoundTrip(benchmark::State &State) {
   State.counters["bytes"] = double(Text.size());
 }
 BENCHMARK(BM_SerializeRoundTrip)->Unit(benchmark::kMicrosecond);
-
-void BM_OnlineMonitor(benchmark::State &State) {
-  const Fixture &F = sharedFixture();
-  for (auto _ : State) {
-    OnlineMonitor M(F.Client.Tasks, F.Client.Wcets, 2);
-    for (std::size_t I = 0; I < F.TT.size(); ++I)
-      M.observe(F.TT.Tr[I], F.TT.Ts[I]);
-    M.finish(F.TT.EndTime);
-    benchmark::DoNotOptimize(M.clean());
-  }
-  State.counters["markers/s"] = benchmark::Counter(
-      double(F.TT.size()), benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_OnlineMonitor)->Unit(benchmark::kMicrosecond);
 
 } // namespace

@@ -180,7 +180,7 @@ int main(int Argc, char **Argv) {
     Buf << In.rdbuf();
     CheckResult LogDiags;
     Recorded = parseArrivalLog(Buf.str(), Spec->Client.NumSockets,
-                               &LogDiags);
+                               Spec->Client.Tasks.size(), &LogDiags);
     if (!Recorded) {
       std::printf("%s", LogDiags.describe().c_str());
       return 1;

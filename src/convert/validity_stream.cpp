@@ -7,33 +7,11 @@
 #include "convert/validity_stream.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 
 using namespace rprosa;
 
 namespace {
-
-/// The policy's selection key over converted jobs (smaller = selected
-/// first); nullopt when the job lacks the data the key needs.
-std::optional<std::uint64_t> selectionKey(const ConvertedJob &CJ,
-                                          const TaskSet &Tasks,
-                                          SchedPolicy Policy) {
-  if (CJ.J.Task >= Tasks.size())
-    return std::nullopt;
-  const Task &T = Tasks.task(CJ.J.Task);
-  switch (Policy) {
-  case SchedPolicy::Npfp:
-    return std::numeric_limits<std::uint64_t>::max() - T.Prio;
-  case SchedPolicy::Edf:
-    if (T.Deadline == 0)
-      return std::nullopt;
-    return satAdd(CJ.ReadAt, T.Deadline);
-  case SchedPolicy::Fifo:
-    return CJ.J.Id;
-  }
-  return std::nullopt;
-}
 
 // Constraint blocks in report order.
 constexpr std::uint32_t BlockSegment = 0;  // (a) per-instance bounds.
@@ -114,7 +92,8 @@ void StreamingValidity::onJobAdmitted(const ConvertedJob &CJ,
   VRec Rec;
   Rec.CJ = CJ;
   Rec.Index = Index;
-  Rec.Keyed = selectionKey(CJ, Tasks, Policy).has_value();
+  Rec.Keyed = policyKey(Policy, Tasks.findTask(CJ.J.Task), CJ.ReadAt, CJ.J.Id)
+                  .has_value();
   if (Rec.Keyed)
     ++KeyedJobs;
   Recs[CJ.J.Id] = std::move(Rec);
@@ -163,14 +142,16 @@ void StreamingValidity::onJobSelected(const ConvertedJob &CJ,
   // not-yet-admitted one is read after it (ReadBefore false). Pair
   // checks are counted in onScheduleEnd, once the number of keyed jobs
   // is known.
-  std::optional<std::uint64_t> Key = selectionKey(CJ, Tasks, Policy);
+  std::optional<std::uint64_t> Key =
+      policyKey(Policy, Tasks.findTask(CJ.J.Task), CJ.ReadAt, CJ.J.Id);
   if (!Key || !CJ.SelectedAt)
     return;
   for (const auto &[OtherId, Other] : Recs) {
     if (OtherId == CJ.J.Id || !Other.Keyed)
       continue;
     std::optional<std::uint64_t> OtherKey =
-        selectionKey(Other.CJ, Tasks, Policy);
+        policyKey(Policy, Tasks.findTask(Other.CJ.J.Task), Other.CJ.ReadAt,
+                  Other.CJ.J.Id);
     if (!OtherKey)
       continue;
     bool ReadBefore = Other.CJ.ReadAt <= *CJ.SelectedAt;

@@ -17,7 +17,11 @@
 #ifndef RPROSA_CORE_POLICY_H
 #define RPROSA_CORE_POLICY_H
 
+#include "core/task.h"
+
 #include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
 
 namespace rprosa {
@@ -42,6 +46,30 @@ inline std::string toString(SchedPolicy P) {
     return "NP-FIFO";
   }
   return "?";
+}
+
+/// Def. 3.2's selection key: a policy-compliant selection takes a
+/// pending job with the smallest key. NPFP keys a job by its task's
+/// priority, inverted; NP-EDF by its absolute deadline, the read time
+/// \p ReadAt plus the task's relative deadline; NP-FIFO by its id \p Id,
+/// i.e. read order. \p T is the job's task, null if the task set does
+/// not know it. A job of an unknown task has no key, and neither has an
+/// NP-EDF job whose task has no deadline (D = 0).
+inline std::optional<std::uint64_t> policyKey(SchedPolicy P, const Task *T,
+                                              Time ReadAt, JobId Id) {
+  if (!T)
+    return std::nullopt;
+  switch (P) {
+  case SchedPolicy::Npfp:
+    return std::numeric_limits<std::uint64_t>::max() - T->Prio;
+  case SchedPolicy::Edf:
+    if (T->Deadline == 0)
+      return std::nullopt;
+    return satAdd(ReadAt, T->Deadline);
+  case SchedPolicy::Fifo:
+    return Id;
+  }
+  return std::nullopt;
 }
 
 } // namespace rprosa

@@ -58,11 +58,6 @@ static Duration accumulateOverlap(const std::vector<ScheduleSegment> &Segs,
   return Sum;
 }
 
-Duration Schedule::timeInState(const ProcState &St, Time From, Time To) const {
-  return accumulateOverlap(Segments, From, To,
-                           [&](const ProcState &S) { return S == St; });
-}
-
 Duration Schedule::blackoutIn(Time From, Time To) const {
   return accumulateOverlap(Segments, From, To,
                            [](const ProcState &S) { return S.isOverhead(); });

@@ -60,10 +60,6 @@ public:
   /// completed within range before extending with Idle).
   ProcState stateAt(Time T) const;
 
-  /// Number of instants t in [From, To) with sched t == \p S (exact
-  /// state match, including the attributed job).
-  Duration timeInState(const ProcState &S, Time From, Time To) const;
-
   /// Number of instants in [From, To) spent in overhead states
   /// ("blackout" in aRSA terms, §4.2).
   Duration blackoutIn(Time From, Time To) const;

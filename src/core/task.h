@@ -57,6 +57,10 @@ public:
   Duration maxOtherWcet(TaskId Id) const;
 
   const Task &task(TaskId Id) const;
+  /// The task with id \p Id, or nullptr if there is none.
+  const Task *findTask(TaskId Id) const {
+    return Id < Tasks.size() ? &Tasks[Id] : nullptr;
+  }
   std::size_t size() const { return Tasks.size(); }
   bool empty() const { return Tasks.empty(); }
 

@@ -47,7 +47,8 @@ bool FdScheduler::readOnce(SocketId Sock) {
   J.Socket = Sock;
   J.ReadAt = Clock.now();
   Rec->record(MarkerEvent::readE(Sock, J));
-  assert(J.Task < Client.Tasks.size() && "classifier produced unknown task");
+  RPROSA_CHECK(J.Task < Client.Tasks.size(),
+               "classifier produced unknown task");
   Pending->enqueue(J, Client.Tasks.task(J.Task));
   return true;
 }

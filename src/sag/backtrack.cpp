@@ -11,26 +11,7 @@
 #include "sim/cost_model.h"
 #include "sim/environment.h"
 
-#include <algorithm>
-#include <cassert>
-
 using namespace rprosa;
-
-std::vector<SagPathEdge>
-rprosa::sagExtractPath(const std::vector<SagState> &Arena,
-                       std::uint32_t StateIdx) {
-  std::vector<SagPathEdge> Path;
-  std::uint32_t Cur = StateIdx;
-  while (Cur != SagState::NoPred) {
-    const SagState &S = Arena[Cur];
-    if (S.Pred == SagState::NoPred)
-      break; // Root.
-    Path.push_back(SagPathEdge{S.Via, S.EdgeEst, S.EdgeLst});
-    Cur = S.Pred;
-  }
-  std::reverse(Path.begin(), Path.end());
-  return Path;
-}
 
 SagRealization rprosa::sagRealizeArrivals(const SagModel &M,
                                           std::uint32_t VictimJob,

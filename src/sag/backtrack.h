@@ -7,14 +7,13 @@
 /// \file
 /// The replay gate of the exact test (DESIGN.md §13). When exploration
 /// flags a state that admits a deadline miss, the abstract evidence is
-/// an interval argument, not a run. This module walks the predecessor
-/// edges back to the root, realizes the path as a *concrete,
-/// curve-compliant* arrival sequence (per-job desired instants pushed
-/// through core's earliestCompliantArrival), and replays it through
-/// the simulator (AlwaysWcet cost model) with the five streaming check
-/// sinks plus the DeadlineCheckSink attached. Only a replay whose
-/// trace exhibits a miss upgrades the candidate to Unschedulable —
-/// PR 8's upgrade-only-on-replay discipline; anything weaker stays
+/// an interval argument, not a run. This module realizes the candidate
+/// as a *concrete, curve-compliant* arrival sequence (per-job desired
+/// instants pushed through core's earliestCompliantArrival) and replays
+/// it through the simulator (AlwaysWcet cost model) with the five
+/// streaming check sinks plus the DeadlineCheckSink attached. Only a
+/// replay whose trace exhibits a miss upgrades the candidate to
+/// Unschedulable (upgrade only on replay); anything weaker stays
 /// Unknown.
 ///
 //===----------------------------------------------------------------------===//
@@ -30,19 +29,6 @@
 #include <vector>
 
 namespace rprosa {
-
-/// One edge of a root-to-state path: the job dispatched and the
-/// selection-instant window the exploration derived for the edge.
-struct SagPathEdge {
-  std::uint32_t Job = 0;
-  Time EstSel = 0;
-  Time LstSel = 0;
-};
-
-/// Walks Pred/Via links from \p StateIdx back to the root and returns
-/// the dispatch path in root-to-state order.
-std::vector<SagPathEdge> sagExtractPath(const std::vector<SagState> &Arena,
-                                        std::uint32_t StateIdx);
 
 /// Deterministic arrival-placement strategies tried per candidate, in
 /// order, until one replay confirms the miss.

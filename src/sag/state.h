@@ -159,12 +159,6 @@ public:
     return satMul(satMul(Unread + 1, NumSockets), Tr);
   }
 
-  /// Worst-case arrival -> queue-entry latency while the machine cycles
-  /// poll/select/idle (dispatch edges are modeled by the graph itself):
-  /// the in-flight polling phase, one idle iteration, and the phase
-  /// that reads the job.
-  Duration maxQueueLag() const { return MaxLag; }
-
   /// True when job K is *certainly* preferred over job J by the
   /// selection rule whenever both are pending — the t_high pruning
   /// relation. Conservative: ambiguous orders (interval overlap,

@@ -8,13 +8,28 @@
 
 #include "core/time.h"
 
+#include <charconv>
+#include <limits>
 #include <sstream>
 
 using namespace rprosa;
 
+namespace {
+
+/// A plain unsigned decimal field: digits only, no sign, no overflow.
+std::optional<std::uint64_t> parseDecimal(const std::string &Tok) {
+  std::uint64_t V = 0;
+  auto [Ptr, Ec] = std::from_chars(Tok.data(), Tok.data() + Tok.size(), V);
+  if (Ec != std::errc() || Ptr != Tok.data() + Tok.size())
+    return std::nullopt;
+  return V;
+}
+
+} // namespace
+
 std::optional<ArrivalSequence>
 rprosa::parseArrivalLog(const std::string &Text, std::uint32_t NumSockets,
-                        CheckResult *Diags) {
+                        std::size_t NumTasks, CheckResult *Diags) {
   auto Fail = [&](std::size_t LineNo, const std::string &Why)
       -> std::optional<ArrivalSequence> {
     if (Diags)
@@ -43,17 +58,37 @@ rprosa::parseArrivalLog(const std::string &Text, std::uint32_t NumSockets,
     std::optional<Duration> At = parseTimeLiteral(TimeWord);
     if (!At)
       return Fail(LineNo, "malformed time '" + TimeWord + "'");
-    std::uint64_t Sock = 0, Task = 0, Payload = 16;
-    if (!(Tok >> Sock >> Task))
+    std::string SockWord, TaskWord, PayloadWord, Extra;
+    if (!(Tok >> SockWord >> TaskWord))
       return Fail(LineNo, "expected '<time> <socket> <task> [payload]'");
-    Tok >> Payload; // Optional.
-    if (Sock >= NumSockets)
-      return Fail(LineNo, "socket " + std::to_string(Sock) +
+    std::optional<std::uint64_t> Sock = parseDecimal(SockWord);
+    if (!Sock)
+      return Fail(LineNo, "malformed socket '" + SockWord + "'");
+    if (*Sock >= NumSockets)
+      return Fail(LineNo, "socket " + std::to_string(*Sock) +
                               " out of range (have " +
                               std::to_string(NumSockets) + ")");
-    Arr.addArrival(*At, static_cast<SocketId>(Sock),
-                   static_cast<TaskId>(Task),
-                   static_cast<std::uint32_t>(Payload));
+    std::optional<std::uint64_t> Task = parseDecimal(TaskWord);
+    if (!Task)
+      return Fail(LineNo, "malformed task '" + TaskWord + "'");
+    if (*Task >= NumTasks)
+      return Fail(LineNo, "task " + std::to_string(*Task) +
+                              " out of range (have " +
+                              std::to_string(NumTasks) + ")");
+    std::optional<std::uint64_t> Payload = 16;
+    if (Tok >> PayloadWord) {
+      Payload = parseDecimal(PayloadWord);
+      if (!Payload)
+        return Fail(LineNo, "malformed payload '" + PayloadWord + "'");
+      if (*Payload > std::numeric_limits<std::uint32_t>::max())
+        return Fail(LineNo, "payload " + std::to_string(*Payload) +
+                                " exceeds 4294967295 bytes");
+    }
+    if (Tok >> Extra)
+      return Fail(LineNo, "unexpected '" + Extra + "' after the payload");
+    Arr.addArrival(*At, static_cast<SocketId>(*Sock),
+                   static_cast<TaskId>(*Task),
+                   static_cast<std::uint32_t>(*Payload));
   }
   return Arr;
 }

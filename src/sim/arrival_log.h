@@ -16,10 +16,14 @@
 ///   1200us 1 2
 ///   ...
 ///
-/// Time literals accept the ns/us/ms/s suffixes. Whether a replayed log
-/// respects the declared curves is checked by the usual
-/// ArrivalSequence::respectsCurves — a log that does not is exactly the
-/// situation where the response-time guarantee does not apply.
+/// Time literals accept the ns/us/ms/s suffixes. Socket, task and
+/// payload are plain unsigned decimals: the socket below the socket
+/// count, the task below the task count, and the payload (default 16
+/// bytes) at most 2^32 - 1. A '#' starts a comment; nothing else may
+/// follow the payload. Whether a replayed log respects the declared
+/// curves is checked by the usual ArrivalSequence::respectsCurves — a
+/// log that does not is exactly the situation where the response-time
+/// guarantee does not apply.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,9 +39,11 @@
 namespace rprosa {
 
 /// Parses the v1 arrival-log format; nullopt on malformed input with
-/// the reason in \p Diags. \p NumSockets bounds the socket column.
+/// the reason in \p Diags. \p NumSockets bounds the socket column and
+/// \p NumTasks the task column.
 std::optional<ArrivalSequence> parseArrivalLog(const std::string &Text,
                                                std::uint32_t NumSockets,
+                                               std::size_t NumTasks,
                                                CheckResult *Diags = nullptr);
 
 /// Renders \p Arr in the v1 format (times in plain ticks).

@@ -51,11 +51,6 @@ struct InstructionCosts {
   Duration Dequeue = 0; ///< npfp_dequeue(&sched, buf).
   Duration Free = 0;    ///< free(buf).
 
-  bool allZero() const {
-    return Assign == 0 && Branch == 0 && Enqueue == 0 && Dequeue == 0 &&
-           Free == 0;
-  }
-
   /// One tick per statement: the smallest model under which every
   /// non-marker step is visible on the clock (tests and benches).
   static InstructionCosts unit() { return {1, 1, 1, 1, 1}; }

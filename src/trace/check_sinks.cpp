@@ -6,7 +6,6 @@
 
 #include "trace/check_sinks.h"
 
-#include <limits>
 #include <string>
 
 using namespace rprosa;
@@ -66,27 +65,6 @@ void ProtocolCheckSink::onMarker(const MarkerEvent &E, Time At) {
 
 namespace {
 
-/// The policy's selection key: a dispatched job must have a key less
-/// than or equal to every other pending job's key.
-std::optional<std::uint64_t> selectionKey(const Job &J, const TaskSet &Tasks,
-                                          SchedPolicy Policy) {
-  if (J.Task >= Tasks.size())
-    return std::nullopt;
-  const Task &T = Tasks.task(J.Task);
-  switch (Policy) {
-  case SchedPolicy::Npfp:
-    // Higher priority first: invert so that smaller = earlier.
-    return std::numeric_limits<std::uint64_t>::max() - T.Prio;
-  case SchedPolicy::Edf:
-    if (T.Deadline == 0)
-      return std::nullopt;
-    return satAdd(J.ReadAt, T.Deadline);
-  case SchedPolicy::Fifo:
-    return J.Id; // Read order.
-  }
-  return std::nullopt;
-}
-
 const char *keyName(SchedPolicy Policy) {
   switch (Policy) {
   case SchedPolicy::Npfp:
@@ -121,7 +99,8 @@ void FunctionalCheckSink::onMarker(const MarkerEvent &E, Time At) {
       R.addFailure("marker " + std::to_string(I) + ": job id j" +
                    std::to_string(E.J->Id) + " read twice (Def. 3.2 "
                    "uniqueness violated)");
-    std::optional<std::uint64_t> K = selectionKey(*E.J, Tasks, Policy);
+    std::optional<std::uint64_t> K =
+        policyKey(Policy, Tasks.findTask(E.J->Task), E.J->ReadAt, E.J->Id);
     if (!K) {
       R.addFailure("marker " + std::to_string(I) + ": read job of "
                    "unknown task or missing policy key");
@@ -137,7 +116,8 @@ void FunctionalCheckSink::onMarker(const MarkerEvent &E, Time At) {
                    "job");
       break;
     }
-    std::optional<std::uint64_t> K = selectionKey(*E.J, Tasks, Policy);
+    std::optional<std::uint64_t> K =
+        policyKey(Policy, Tasks.findTask(E.J->Task), E.J->ReadAt, E.J->Id);
     if (!K) {
       R.addFailure("marker " + std::to_string(I) + ": dispatched job "
                    "of unknown task or missing policy key");

@@ -6,8 +6,6 @@
 
 #include "trace/marker_specs.h"
 
-#include <limits>
-
 using namespace rprosa;
 
 MarkerSpecChecker::MarkerSpecChecker(const TaskSet &Tasks,
@@ -19,20 +17,6 @@ std::vector<Job> MarkerSpecChecker::currentlyPending() const {
   for (const auto &[Id, J] : Pending)
     Out.push_back(J);
   return Out;
-}
-
-std::uint64_t MarkerSpecChecker::keyOf(const Job &J) const {
-  switch (Policy) {
-  case SchedPolicy::Npfp:
-    return std::numeric_limits<std::uint64_t>::max() -
-           (J.Task < Tasks.size() ? Tasks.task(J.Task).Prio : 0);
-  case SchedPolicy::Edf:
-    return satAdd(J.ReadAt,
-                  J.Task < Tasks.size() ? Tasks.task(J.Task).Deadline : 0);
-  case SchedPolicy::Fifo:
-    return J.Id;
-  }
-  return J.Id;
 }
 
 void MarkerSpecChecker::fail(std::string Why) {
@@ -92,9 +76,17 @@ void MarkerSpecChecker::step(const MarkerEvent &E) {
            " is not in currently_pending");
       break;
     }
-    std::uint64_t K = keyOf(It->second);
+    // The contract keys a job of an unknown task as priority 0 and
+    // deadline 0, and an NP-EDF job without a deadline by its read time.
+    auto ContractKey = [this](const Job &J) {
+      static const Task NoTask;
+      const Task *T = Tasks.findTask(J.Task);
+      return policyKey(Policy, T ? T : &NoTask, J.ReadAt, J.Id)
+          .value_or(J.ReadAt);
+    };
+    std::uint64_t K = ContractKey(It->second);
     for (const auto &[Id, J] : Pending) {
-      if (Id != E.J->Id && keyOf(J) < K) {
+      if (Id != E.J->Id && ContractKey(J) < K) {
         fail("dispatch_start: j" + std::to_string(Id) +
              " precedes the dispatched job in " + toString(Policy) +
              " order");

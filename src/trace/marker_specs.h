@@ -27,8 +27,8 @@
 /// every §3.1 precondition only ever inspects `last tr`, so the checker
 /// carries just the last marker plus a call counter — together with the
 /// pending set (retired at dispatch) and the freshness id-set (stored
-/// as merged intervals), its state is O(open jobs), not O(trace). This
-/// is what lets the online monitor run over unbounded streams.
+/// as merged intervals), its state is O(open jobs), not O(trace), so it
+/// can check an unbounded marker stream.
 ///
 /// (The global round-robin structure of the polling phase is the
 /// protocol STS's business — Def. 3.1; the contracts here are the
@@ -75,10 +75,6 @@ public:
   std::size_t pendingJobs() const { return Pending.size(); }
 
 private:
-  /// The policy key: a dispatch contract requires the dispatched job to
-  /// be minimal under it.
-  std::uint64_t keyOf(const Job &J) const;
-
   void fail(std::string Why);
 
   const TaskSet &Tasks;

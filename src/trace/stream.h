@@ -15,10 +15,9 @@
 ///  - readTraceStream(In, Sink, ...)  — chunked files (trace/chunked_io.h).
 ///
 /// TraceFanout tees one source into many sinks, so one pass over one
-/// source feeds every checker, the schedule builder, the online monitor,
-/// and a serializer simultaneously. VectorSink materializes the stream
-/// back into a TimedTrace (runAdequacy uses it to fill its report's
-/// trace).
+/// source feeds every checker, the schedule builder and a serializer
+/// simultaneously. VectorSink materializes the stream back into a
+/// TimedTrace (runAdequacy uses it to fill its report's trace).
 ///
 /// ActionSegmenter is the basic-action parser of Fig. 4: it closes a
 /// basic action as soon as the marker *after* it arrives (the §2.2

@@ -10,34 +10,6 @@
 
 using namespace rprosa;
 
-std::vector<Job> rprosa::readJobsBefore(const Trace &Tr, std::size_t I) {
-  std::vector<Job> Out;
-  for (std::size_t K = 0; K < I && K < Tr.size(); ++K)
-    if (Tr[K].isSuccessfulRead())
-      Out.push_back(*Tr[K].J);
-  return Out;
-}
-
-std::vector<Job> rprosa::pendingJobsAt(const Trace &Tr, std::size_t I) {
-  std::set<JobId> Dispatched;
-  for (std::size_t K = 0; K < I && K < Tr.size(); ++K)
-    if (Tr[K].Kind == MarkerKind::Dispatch && Tr[K].J)
-      Dispatched.insert(Tr[K].J->Id);
-  std::vector<Job> Out;
-  for (const Job &J : readJobsBefore(Tr, I))
-    if (!Dispatched.count(J.Id))
-      Out.push_back(J);
-  return Out;
-}
-
-std::set<MsgId> rprosa::readMsgIdsBefore(const Trace &Tr, std::size_t I) {
-  std::set<MsgId> Out;
-  for (std::size_t K = 0; K < I && K < Tr.size(); ++K)
-    if (Tr[K].isSuccessfulRead())
-      Out.insert(Tr[K].J->Msg);
-  return Out;
-}
-
 std::string rprosa::renderTimedTrace(const TimedTrace &TT,
                                      std::size_t MaxLines) {
   std::string Out;

@@ -21,7 +21,7 @@
 
 #include "core/time.h"
 
-#include <set>
+#include <string>
 #include <vector>
 
 namespace rprosa {
@@ -38,27 +38,7 @@ struct TimedTrace {
 
   std::size_t size() const { return Tr.size(); }
   bool empty() const { return Tr.empty(); }
-
-  /// The duration of the segment started by marker \p I (up to the next
-  /// marker, or EndTime for the last one).
-  Duration segmentLen(std::size_t I) const {
-    Time Next = I + 1 < Ts.size() ? Ts[I + 1] : EndTime;
-    return Next >= Ts[I] ? Next - Ts[I] : 0;
-  }
 };
-
-/// Def. 3.2: read_jobs(i) — the jobs read by markers strictly before
-/// index \p I.
-std::vector<Job> readJobsBefore(const Trace &Tr, std::size_t I);
-
-/// Def. 3.2: pending_jobs(i) — jobs read before \p I but not dispatched
-/// before \p I.
-std::vector<Job> pendingJobsAt(const Trace &Tr, std::size_t I);
-
-/// The set of message ids read strictly before index \p I (used by the
-/// Def. 2.1 consistency check, which matches reads to arrivals by
-/// message identity).
-std::set<MsgId> readMsgIdsBefore(const Trace &Tr, std::size_t I);
 
 /// Renders a timed trace as one marker per line with timestamps;
 /// \p MaxLines truncates long traces (0 = no limit).

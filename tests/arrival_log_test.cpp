@@ -25,7 +25,8 @@ TEST(ArrivalLog, RoundTrips) {
   Arr.addArrival(999, 1, 0, 8);
   std::string Text = serializeArrivalLog(Arr);
   CheckResult Diags;
-  std::optional<ArrivalSequence> Parsed = parseArrivalLog(Text, 3, &Diags);
+  std::optional<ArrivalSequence> Parsed =
+      parseArrivalLog(Text, 3, /*NumTasks=*/2, &Diags);
   ASSERT_TRUE(Parsed.has_value()) << Diags.describe();
   const auto &A = Arr.arrivals();
   const auto &B = Parsed->arrivals();
@@ -44,29 +45,60 @@ TEST(ArrivalLog, AcceptsTimeSuffixesAndComments) {
                      "0ns   0 0 16\n"
                      "2us   0 1      # inline comment\n"
                      "\n"
-                     "3ms   0 0\n";
-  std::optional<ArrivalSequence> Arr = parseArrivalLog(Text, 1);
+                     "3ms   0 0\n"
+                     "4ms   0 1 4294967295 # the largest payload\n";
+  std::optional<ArrivalSequence> Arr = parseArrivalLog(Text, 1, 2);
   ASSERT_TRUE(Arr.has_value());
-  ASSERT_EQ(Arr->arrivals().size(), 3u);
+  ASSERT_EQ(Arr->arrivals().size(), 4u);
   EXPECT_EQ(Arr->arrivals()[1].At, 2000u);
   EXPECT_EQ(Arr->arrivals()[2].At, 3000000u);
   EXPECT_EQ(Arr->arrivals()[1].Msg.PayloadLen, 16u); // Default payload.
+  EXPECT_EQ(Arr->arrivals()[3].Msg.PayloadLen, 4294967295u);
 }
 
 TEST(ArrivalLog, RejectsMalformed) {
   CheckResult D1;
-  EXPECT_FALSE(parseArrivalLog("0 0 0\n", 1, &D1).has_value());
+  EXPECT_FALSE(parseArrivalLog("0 0 0\n", 1, 1, &D1).has_value());
   EXPECT_NE(D1.describe().find("header"), std::string::npos);
 
-  EXPECT_FALSE(parseArrivalLog("refinedprosa-arrivals v1\nabc 0 0\n", 1)
+  EXPECT_FALSE(parseArrivalLog("refinedprosa-arrivals v1\nabc 0 0\n", 1, 1)
                    .has_value());
-  EXPECT_FALSE(parseArrivalLog("refinedprosa-arrivals v1\n5ns 0\n", 1)
+  EXPECT_FALSE(parseArrivalLog("refinedprosa-arrivals v1\n5ns 0\n", 1, 1)
                    .has_value());
   CheckResult D2;
   EXPECT_FALSE(parseArrivalLog("refinedprosa-arrivals v1\n5ns 3 0\n", 2,
-                               &D2)
+                               1, &D2)
                    .has_value());
   EXPECT_NE(D2.describe().find("out of range"), std::string::npos);
+
+  // Each line below follows one good line, so every diagnostic names
+  // line 3. A task id the task set lacks would index past it in the
+  // scheduler; a sign or an overflow must not wrap into a valid id.
+  const std::pair<const char *, const char *> Cases[] = {
+      {"0ns 0 3 16", "task 3 out of range (have 3)"},
+      {"0ns 0 7 16", "task 7 out of range (have 3)"},
+      {"0ns 0 -3 16", "malformed task '-3'"},
+      {"0ns 0 4294967296 16", "task 4294967296 out of range (have 3)"},
+      {"0ns 0 99999999999999999999 16", "malformed task"},
+      {"0ns -1 0 16", "malformed socket '-1'"},
+      {"0ns +1 0 16", "malformed socket '+1'"},
+      {"0ns 0x1 0 16", "malformed socket '0x1'"},
+      {"0ns 0 1 abc", "malformed payload 'abc'"},
+      {"0ns 0 1 -16", "malformed payload '-16'"},
+      {"0ns 0 1 4294967312", "payload 4294967312 exceeds 4294967295"},
+      {"0ns 0 1 16 extra", "unexpected 'extra' after the payload"},
+      {"0ns 0 1 16 17", "unexpected '17' after the payload"},
+  };
+  for (const auto &[Line, Why] : Cases) {
+    std::string Text = "refinedprosa-arrivals v1\n0ns 0 0 16\n" +
+                       std::string(Line) + "\n";
+    CheckResult Diags;
+    EXPECT_FALSE(parseArrivalLog(Text, 2, 3, &Diags).has_value()) << Line;
+    EXPECT_NE(Diags.describe().find("line 3: "), std::string::npos)
+        << Line << ": " << Diags.describe();
+    EXPECT_NE(Diags.describe().find(Why), std::string::npos)
+        << Line << ": " << Diags.describe();
+  }
 }
 
 TEST(ArrivalLog, ReplayedLogDrivesTheFullPipeline) {
@@ -78,7 +110,7 @@ TEST(ArrivalLog, ReplayedLogDrivesTheFullPipeline) {
   Spec.Horizon = 5000;
   ArrivalSequence Original = generateWorkload(C.Tasks, Spec);
   std::optional<ArrivalSequence> Replayed =
-      parseArrivalLog(serializeArrivalLog(Original), 2);
+      parseArrivalLog(serializeArrivalLog(Original), 2, C.Tasks.size());
   ASSERT_TRUE(Replayed.has_value());
 
   AdequacySpec ASpec;
@@ -92,8 +124,7 @@ TEST(ArrivalLog, ReplayedLogDrivesTheFullPipeline) {
 
 TEST(Scale, LongRunStaysLinearish) {
   // A soak test: ~500k markers through the full pipeline. Guards
-  // against accidentally quadratic checkers (the per-index helpers are
-  // O(n); the checkers must not call them per marker).
+  // against accidentally quadratic checkers.
   ClientConfig C = makeClient(mixedTasks(), 2);
   WorkloadSpec Spec;
   Spec.NumSockets = 2;

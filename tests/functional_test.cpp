@@ -136,16 +136,3 @@ TEST(Functional, RejectsJobOfUnknownTask) {
   };
   EXPECT_FALSE(checkFunctionalCorrectness(Tr, TS).passed());
 }
-
-TEST(Functional, PendingJobsHelper) {
-  Job A = mkJob(1, 0), B = mkJob(2, 1);
-  Trace Tr = {
-      MarkerEvent::readS(), MarkerEvent::readE(0, A),
-      MarkerEvent::readS(), MarkerEvent::readE(0, B),
-      MarkerEvent::selection(), MarkerEvent::dispatch(A),
-  };
-  EXPECT_EQ(pendingJobsAt(Tr, 4).size(), 2u);
-  EXPECT_EQ(pendingJobsAt(Tr, 6).size(), 1u);
-  EXPECT_EQ(pendingJobsAt(Tr, 6)[0].Id, 2u);
-  EXPECT_EQ(readJobsBefore(Tr, 6).size(), 2u);
-}

@@ -5,10 +5,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "adequacy/pipeline.h"
+#include "convert/schedule_builder.h"
+#include "convert/validity_stream.h"
 #include "rossl/job_queue.h"
 #include "rta/rta_policies.h"
 #include "sim/workload.h"
+#include "trace/check_sinks.h"
 #include "trace/functional.h"
+#include "trace/marker_specs.h"
 
 #include "test_util.h"
 
@@ -266,4 +270,125 @@ TEST(PolicyClient, EdfWithoutDeadlinesIsRejected) {
   EXPECT_FALSE(validateClient(C).passed());
   C.Policy = SchedPolicy::Npfp;
   EXPECT_TRUE(validateClient(C).passed());
+}
+
+namespace {
+
+/// The failure messages of \p R that contain \p Needle, in order.
+std::vector<std::string> failuresWith(const CheckResult &R,
+                                      const std::string &Needle) {
+  std::vector<std::string> Out;
+  for (const std::string &F : R.failures())
+    if (F.find(Needle) != std::string::npos)
+      Out.push_back(F);
+  return Out;
+}
+
+} // namespace
+
+TEST(PolicyKey, EdgeCasesPerChecker) {
+  // Job j1 is read at t=10 and j2 of task "late" at t=20; the run then
+  // dispatches j2 first. j1's task decides whether that breaks the
+  // policy: "urgent" comes first under every policy, task 9 is unknown,
+  // and "nodl" has no deadline, which only NP-EDF needs. The functional
+  // sink and the validity check give such a job no key; the §3.1
+  // contracts key it as priority 0 and deadline 0.
+  TaskSet TS;
+  TS.addTask("late", 40, /*Prio=*/1, std::make_shared<PeriodicCurve>(1000),
+             /*Deadline=*/1000);
+  TS.addTask("urgent", 40, /*Prio=*/3,
+             std::make_shared<PeriodicCurve>(1000), /*Deadline=*/10);
+  TS.addTask("nodl", 40, /*Prio=*/2, std::make_shared<PeriodicCurve>(1000));
+  constexpr TaskId Unknown = 9;
+
+  const std::string NoKeyRead =
+      "marker 1: read job of unknown task or missing policy key";
+  const std::string NoKeyDispatch =
+      "marker 13: dispatched job of unknown task or missing policy key";
+  const std::string UnknownRead = "call 1: read_end: job of unknown task";
+  auto Precedes = [](SchedPolicy P) {
+    return "call 7: dispatch_start: j1 precedes the dispatched job in " +
+           toString(P) + " order";
+  };
+  auto Inversion = [](SchedPolicy P, const std::string &Rule) {
+    return "marker 7: dispatched j2 although another pending job comes "
+           "first under the " +
+           toString(P) + " policy (Def. 3.2 " + Rule + " violated)";
+  };
+  auto Selection = [](SchedPolicy P) {
+    return "(c) j2 selected at t=24 although read job j1 precedes it "
+           "under " +
+           toString(P) + " (schedule-level functional correctness)";
+  };
+
+  struct Row {
+    SchedPolicy Policy;
+    TaskId FirstTask;
+    std::vector<std::string> Functional;
+    std::vector<std::string> Validity; // The (c) failures.
+    std::vector<std::string> Contracts;
+  };
+  const SchedPolicy Npfp = SchedPolicy::Npfp, Edf = SchedPolicy::Edf,
+                    Fifo = SchedPolicy::Fifo;
+  const std::vector<Row> Rows = {
+      // Controls: j1 has a key and comes first.
+      {Npfp, 1, {Inversion(Npfp, "highest-priority")}, {Selection(Npfp)},
+       {Precedes(Npfp)}},
+      {Edf, 1, {Inversion(Edf, "earliest-deadline")}, {Selection(Edf)},
+       {Precedes(Edf)}},
+      {Fifo, 1, {Inversion(Fifo, "first-read")}, {Selection(Fifo)},
+       {Precedes(Fifo)}},
+      // No key: the sinks fail at the read and the dispatch, and (c)
+      // skips the job. The contracts key it as priority 0 (it never
+      // blocks under NPFP) and deadline 0 (it keys by its read time
+      // under NP-EDF).
+      {Npfp, Unknown, {NoKeyRead, NoKeyDispatch}, {}, {UnknownRead}},
+      {Edf, Unknown, {NoKeyRead, NoKeyDispatch}, {},
+       {UnknownRead, Precedes(Edf)}},
+      {Fifo, Unknown, {NoKeyRead, NoKeyDispatch}, {},
+       {UnknownRead, Precedes(Fifo)}},
+      {Edf, 2, {NoKeyRead, NoKeyDispatch}, {}, {Precedes(Edf)}},
+      // Without NP-EDF, a task without a deadline has a key.
+      {Npfp, 2, {Inversion(Npfp, "highest-priority")}, {Selection(Npfp)},
+       {Precedes(Npfp)}},
+  };
+
+  for (const Row &R : Rows) {
+    SCOPED_TRACE(toString(R.Policy) + ", first job of task " +
+                 std::to_string(R.FirstTask));
+    ArrivalSequence Arr(1);
+    Job J1 = mkJob(1, R.FirstTask, Arr.addArrival(5, 0, R.FirstTask));
+    Job J2 = mkJob(2, 0, Arr.addArrival(15, 0, 0));
+    J1.ReadAt = 10;
+    J2.ReadAt = 20;
+    TimedTrace TT = TraceBuilder()
+                        .successRead(0, J1, 10)
+                        .successRead(0, J2, 10)
+                        .failedRead(0, 4)
+                        .at(MarkerEvent::selection(), 3)
+                        .at(MarkerEvent::dispatch(J2), 2)
+                        .at(MarkerEvent::execution(J2), 40)
+                        .at(MarkerEvent::completion(J2), 5)
+                        .failedRead(0, 4)
+                        .at(MarkerEvent::selection(), 3)
+                        .at(MarkerEvent::dispatch(J1), 2)
+                        .at(MarkerEvent::execution(J1), 40)
+                        .at(MarkerEvent::completion(J1), 5)
+                        .failedRead(0, 4)
+                        .at(MarkerEvent::selection(), 3)
+                        .at(MarkerEvent::idling(), 8)
+                        .finish();
+
+    FunctionalCheckSink Functional(TS, R.Policy);
+    replayTimedTrace(TT, Functional);
+    EXPECT_EQ(Functional.result().failures(), R.Functional);
+
+    StreamingValidity Validity(TS, Arr, tinyWcets(), 1, R.Policy);
+    ScheduleBuilder Builder(1, Validity);
+    replayTimedTrace(TT, Builder);
+    EXPECT_EQ(failuresWith(Validity.take(), "(c)"), R.Validity);
+
+    EXPECT_EQ(checkMarkerSpecs(TT.Tr, TS, R.Policy).failures(),
+              R.Contracts);
+  }
 }

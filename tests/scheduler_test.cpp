@@ -171,3 +171,12 @@ TEST(Scheduler, ReadsDrainBacklogInOnePollingPhase) {
          "(first selection at marker "
       << FirstSelection << ")";
 }
+
+TEST(SchedulerDeathTest, ArrivalOfUnknownTaskAborts) {
+  // The scheduler indexes the task set with each read job's task id; an
+  // arrival sequence built by hand can name a task the set lacks.
+  ClientConfig C = makeClient(figure3Tasks(), 1);
+  ArrivalSequence Arr(1);
+  Arr.addArrival(0, 0, /*Task=*/7);
+  EXPECT_DEATH(runRossl(C, Arr, 200), "classifier produced unknown task");
+}

@@ -18,7 +18,7 @@
 #include "trace/check_sinks.h"
 #include "trace/consistency.h"
 #include "trace/functional.h"
-#include "trace/online_monitor.h"
+#include "trace/marker_specs.h"
 #include "trace/protocol.h"
 #include "trace/stream.h"
 #include "trace/wcet_check.h"
@@ -235,10 +235,11 @@ TEST(StreamingValidityState, UsageAndRecordsDropAtRetirement) {
   EXPECT_TRUE(Val.take().passed());
 }
 
-TEST(OnlineMonitorState, GhostStateRetiredOverAConformantRun) {
+TEST(CheckSinkState, GhostStateRetiredOverAConformantRun) {
   // A handcrafted conformant single-socket run with one job: the
-  // monitor's per-job ghost state must appear at the read and be gone
-  // after dispatch — and stay gone through M_Completion.
+  // pending state of Def. 3.2's sink and of the §3.1 contracts must
+  // appear at the read and be gone after dispatch — and stay gone
+  // through M_Completion.
   TaskSet TS = figure3Tasks();
   Job J1 = mkJob(1, /*Task=*/0);
   J1.ReadAt = 10;
@@ -257,24 +258,102 @@ TEST(OnlineMonitorState, GhostStateRetiredOverAConformantRun) {
   TB.at(MarkerEvent::idling(), 8);
   TimedTrace TT = TB.finish();
 
-  OnlineMonitor M(TS, tinyWcets(), /*NumSockets=*/1);
-  std::vector<std::size_t> OpenAfter;
+  TimestampCheckSink Ts;
+  ProtocolCheckSink Prot(/*NumSockets=*/1);
+  FunctionalCheckSink Fun(TS, SchedPolicy::Npfp);
+  WcetCheckSink Wcet(TS, tinyWcets());
+  MarkerSpecChecker Contracts(TS);
+  TraceFanout Fan;
+  Fan.add(Ts);
+  Fan.add(Prot);
+  Fan.add(Fun);
+  Fan.add(Wcet);
+  std::vector<std::size_t> FunOpen, ContractsOpen;
   for (std::size_t I = 0; I < TT.size(); ++I) {
-    M.onMarker(TT.Tr[I], TT.Ts[I]);
-    OpenAfter.push_back(M.openJobs());
+    Fan.onMarker(TT.Tr[I], TT.Ts[I]);
+    Contracts.step(TT.Tr[I]);
+    FunOpen.push_back(Fun.pendingJobs());
+    ContractsOpen.push_back(Contracts.pendingJobs());
   }
-  M.onEnd(TT.EndTime);
-  EXPECT_TRUE(M.clean()) << M.alerts().size() << " alerts; first: "
-                         << (M.alerts().empty()
-                                 ? ""
-                                 : M.alerts().front().Message);
+  Fan.onEnd(TT.EndTime);
+  for (const CheckResult *R : {&Ts.result(), &Prot.result(), &Fun.result(),
+                               &Wcet.result(), &Contracts.result()})
+    EXPECT_TRUE(R->passed()) << R->describe();
 
   // Markers: ReadS ReadE | ReadS ReadE | Sel | Disp | Exec | Compl ...
-  EXPECT_EQ(OpenAfter[1], 1u) << "job pending after its successful read";
-  EXPECT_EQ(OpenAfter[4], 1u) << "still pending through the selection";
-  EXPECT_EQ(OpenAfter[5], 0u) << "ghost state retired at dispatch";
-  EXPECT_EQ(OpenAfter[7], 0u) << "and still gone after M_Completion";
-  EXPECT_EQ(OpenAfter.back(), 0u);
+  for (const std::vector<std::size_t> *Open : {&FunOpen, &ContractsOpen}) {
+    EXPECT_EQ((*Open)[1], 1u) << "job pending after its successful read";
+    EXPECT_EQ((*Open)[4], 1u) << "still pending through the selection";
+    EXPECT_EQ((*Open)[5], 0u) << "ghost state retired at dispatch";
+    EXPECT_EQ((*Open)[7], 0u) << "and still gone after M_Completion";
+    EXPECT_EQ(Open->back(), 0u);
+  }
+}
+
+TEST(CheckSinks, FailAtTheManifestingMarker) {
+  TaskSet TS;
+  addPeriodicTask(TS, "lo", 50, 1, 1000);
+  addPeriodicTask(TS, "hi", 30, 2, 1000);
+
+  {
+    // A priority inversion fails Def. 3.2 and the dispatch contract at
+    // the dispatch marker, index 7, and no earlier.
+    FunctionalCheckSink Fun(TS, SchedPolicy::Npfp);
+    MarkerSpecChecker Contracts(TS);
+    Job Lo = mkJob(1, 0), Hi = mkJob(2, 1);
+    TimedTrace TT = TraceBuilder()
+                        .successRead(0, Lo, 10)
+                        .successRead(0, Hi, 10)
+                        .failedRead(0, 4)
+                        .at(MarkerEvent::selection(), 3)
+                        .at(MarkerEvent::dispatch(Lo), 2) // Inversion!
+                        .finish();
+    ASSERT_EQ(TT.size(), 8u);
+    for (std::size_t I = 0; I < TT.size(); ++I) {
+      EXPECT_TRUE(Fun.result().passed()) << "before marker " << I;
+      EXPECT_TRUE(Contracts.result().passed()) << "before marker " << I;
+      Fun.onMarker(TT.Tr[I], TT.Ts[I]);
+      Contracts.step(TT.Tr[I]);
+    }
+    ASSERT_EQ(Fun.result().failures().size(), 1u);
+    EXPECT_EQ(Fun.result().failures()[0].rfind("marker 7: ", 0), 0u);
+    ASSERT_EQ(Contracts.result().failures().size(), 1u);
+    EXPECT_EQ(Contracts.result().failures()[0].rfind("call 7: ", 0), 0u);
+  }
+  {
+    // A failed read of 5 ticks exceeds FR = 4, but only the next marker
+    // closes the read action.
+    WcetCheckSink Wcet(TS, tinyWcets());
+    Wcet.onMarker(MarkerEvent::readS(), 0);
+    Wcet.onMarker(MarkerEvent::readE(0, std::nullopt), 5);
+    EXPECT_TRUE(Wcet.result().passed());
+    Wcet.onMarker(MarkerEvent::selection(), 5);
+    ASSERT_FALSE(Wcet.result().passed());
+    EXPECT_NE(Wcet.result().describe().find("failed read"),
+              std::string::npos);
+  }
+  {
+    // The last idle cycle is closed only by the end of the run.
+    WcetCheckSink Wcet(TS, tinyWcets());
+    Wcet.onMarker(MarkerEvent::readS(), 0);
+    Wcet.onMarker(MarkerEvent::readE(0, std::nullopt), 4);
+    Wcet.onMarker(MarkerEvent::selection(), 4);
+    Wcet.onMarker(MarkerEvent::idling(), 7);
+    EXPECT_TRUE(Wcet.result().passed());
+    Wcet.onEnd(7 + 9); // Idle cycle of 9 > WcetIdling = 8.
+    ASSERT_FALSE(Wcet.result().passed());
+    EXPECT_NE(Wcet.result().describe().find("idle cycle"),
+              std::string::npos);
+  }
+  {
+    // A timestamp regression fails at the marker that goes backward.
+    TimestampCheckSink Ts;
+    Ts.onMarker(MarkerEvent::readS(), 100);
+    EXPECT_TRUE(Ts.result().passed());
+    Ts.onMarker(MarkerEvent::readE(0, std::nullopt), 90);
+    ASSERT_FALSE(Ts.result().passed());
+    EXPECT_EQ(Ts.result().failures()[0], "timestamps decrease at marker 1");
+  }
 }
 
 TEST(WcetCheckSinkState, BoundedToOneOpenAction) {

@@ -1,4 +1,4 @@
-//===- tests/trace_misc_test.cpp - Trace helper and printing tests --------===//
+//===- tests/trace_misc_test.cpp - Marker and trace printing tests --------===//
 //
 // Part of RefinedProsa-CPP. MIT License.
 //
@@ -37,30 +37,6 @@ TEST(MarkerPredicates, ReadClassification) {
   EXPECT_TRUE(MarkerEvent::readE(0, mkJob(1, 0)).isSuccessfulRead());
   EXPECT_FALSE(MarkerEvent::readS().isFailedRead());
   EXPECT_FALSE(MarkerEvent::dispatch(mkJob(1, 0)).isSuccessfulRead());
-}
-
-TEST(TimedTrace, SegmentLenUsesEndTimeForLastMarker) {
-  TimedTrace TT = TraceBuilder()
-                      .failedRead(0, 4)
-                      .at(MarkerEvent::selection(), 3)
-                      .at(MarkerEvent::idling(), 8)
-                      .finish();
-  ASSERT_EQ(TT.size(), 4u);
-  EXPECT_EQ(TT.segmentLen(0), 4u); // ReadS -> ReadE.
-  EXPECT_EQ(TT.segmentLen(1), 0u); // ReadE -> Selection (same instant).
-  EXPECT_EQ(TT.segmentLen(2), 3u);
-  EXPECT_EQ(TT.segmentLen(3), 8u); // Idling -> EndTime.
-}
-
-TEST(TraceHelpers, ReadMsgIdsBefore) {
-  Trace Tr = {
-      MarkerEvent::readS(), MarkerEvent::readE(0, mkJob(1, 0, 100)),
-      MarkerEvent::readS(), MarkerEvent::readE(0, mkJob(2, 0, 200)),
-  };
-  EXPECT_TRUE(readMsgIdsBefore(Tr, 0).empty());
-  EXPECT_EQ(readMsgIdsBefore(Tr, 2).size(), 1u);
-  EXPECT_TRUE(readMsgIdsBefore(Tr, 2).count(100));
-  EXPECT_EQ(readMsgIdsBefore(Tr, 4).size(), 2u);
 }
 
 TEST(TraceRendering, TruncatesLongTraces) {
