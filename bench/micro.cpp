@@ -20,6 +20,7 @@
 #include "rta/sbf.h"
 #include "sim/environment.h"
 #include "sim/workload.h"
+#include "trace/chunked_io.h"
 #include "trace/consistency.h"
 #include "trace/serialize.h"
 #include "trace/functional.h"
@@ -29,6 +30,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <sstream>
 
 using namespace rprosa;
 
@@ -191,7 +193,8 @@ void BM_SerializeRoundTrip(benchmark::State &State) {
   const Fixture &F = sharedFixture();
   std::string Text = serializeTimedTrace(F.TT);
   for (auto _ : State) {
-    std::optional<TimedTrace> TT = parseTimedTrace(Text);
+    std::istringstream In(Text);
+    std::optional<TimedTrace> TT = readTimedTrace(In);
     benchmark::DoNotOptimize(TT->size());
   }
   State.counters["bytes"] = double(Text.size());

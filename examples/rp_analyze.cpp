@@ -29,10 +29,14 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 using namespace rprosa;
 
 namespace {
+
+const char *Usage = "usage: rp_analyze <spec> [--simulate <horizon>] "
+                    "[--workload <arrival-log>]";
 
 const char *DemoSpec = R"(# rp_analyze demo: a small robot node
 system demo-robot
@@ -149,10 +153,24 @@ int main(int Argc, char **Argv) {
     Buf << In.rdbuf();
     Text = Buf.str();
     for (int I = 2; I < Argc; ++I) {
-      if (std::string(Argv[I]) == "--simulate" && I + 1 < Argc)
-        SimHorizon = parseTimeLiteral(Argv[I + 1]);
-      if (std::string(Argv[I]) == "--workload" && I + 1 < Argc)
-        WorkloadPath = Argv[I + 1];
+      std::string_view Flag = Argv[I];
+      if (Flag != "--simulate" && Flag != "--workload")
+        continue;
+      if (I + 1 == Argc) {
+        std::fprintf(stderr, "rp_analyze: %s needs a value\n%s\n",
+                     Argv[I], Usage);
+        return 2;
+      }
+      const char *Value = Argv[++I];
+      if (Flag == "--workload") {
+        WorkloadPath = Value;
+      } else if (!(SimHorizon = parseTimeLiteral(Value))) {
+        std::fprintf(stderr,
+                     "rp_analyze: invalid horizon '%s' (expected a time "
+                     "literal such as 2ms)\n%s\n",
+                     Value, Usage);
+        return 2;
+      }
     }
   } else {
     std::printf("no spec file given; analyzing the built-in demo "

@@ -110,7 +110,6 @@
 #include "support/table.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -757,12 +756,17 @@ int main(int Argc, char **Argv) {
   }
 
   std::uint32_t NumSockets = 2;
-  if (SockArg)
-    NumSockets =
-        static_cast<std::uint32_t>(std::strtoul(SockArg, nullptr, 10));
-  if (NumSockets == 0) {
-    std::fprintf(stderr, "rp_verify: socket count must be >= 1\n");
-    return 2;
+  if (SockArg) {
+    std::optional<std::uint32_t> N = parseSocketCount(SockArg);
+    if (!N) {
+      std::fprintf(stderr,
+                   "rp_verify: invalid socket count '%s' (expected an "
+                   "integer in [1, %u])\nusage: rp_verify [--lint | "
+                   "--timing] <file.rossl> [num-sockets]\n",
+                   SockArg, MaxSockets);
+      return 2;
+    }
+    NumSockets = *N;
   }
 
   if (Lint)

@@ -22,6 +22,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "adequacy/spec_parser.h"
 #include "convert/schedule_builder.h"
 #include "core/schedule_render.h"
 #include "rossl/scheduler.h"
@@ -44,8 +45,11 @@ using namespace rprosa;
 
 namespace {
 
-/// Generates a demo trace and returns it in the chunked v2 format.
-std::string makeDemoTraceText(std::uint32_t NumSockets) {
+const char *Usage = "usage: trace_inspector <file> <num-sockets>";
+
+/// Simulates a demo run and writes its trace to \p Out in the chunked
+/// v2 format.
+void writeDemoTrace(std::ostream &Out, std::uint32_t NumSockets) {
   ClientConfig Client;
   Client.Tasks.addTask("alpha", 700 * TickNs, 2,
                        std::make_shared<PeriodicCurve>(12 * TickUs));
@@ -65,10 +69,8 @@ std::string makeDemoTraceText(std::uint32_t NumSockets) {
 
   // One pass: the simulator streams straight into the chunked writer
   // (small chunks so the demo shows more than one).
-  std::ostringstream Out;
   ChunkedTraceWriter Writer(Out, /*EventsPerChunk=*/64);
   Sched.run(Limits, Writer);
-  return Out.str();
 }
 
 /// Feeds the incremental action parser / converter only while the
@@ -196,16 +198,25 @@ int inspect(std::istream &In, std::uint32_t NumSockets) {
 
 int main(int Argc, char **Argv) {
   if (Argc >= 3) {
+    std::optional<std::uint32_t> NumSockets = parseSocketCount(Argv[2]);
+    if (!NumSockets) {
+      std::fprintf(stderr,
+                   "trace_inspector: invalid socket count '%s' (expected "
+                   "an integer in [1, %u])\n%s\n",
+                   Argv[2], MaxSockets, Usage);
+      return 2;
+    }
     std::ifstream In(Argv[1]);
     if (!In) {
       std::printf("cannot open %s\n", Argv[1]);
       return 1;
     }
-    return inspect(In, static_cast<std::uint32_t>(std::stoul(Argv[2])));
+    return inspect(In, *NumSockets);
   }
-  std::printf("no trace file given; running the self-demo "
-              "(usage: trace_inspector <file> <num-sockets>; v1 and "
-              "chunked v2 files both work)\n\n");
-  std::istringstream In(makeDemoTraceText(2));
-  return inspect(In, 2);
+  std::printf("no trace file given; running the self-demo (%s; v1 and "
+              "chunked v2 files both work)\n\n",
+              Usage);
+  std::stringstream Trace;
+  writeDemoTrace(Trace, 2);
+  return inspect(Trace, 2);
 }

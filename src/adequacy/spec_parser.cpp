@@ -6,80 +6,56 @@
 
 #include "adequacy/spec_parser.h"
 
+#include "support/fields.h"
+
 #include <memory>
-#include <sstream>
 
 using namespace rprosa;
 
+std::optional<std::uint32_t>
+rprosa::parseSocketCount(std::string_view Text) {
+  std::optional<std::uint64_t> N = parseU64(Text);
+  if (!N || *N == 0 || *N > MaxSockets)
+    return std::nullopt;
+  return static_cast<std::uint32_t>(*N);
+}
+
 namespace {
 
-/// Tokenized view of one directive line.
-class Tokens {
-public:
-  explicit Tokens(const std::string &Line) : In(Line) {}
-
-  std::optional<std::string> word() {
-    std::string W;
-    if (In >> W)
-      return W;
-    return std::nullopt;
-  }
-
-  std::optional<Duration> time() {
-    std::optional<std::string> W = word();
-    return W ? parseTimeLiteral(*W) : std::nullopt;
-  }
-
-  std::optional<std::uint64_t> number() {
-    std::optional<std::string> W = word();
-    if (!W)
-      return std::nullopt;
-    for (char C : *W)
-      if (C < '0' || C > '9')
-        return std::nullopt;
-    if (W->empty() || W->size() > 19)
-      return std::nullopt;
-    return std::stoull(*W);
-  }
-
-private:
-  std::istringstream In;
-};
-
 /// Parses the "curve ..." tail of a task directive.
-ArrivalCurvePtr parseCurve(Tokens &T, std::string &Err) {
-  std::optional<std::string> Kind = T.word();
-  if (!Kind) {
+ArrivalCurvePtr parseCurve(FieldCursor &C, std::string &Err) {
+  std::string_view Kind = C.next();
+  if (Kind.empty()) {
     Err = "missing curve kind";
     return nullptr;
   }
-  if (*Kind == "periodic") {
-    std::optional<Duration> Period = T.time();
+  if (Kind == "periodic") {
+    std::optional<Duration> Period = parseTimeLiteral(C.next());
     if (!Period || *Period == 0) {
       Err = "periodic curve needs a positive period";
       return nullptr;
     }
     return std::make_shared<PeriodicCurve>(*Period);
   }
-  if (*Kind == "bucket") {
-    std::optional<std::uint64_t> Burst = T.number();
-    std::optional<Duration> Rate = T.time();
+  if (Kind == "bucket") {
+    std::optional<std::uint64_t> Burst = C.nextU64();
+    std::optional<Duration> Rate = parseTimeLiteral(C.next());
     if (!Burst || *Burst == 0 || !Rate || *Rate == 0) {
       Err = "bucket curve needs a positive burst and rate";
       return nullptr;
     }
     return std::make_shared<LeakyBucketCurve>(*Burst, *Rate);
   }
-  if (*Kind == "periodic-jitter") {
-    std::optional<Duration> Period = T.time();
-    std::optional<Duration> Jit = T.time();
+  if (Kind == "periodic-jitter") {
+    std::optional<Duration> Period = parseTimeLiteral(C.next());
+    std::optional<Duration> Jit = parseTimeLiteral(C.next());
     if (!Period || *Period == 0 || !Jit) {
       Err = "periodic-jitter curve needs a period and a jitter";
       return nullptr;
     }
     return std::make_shared<PeriodicJitterCurve>(*Period, *Jit);
   }
-  Err = "unknown curve kind '" + *Kind + "'";
+  Err = "unknown curve kind '" + std::string(Kind) + "'";
   return nullptr;
 }
 
@@ -87,120 +63,127 @@ ArrivalCurvePtr parseCurve(Tokens &T, std::string &Err) {
 
 std::optional<SystemSpec> rprosa::parseSystemSpec(const std::string &Text,
                                                   CheckResult *Diags) {
-  auto Fail = [&](std::size_t LineNo,
-                  const std::string &Why) -> std::optional<SystemSpec> {
+  std::size_t LineNo = 0;
+  auto Fail = [&](const std::string &Why) -> std::optional<SystemSpec> {
     if (Diags)
       Diags->addFailure("spec error at line " + std::to_string(LineNo) +
                         ": " + Why);
     return std::nullopt;
   };
+  // A directive whose last field was read must end there.
+  auto Unexpected = [&](std::string_view Extra, const char *After) {
+    return Fail("unexpected '" + std::string(Extra) + "' after the " +
+                After);
+  };
 
   SystemSpec Spec;
   bool SawWcets = false;
 
-  std::istringstream In(Text);
-  std::string Line;
-  std::size_t LineNo = 0;
-  while (std::getline(In, Line)) {
+  std::string_view Rest = Text, Line;
+  while (nextLine(Rest, Line)) {
     ++LineNo;
-    std::size_t Hash = Line.find('#');
-    if (Hash != std::string::npos)
-      Line.resize(Hash);
-    Tokens T(Line);
-    std::optional<std::string> Directive = T.word();
-    if (!Directive)
+    FieldCursor C(Line.substr(0, Line.find('#')));
+    std::string_view Directive = C.next();
+    if (Directive.empty())
       continue; // Blank / comment-only line.
 
-    if (*Directive == "system") {
-      std::optional<std::string> Name = T.word();
-      if (!Name)
-        return Fail(LineNo, "system needs a name");
-      Spec.Name = *Name;
-    } else if (*Directive == "sockets") {
-      std::optional<std::uint64_t> N = T.number();
-      if (!N || *N == 0 || *N > 4096)
-        return Fail(LineNo, "sockets needs a count in [1, 4096]");
-      Spec.Client.NumSockets = static_cast<std::uint32_t>(*N);
-    } else if (*Directive == "policy") {
-      std::optional<std::string> P = T.word();
-      if (!P)
-        return Fail(LineNo, "policy needs npfp|edf|fifo");
-      if (*P == "npfp")
+    if (Directive == "system") {
+      std::string_view Name = C.next();
+      if (Name.empty())
+        return Fail("system needs a name");
+      if (std::string_view Extra = C.next(); !Extra.empty())
+        return Unexpected(Extra, "system name");
+      Spec.Name = Name;
+    } else if (Directive == "sockets") {
+      std::optional<std::uint32_t> N = parseSocketCount(C.next());
+      if (!N)
+        return Fail("sockets needs a count in [1, 4096]");
+      if (std::string_view Extra = C.next(); !Extra.empty())
+        return Unexpected(Extra, "socket count");
+      Spec.Client.NumSockets = *N;
+    } else if (Directive == "policy") {
+      std::string_view P = C.next();
+      if (P.empty())
+        return Fail("policy needs npfp|edf|fifo");
+      if (P == "npfp")
         Spec.Client.Policy = SchedPolicy::Npfp;
-      else if (*P == "edf")
+      else if (P == "edf")
         Spec.Client.Policy = SchedPolicy::Edf;
-      else if (*P == "fifo")
+      else if (P == "fifo")
         Spec.Client.Policy = SchedPolicy::Fifo;
       else
-        return Fail(LineNo, "unknown policy '" + *P + "'");
-    } else if (*Directive == "wcets") {
+        return Fail("unknown policy '" + std::string(P) + "'");
+      if (std::string_view Extra = C.next(); !Extra.empty())
+        return Unexpected(Extra, "policy");
+    } else if (Directive == "wcets") {
       // Key-value pairs: fr/sr/sel/disp/compl/idle.
-      while (std::optional<std::string> Key = T.word()) {
-        std::optional<Duration> V = T.time();
+      for (std::string_view Key = C.next(); !Key.empty(); Key = C.next()) {
+        std::optional<Duration> V = parseTimeLiteral(C.next());
         if (!V)
-          return Fail(LineNo, "wcets: missing value for '" + *Key + "'");
-        if (*Key == "fr")
+          return Fail("wcets: missing value for '" + std::string(Key) +
+                      "'");
+        if (Key == "fr")
           Spec.Client.Wcets.FailedRead = *V;
-        else if (*Key == "sr")
+        else if (Key == "sr")
           Spec.Client.Wcets.SuccessfulRead = *V;
-        else if (*Key == "sel")
+        else if (Key == "sel")
           Spec.Client.Wcets.Selection = *V;
-        else if (*Key == "disp")
+        else if (Key == "disp")
           Spec.Client.Wcets.Dispatch = *V;
-        else if (*Key == "compl")
+        else if (Key == "compl")
           Spec.Client.Wcets.Completion = *V;
-        else if (*Key == "idle")
+        else if (Key == "idle")
           Spec.Client.Wcets.Idling = *V;
         else
-          return Fail(LineNo, "wcets: unknown key '" + *Key + "'");
+          return Fail("wcets: unknown key '" + std::string(Key) + "'");
       }
       SawWcets = true;
-    } else if (*Directive == "task") {
-      std::optional<std::string> Name = T.word();
-      if (!Name)
-        return Fail(LineNo, "task needs a name");
+    } else if (Directive == "task") {
+      std::string Name(C.next());
+      if (Name.empty())
+        return Fail("task needs a name");
       Duration Wcet = 0, Deadline = 0;
       Priority Prio = 0;
       ArrivalCurvePtr Curve;
-      while (std::optional<std::string> Key = T.word()) {
-        if (*Key == "wcet") {
-          std::optional<Duration> V = T.time();
+      for (std::string_view Key = C.next(); !Key.empty(); Key = C.next()) {
+        if (Key == "wcet") {
+          std::optional<Duration> V = parseTimeLiteral(C.next());
           if (!V)
-            return Fail(LineNo, "task: malformed wcet");
+            return Fail("task: malformed wcet");
           Wcet = *V;
-        } else if (*Key == "prio") {
-          std::optional<std::uint64_t> V = T.number();
+        } else if (Key == "prio") {
+          std::optional<std::uint32_t> V = C.nextU32();
           if (!V)
-            return Fail(LineNo, "task: malformed prio");
-          Prio = static_cast<Priority>(*V);
-        } else if (*Key == "deadline") {
-          std::optional<Duration> V = T.time();
+            return Fail("task: malformed prio");
+          Prio = *V;
+        } else if (Key == "deadline") {
+          std::optional<Duration> V = parseTimeLiteral(C.next());
           if (!V)
-            return Fail(LineNo, "task: malformed deadline");
+            return Fail("task: malformed deadline");
           Deadline = *V;
-        } else if (*Key == "curve") {
+        } else if (Key == "curve") {
           std::string Err;
-          Curve = parseCurve(T, Err);
+          Curve = parseCurve(C, Err);
           if (!Curve)
-            return Fail(LineNo, "task: " + Err);
+            return Fail("task: " + Err);
         } else {
-          return Fail(LineNo, "task: unknown key '" + *Key + "'");
+          return Fail("task: unknown key '" + std::string(Key) + "'");
         }
       }
       if (Wcet == 0)
-        return Fail(LineNo, "task '" + *Name + "' needs a positive wcet");
+        return Fail("task '" + Name + "' needs a positive wcet");
       if (!Curve)
-        return Fail(LineNo, "task '" + *Name + "' needs a curve");
-      Spec.Client.Tasks.addTask(*Name, Wcet, Prio, std::move(Curve),
+        return Fail("task '" + Name + "' needs a curve");
+      Spec.Client.Tasks.addTask(Name, Wcet, Prio, std::move(Curve),
                                 Deadline);
     } else {
-      return Fail(LineNo, "unknown directive '" + *Directive + "'");
+      return Fail("unknown directive '" + std::string(Directive) + "'");
     }
   }
 
   if (!SawWcets)
-    return Fail(LineNo, "missing 'wcets' directive");
+    return Fail("missing 'wcets' directive");
   if (Spec.Client.Tasks.empty())
-    return Fail(LineNo, "no tasks declared");
+    return Fail("no tasks declared");
   return Spec;
 }

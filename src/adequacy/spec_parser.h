@@ -19,7 +19,10 @@
 ///   task fused  wcet 1ms   prio 2 deadline 10ms curve periodic-jitter 20ms 1ms
 ///
 /// Time literals accept the suffixes ns, us, ms, s (bare numbers are
-/// ticks = ns).
+/// ticks = ns). Fields, numbers and time literals follow the grammar of
+/// DESIGN.md §9: fields are separated by space, tab or CR; `prio` is a
+/// 32-bit field; a field after the last one of a `system`, `sockets` or
+/// `policy` line is an error.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +32,10 @@
 #include "rossl/client.h"
 #include "support/check.h"
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace rprosa {
 
@@ -39,6 +44,13 @@ struct SystemSpec {
   std::string Name = "unnamed";
   ClientConfig Client;
 };
+
+/// The socket counts the spec and the CLIs accept: [1, MaxSockets].
+inline constexpr std::uint32_t MaxSockets = 4096;
+
+/// Parses \p Text as a socket count in [1, MaxSockets]; nullopt if it
+/// is not one.
+std::optional<std::uint32_t> parseSocketCount(std::string_view Text);
 
 /// Parses the spec format; nullopt on error with the reason appended to
 /// \p Diags when non-null.

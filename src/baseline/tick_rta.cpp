@@ -7,6 +7,7 @@
 #include "baseline/tick_rta.h"
 
 #include "rta/jitter.h"
+#include "rta/warm_start.h"
 
 #include <algorithm>
 
@@ -45,7 +46,8 @@ RtaResult rprosa::analyzeTick(const TaskSet &Tasks, const TickConfig &Cfg,
     auto BusyStep = [&](Time L) {
       return std::max<Time>(1, Supply.timeToSupply(WorkloadOf(HepAll, L)));
     };
-    std::optional<Time> L = leastFixedPoint(BusyStep, 1, FixedPointCap);
+    std::optional<Time> L =
+        leastFixedPointSeeded(BusyStep, 1, /*Seed=*/0, FixedPointCap);
     if (!L) {
       Res.PerTask.push_back(Out);
       continue;
@@ -69,8 +71,8 @@ RtaResult rprosa::analyzeTick(const TaskSet &Tasks, const TickConfig &Cfg,
             satAdd(Own, WorkloadOf(HepOthers, satAdd(T, 1)));
         return std::max<Time>(Aq, Supply.timeToSupply(Work));
       };
-      std::optional<Time> F = leastFixedPoint(FinishStep, Aq,
-                                              FixedPointCap);
+      std::optional<Time> F =
+          leastFixedPointSeeded(FinishStep, Aq, /*Seed=*/0, FixedPointCap);
       if (!F) {
         Diverged = true;
         break;

@@ -6,25 +6,28 @@
 
 #include "core/time.h"
 
+#include "support/fields.h"
+
 using namespace rprosa;
 
-std::optional<Duration> rprosa::parseTimeLiteral(const std::string &Text) {
-  if (Text.empty())
-    return std::nullopt;
-  std::size_t Pos = 0;
-  while (Pos < Text.size() && Text[Pos] >= '0' && Text[Pos] <= '9')
-    ++Pos;
-  if (Pos == 0 || Pos > 19)
-    return std::nullopt;
-  Duration Num = std::stoull(Text.substr(0, Pos));
-  std::string Suffix = Text.substr(Pos);
+std::optional<Duration> rprosa::parseTimeLiteral(std::string_view Text) {
+  std::size_t Digits = Text.find_first_not_of("0123456789");
+  std::string_view Suffix =
+      Digits == std::string_view::npos ? "" : Text.substr(Digits);
+  Duration Scale = 0;
   if (Suffix.empty() || Suffix == "ns")
-    return Num;
-  if (Suffix == "us")
-    return satMul(Num, TickUs);
-  if (Suffix == "ms")
-    return satMul(Num, TickMs);
-  if (Suffix == "s")
-    return satMul(Num, TickSec);
-  return std::nullopt;
+    Scale = TickNs;
+  else if (Suffix == "us")
+    Scale = TickUs;
+  else if (Suffix == "ms")
+    Scale = TickMs;
+  else if (Suffix == "s")
+    Scale = TickSec;
+  else
+    return std::nullopt;
+  // The scaled value must stay below TimeInfinity: no saturation.
+  std::optional<std::uint64_t> Num = parseU64(Text.substr(0, Digits));
+  if (!Num || *Num > (TimeInfinity - 1) / Scale)
+    return std::nullopt;
+  return *Num * Scale;
 }

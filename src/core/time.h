@@ -18,7 +18,7 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
+#include <string_view>
 
 namespace rprosa {
 
@@ -46,10 +46,13 @@ inline Time satAdd(Time A, Time B) {
   return Sum < A ? TimeInfinity : Sum;
 }
 
-/// Parses a time literal ("400", "400ns", "2us", "10ms", "1s"; a bare
-/// number is ticks = ns); nullopt on malformed input. Shared by the
-/// system-spec and arrival-log text formats.
-std::optional<Duration> parseTimeLiteral(const std::string &Text);
+/// Parses a time literal: a number of the text grammar (DESIGN.md §9)
+/// followed by no unit or one of ns, us, ms, s ("400", "2us", "10ms";
+/// a bare number is ticks = ns). nullopt on malformed input and when
+/// the scaled value would reach TimeInfinity: a literal never
+/// saturates. Shared by the system-spec and arrival-log formats and
+/// the CLIs.
+std::optional<Duration> parseTimeLiteral(std::string_view Text);
 
 /// Saturating multiplication on durations with the same conventions.
 inline Duration satMul(Duration A, Duration B) {

@@ -10,9 +10,10 @@
 /// points of monotone demand/supply equations. This header provides the
 /// shared machinery:
 ///
-///  - leastFixedPoint: Kleene iteration of a monotone map on times,
-///    with a divergence cap (an analysis that hits the cap reports the
-///    task as unbounded rather than looping forever);
+///  - exceedsCap: the divergence predicate every fixed-point search
+///    (warm_start.h's leastFixedPointSeeded) applies, so an analysis that
+///    hits the cap reports the task as unbounded rather than looping
+///    forever;
 ///  - SupplyModel: the interface the concrete analysis needs from a
 ///    supply description — both the restricted supply of Rössl (see
 ///    sbf.h) and the ideal unit-supply processor implement it.
@@ -23,9 +24,6 @@
 #define RPROSA_RTA_ARSA_H
 
 #include "core/time.h"
-
-#include <functional>
-#include <optional>
 
 namespace rprosa {
 
@@ -39,13 +37,6 @@ namespace rprosa {
 inline bool exceedsCap(Time T, Time Cap) {
   return T == TimeInfinity || T > Cap;
 }
-
-/// Iterates T ← F(T) from \p Start until a fixed point is reached;
-/// returns nullopt if the iterate exceeds \p Cap (divergence) or F ever
-/// returns TimeInfinity. F must be monotone and satisfy F(T) >= Start
-/// for the result to be the least fixed point above Start.
-std::optional<Time> leastFixedPoint(const std::function<Time(Time)> &F,
-                                    Time Start, Time Cap);
 
 /// What an RTA needs to know about the processor's supply.
 class SupplyModel {

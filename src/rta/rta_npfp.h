@@ -13,7 +13,7 @@
 ///    β_i(Δ) = α_i(Δ + J_i) (§4.3),
 ///  - overheads modeled as supply restrictions through the SBF of §4.4.
 ///
-/// Per task τ_i (all fixed points solved with leastFixedPoint; hitting
+/// Per task τ_i (all fixed points solved with leastFixedPointSeeded; hitting
 /// the cap yields Bounded = false):
 ///
 ///   blocking     B_i = max_{k ∈ lp(i)} C_k           (non-preemptive,

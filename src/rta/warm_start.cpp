@@ -18,12 +18,12 @@ rprosa::leastFixedPointSeeded(const std::function<Time(Time)> &F, Time Start,
   Time T = std::max(Start, Seed);
   std::uint64_t Iters = 0;
   // Kleene iteration from a point ≤ the least fixed point: iterates
-  // never cross it (warm_start.h), so convergence is exact. Unlike the
-  // cold leastFixedPoint, a *decreasing* step keeps iterating — with a
-  // seed strictly between Start and the lfp the map may first pull the
-  // iterate down toward the cold trajectory before climbing; once the
-  // direction is downward it stays downward (monotone F), so the
-  // iteration still terminates within the cap's range.
+  // never cross it (warm_start.h), so convergence is exact. A
+  // *decreasing* step keeps iterating — with a seed strictly between
+  // Start and the lfp the map may first pull the iterate down toward
+  // the cold trajectory before climbing; once the direction is downward
+  // it stays downward (monotone F), so the iteration still terminates
+  // within the cap's range.
   while (true) {
     Time Next = F(T);
     ++Iters;

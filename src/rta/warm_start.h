@@ -25,12 +25,13 @@
 /// parameters. SweepRunner enforces this via canSeed (sweep.h);
 /// warm_start_test asserts seeded == cold byte-for-byte.
 ///
-/// leastFixedPointSeeded differs from arsa.h's leastFixedPoint in one
-/// more way: a seeded iterate may *descend* (F(Seed) < Seed when the
-/// seed overshoots intermediate iterates while staying ≤ lfp — it
-/// cannot, for a sound seed, but the dual direction arises transiently
-/// when Seed lies between iterates), so descent continues the loop
-/// instead of being treated as convergence.
+/// A seeded iterate may *descend* (F(Seed) < Seed when the seed
+/// overshoots intermediate iterates while staying ≤ lfp — it cannot,
+/// for a sound seed, but the dual direction arises transiently when
+/// Seed lies between iterates), so descent continues the loop instead
+/// of being treated as convergence. A map floored at its start
+/// (F(T) >= Start, as in the tick baseline) never descends from a cold
+/// start.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -135,11 +136,12 @@ struct WarmStart {
   bool empty() const { return BusyWindow.empty(); }
 };
 
-/// arsa.h's leastFixedPoint with a warm seed and iteration telemetry.
-/// Iterates T ← F(T) from max(Start, Seed); \p Seed MUST be ≤ the least
-/// fixed point above Start (0 = cold start, identical to
-/// leastFixedPoint). Returns nullopt past \p Cap. \p IterationsOut (if
-/// non-null) receives the number of F applications.
+/// The one fixed-point iterator of the analyses: Kleene iteration
+/// T ← F(T) from max(Start, Seed) with an optional warm seed and
+/// iteration telemetry. \p Seed MUST be ≤ the least fixed point above
+/// Start (0 = cold start). Returns nullopt once an iterate exceeds
+/// \p Cap (arsa.h's exceedsCap). \p IterationsOut (if non-null)
+/// receives the number of F applications.
 std::optional<Time>
 leastFixedPointSeeded(const std::function<Time(Time)> &F, Time Start,
                       Time Seed, Time Cap,

@@ -146,10 +146,6 @@ void expand(const SagModel &M, const SagState &S, std::uint32_t SI,
     Next.EA = satAdd(satAdd(EstSel, DispCost), M.completion());
     Next.LA = satAdd(satAdd(LstSel, DispCost), M.completion());
     Next.Depth = S.Depth + 1;
-    Next.Pred = SI;
-    Next.Via = J;
-    Next.EdgeEst = EstSel;
-    Next.EdgeLst = LstSel;
     Out.Succ.push_back(Next);
 
     if (Job.Deadline == 0)

@@ -42,7 +42,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 namespace rprosa {
@@ -101,12 +100,8 @@ inline void sagMaskSet(SagMask &M, std::uint32_t J) {
   M[J / 64] |= std::uint64_t{1} << (J % 64);
 }
 
-/// One SAG system state plus the predecessor edge that first reached it
-/// (kept stable across merges so backtracking is deterministic).
+/// One SAG system state.
 struct SagState {
-  static constexpr std::uint32_t NoPred =
-      std::numeric_limits<std::uint32_t>::max();
-
   SagMask Dispatched{};
   /// Bounds on the instant the machine re-enters the polling phase
   /// after the previous dispatch's completion overhead (0 initially).
@@ -114,13 +109,6 @@ struct SagState {
   Time LA = 0;
   /// Number of dispatched jobs (= popcount of Dispatched).
   std::uint32_t Depth = 0;
-  /// Arena index of the predecessor state (NoPred for the root).
-  std::uint32_t Pred = NoPred;
-  /// Job dispatched on the edge Pred -> this (NoPred for the root).
-  std::uint32_t Via = NoPred;
-  /// Selection-instant window of that edge (for witness realization).
-  Time EdgeEst = 0;
-  Time EdgeLst = 0;
 };
 
 /// The static system model the exploration runs against: the job set

@@ -7,85 +7,66 @@
 #include "sim/arrival_log.h"
 
 #include "core/time.h"
+#include "support/fields.h"
 
-#include <charconv>
 #include <limits>
-#include <sstream>
 
 using namespace rprosa;
-
-namespace {
-
-/// A plain unsigned decimal field: digits only, no sign, no overflow.
-std::optional<std::uint64_t> parseDecimal(const std::string &Tok) {
-  std::uint64_t V = 0;
-  auto [Ptr, Ec] = std::from_chars(Tok.data(), Tok.data() + Tok.size(), V);
-  if (Ec != std::errc() || Ptr != Tok.data() + Tok.size())
-    return std::nullopt;
-  return V;
-}
-
-} // namespace
 
 std::optional<ArrivalSequence>
 rprosa::parseArrivalLog(const std::string &Text, std::uint32_t NumSockets,
                         std::size_t NumTasks, CheckResult *Diags) {
-  auto Fail = [&](std::size_t LineNo, const std::string &Why)
-      -> std::optional<ArrivalSequence> {
+  std::size_t LineNo = 1;
+  auto Fail = [&](const std::string &Why) -> std::optional<ArrivalSequence> {
     if (Diags)
       Diags->addFailure("arrival log error at line " +
                         std::to_string(LineNo) + ": " + Why);
     return std::nullopt;
   };
 
-  std::istringstream In(Text);
-  std::string Line;
-  std::size_t LineNo = 0;
-  if (!std::getline(In, Line) || Line != "refinedprosa-arrivals v1")
-    return Fail(1, "missing or unknown header");
-  ++LineNo;
+  std::string_view Rest = Text, Line;
+  // The header is matched field by field.
+  FieldCursor Header(nextLine(Rest, Line) ? Line : std::string_view());
+  if (Header.next() != "refinedprosa-arrivals" || Header.next() != "v1" ||
+      !Header.next().empty())
+    return Fail("missing or unknown header");
 
   ArrivalSequence Arr(NumSockets);
-  while (std::getline(In, Line)) {
+  while (nextLine(Rest, Line)) {
     ++LineNo;
-    std::size_t Hash = Line.find('#');
-    if (Hash != std::string::npos)
-      Line.resize(Hash);
-    std::istringstream Tok(Line);
-    std::string TimeWord;
-    if (!(Tok >> TimeWord))
+    FieldCursor C(Line.substr(0, Line.find('#')));
+    std::string_view TimeWord = C.next();
+    if (TimeWord.empty())
       continue; // Blank or comment-only.
     std::optional<Duration> At = parseTimeLiteral(TimeWord);
     if (!At)
-      return Fail(LineNo, "malformed time '" + TimeWord + "'");
-    std::string SockWord, TaskWord, PayloadWord, Extra;
-    if (!(Tok >> SockWord >> TaskWord))
-      return Fail(LineNo, "expected '<time> <socket> <task> [payload]'");
-    std::optional<std::uint64_t> Sock = parseDecimal(SockWord);
+      return Fail("malformed time '" + std::string(TimeWord) + "'");
+    std::string_view SockWord = C.next(), TaskWord = C.next();
+    if (TaskWord.empty())
+      return Fail("expected '<time> <socket> <task> [payload]'");
+    std::optional<std::uint64_t> Sock = parseU64(SockWord);
     if (!Sock)
-      return Fail(LineNo, "malformed socket '" + SockWord + "'");
+      return Fail("malformed socket '" + std::string(SockWord) + "'");
     if (*Sock >= NumSockets)
-      return Fail(LineNo, "socket " + std::to_string(*Sock) +
-                              " out of range (have " +
-                              std::to_string(NumSockets) + ")");
-    std::optional<std::uint64_t> Task = parseDecimal(TaskWord);
+      return Fail("socket " + std::to_string(*Sock) + " out of range (have " +
+                  std::to_string(NumSockets) + ")");
+    std::optional<std::uint64_t> Task = parseU64(TaskWord);
     if (!Task)
-      return Fail(LineNo, "malformed task '" + TaskWord + "'");
+      return Fail("malformed task '" + std::string(TaskWord) + "'");
     if (*Task >= NumTasks)
-      return Fail(LineNo, "task " + std::to_string(*Task) +
-                              " out of range (have " +
-                              std::to_string(NumTasks) + ")");
+      return Fail("task " + std::to_string(*Task) + " out of range (have " +
+                  std::to_string(NumTasks) + ")");
     std::optional<std::uint64_t> Payload = 16;
-    if (Tok >> PayloadWord) {
-      Payload = parseDecimal(PayloadWord);
+    if (std::string_view PayloadWord = C.next(); !PayloadWord.empty()) {
+      Payload = parseU64(PayloadWord);
       if (!Payload)
-        return Fail(LineNo, "malformed payload '" + PayloadWord + "'");
+        return Fail("malformed payload '" + std::string(PayloadWord) + "'");
       if (*Payload > std::numeric_limits<std::uint32_t>::max())
-        return Fail(LineNo, "payload " + std::to_string(*Payload) +
-                                " exceeds 4294967295 bytes");
+        return Fail("payload " + std::to_string(*Payload) +
+                    " exceeds 4294967295 bytes");
     }
-    if (Tok >> Extra)
-      return Fail(LineNo, "unexpected '" + Extra + "' after the payload");
+    if (std::string_view Extra = C.next(); !Extra.empty())
+      return Fail("unexpected '" + std::string(Extra) + "' after the payload");
     Arr.addArrival(*At, static_cast<SocketId>(*Sock),
                    static_cast<TaskId>(*Task),
                    static_cast<std::uint32_t>(*Payload));

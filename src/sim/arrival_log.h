@@ -16,11 +16,12 @@
 ///   1200us 1 2
 ///   ...
 ///
-/// Time literals accept the ns/us/ms/s suffixes. Socket, task and
-/// payload are plain unsigned decimals: the socket below the socket
-/// count, the task below the task count, and the payload (default 16
-/// bytes) at most 2^32 - 1. A '#' starts a comment; nothing else may
-/// follow the payload. Whether a replayed log respects the declared
+/// Fields, numbers and time literals follow the grammar of DESIGN.md
+/// §9 (space, tab and CR separate fields; time literals take the
+/// ns/us/ms/s units). Socket and task are numbers below the socket and
+/// task counts, and the payload (default 16 bytes) is at most
+/// 2^32 - 1. A '#' starts a comment; nothing else may follow the
+/// payload. Whether a replayed log respects the declared
 /// curves is checked by the usual ArrivalSequence::respectsCurves — a
 /// log that does not is exactly the situation where the response-time
 /// guarantee does not apply.

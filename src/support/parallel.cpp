@@ -6,6 +6,8 @@
 
 #include "support/parallel.h"
 
+#include "support/fields.h"
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -24,25 +26,16 @@ namespace {
 /// is how pinned runs stop meaning anything.
 std::uint64_t parseCount(const char *Text, const char *What,
                          std::uint64_t Min, std::uint64_t Max) {
-  bool Valid = Text && *Text;
-  std::uint64_t V = 0;
-  for (const char *P = Text; Valid && *P; ++P) {
-    if (*P < '0' || *P > '9' || V > Max) {
-      Valid = false;
-      break;
-    }
-    V = V * 10 + static_cast<std::uint64_t>(*P - '0');
-  }
-  if (!Valid || V < Min || V > Max) {
+  std::optional<std::uint64_t> V = parseU64(Text);
+  if (!V || *V < Min || *V > Max) {
     std::fprintf(stderr,
                  "rprosa: invalid %s '%s': expected an integer in "
                  "[%llu, %llu]\n",
-                 What, Text ? Text : "",
-                 static_cast<unsigned long long>(Min),
+                 What, Text, static_cast<unsigned long long>(Min),
                  static_cast<unsigned long long>(Max));
     std::abort();
   }
-  return V;
+  return *V;
 }
 
 } // namespace

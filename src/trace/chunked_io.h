@@ -26,16 +26,23 @@
 /// that chunk (and no onEnd), never a partial chunk. This is the
 /// crash-consistency story: everything a sink saw was durably framed.
 ///
+/// Both formats follow the grammar of DESIGN.md §9 (support/fields.h):
+/// fields are separated by space, tab or CR, so CRLF files read like
+/// their LF twins; a field after a line's last one is an error; socket
+/// and task ids are 32-bit fields, every other number a 64-bit one.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RPROSA_TRACE_CHUNKED_IO_H
 #define RPROSA_TRACE_CHUNKED_IO_H
 
+#include "support/check.h"
 #include "trace/serialize.h"
 #include "trace/stream.h"
 
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 namespace rprosa {

@@ -6,9 +6,6 @@
 
 #include "trace/serialize.h"
 
-#include <charconv>
-#include <sstream>
-
 using namespace rprosa;
 
 static void appendJobFields(std::string &Out, const Job &J) {
@@ -70,183 +67,4 @@ std::string rprosa::serializeTimedTrace(const TimedTrace &TT) {
     appendMarkerLine(Out, TT.Ts[I], TT.Tr[I]);
   Out += "end " + std::to_string(TT.EndTime) + "\n";
   return Out;
-}
-
-namespace {
-
-/// Decimal u64 with explicit overflow rejection — stoull would throw
-/// (and a 21-digit timestamp would crash the "returns diagnostics
-/// instead of crashing" contract).
-std::optional<std::uint64_t> parseU64(const std::string &Tok) {
-  if (Tok.empty())
-    return std::nullopt;
-  for (char C : Tok)
-    if (C < '0' || C > '9')
-      return std::nullopt;
-  std::uint64_t V = 0;
-  auto [Ptr, Ec] = std::from_chars(Tok.data(), Tok.data() + Tok.size(), V);
-  if (Ec != std::errc() || Ptr != Tok.data() + Tok.size())
-    return std::nullopt;
-  return V;
-}
-
-/// Whitespace tokenizer over one line.
-class LineTokens {
-public:
-  explicit LineTokens(const std::string &Line) : In(Line) {}
-
-  std::optional<std::string> next() {
-    std::string Tok;
-    if (In >> Tok)
-      return Tok;
-    return std::nullopt;
-  }
-
-  std::optional<std::uint64_t> nextU64() {
-    std::optional<std::string> Tok = next();
-    if (!Tok)
-      return std::nullopt;
-    return parseU64(*Tok);
-  }
-
-private:
-  std::istringstream In;
-};
-
-std::optional<Job> parseJobFields(LineTokens &T, bool WithSocket) {
-  Job J;
-  auto Id = T.nextU64();
-  auto Msg = T.nextU64();
-  auto Task = T.nextU64();
-  auto ReadAt = T.nextU64();
-  if (!Id || !Msg || !Task || !ReadAt)
-    return std::nullopt;
-  J.Id = *Id;
-  J.Msg = *Msg;
-  J.Task = static_cast<TaskId>(*Task);
-  J.ReadAt = *ReadAt;
-  if (WithSocket) {
-    auto Sock = T.nextU64();
-    if (!Sock)
-      return std::nullopt;
-    J.Socket = static_cast<SocketId>(*Sock);
-  }
-  return J;
-}
-
-bool lineFail(std::string *Why, std::string Message) {
-  if (Why)
-    *Why = std::move(Message);
-  return false;
-}
-
-} // namespace
-
-bool rprosa::parseMarkerLine(const std::string &Line, Time &Ts,
-                             MarkerEvent &E, std::string *Why) {
-  LineTokens T(Line);
-  std::optional<std::string> First = T.next();
-  if (!First)
-    return lineFail(Why, "expected a timestamp");
-
-  std::optional<std::uint64_t> Stamp = parseU64(*First);
-  if (!Stamp)
-    return lineFail(Why, "expected a timestamp");
-  Ts = *Stamp;
-
-  std::optional<std::string> Kind = T.next();
-  if (!Kind)
-    return lineFail(Why, "missing marker kind");
-
-  if (*Kind == "ReadS") {
-    E = MarkerEvent::readS();
-  } else if (*Kind == "ReadE") {
-    auto Sock = T.nextU64();
-    std::optional<std::string> Status = T.next();
-    if (!Sock || !Status)
-      return lineFail(Why, "malformed ReadE");
-    if (*Status == "ok") {
-      std::optional<Job> J = parseJobFields(T, /*WithSocket=*/false);
-      if (!J)
-        return lineFail(Why, "malformed ReadE job fields");
-      J->Socket = static_cast<SocketId>(*Sock);
-      E = MarkerEvent::readE(static_cast<SocketId>(*Sock), *J);
-    } else if (*Status == "fail") {
-      E = MarkerEvent::readE(static_cast<SocketId>(*Sock), std::nullopt);
-    } else {
-      return lineFail(Why, "ReadE status must be ok/fail");
-    }
-  } else if (*Kind == "Selection") {
-    E = MarkerEvent::selection();
-  } else if (*Kind == "Idling") {
-    E = MarkerEvent::idling();
-  } else if (*Kind == "Dispatch" || *Kind == "Execution" ||
-             *Kind == "Completion") {
-    std::optional<Job> J = parseJobFields(T, /*WithSocket=*/true);
-    if (!J)
-      return lineFail(Why, "malformed " + *Kind + " job fields");
-    if (*Kind == "Dispatch")
-      E = MarkerEvent::dispatch(*J);
-    else if (*Kind == "Execution")
-      E = MarkerEvent::execution(*J);
-    else
-      E = MarkerEvent::completion(*J);
-  } else {
-    return lineFail(Why, "unknown marker kind '" + *Kind + "'");
-  }
-  return true;
-}
-
-std::optional<TimedTrace> rprosa::parseTimedTrace(const std::string &Text,
-                                                  CheckResult *Diags) {
-  auto Fail = [&](std::size_t LineNo, const std::string &Why)
-      -> std::optional<TimedTrace> {
-    if (Diags)
-      Diags->addFailure("trace parse error at line " +
-                        std::to_string(LineNo) + ": " + Why);
-    return std::nullopt;
-  };
-
-  std::istringstream In(Text);
-  std::string Line;
-  std::size_t LineNo = 0;
-
-  if (!std::getline(In, Line) || Line != "refinedprosa-trace v1")
-    return Fail(1, "missing or unknown header");
-  ++LineNo;
-
-  TimedTrace TT;
-  bool SawEnd = false;
-  while (std::getline(In, Line)) {
-    ++LineNo;
-    if (Line.empty())
-      continue;
-    {
-      LineTokens T(Line);
-      std::optional<std::string> First = T.next();
-      if (!First)
-        continue;
-      if (*First == "end") {
-        auto End = T.nextU64();
-        if (!End)
-          return Fail(LineNo, "malformed end time");
-        TT.EndTime = *End;
-        SawEnd = true;
-        continue;
-      }
-    }
-    if (SawEnd)
-      return Fail(LineNo, "content after the end line");
-
-    Time Ts = 0;
-    MarkerEvent E;
-    std::string Why;
-    if (!parseMarkerLine(Line, Ts, E, &Why))
-      return Fail(LineNo, Why);
-    TT.Tr.push_back(std::move(E));
-    TT.Ts.push_back(Ts);
-  }
-  if (!SawEnd)
-    return Fail(LineNo, "missing end line");
-  return TT;
 }

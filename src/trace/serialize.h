@@ -19,13 +19,10 @@
 ///   <ts> Idling
 ///   end <EndTime>
 ///
-/// serialize/parse round-trip exactly; parse returns diagnostics for
-/// malformed input instead of crashing (numeric fields that do not fit
-/// in 64 bits included).
-///
-/// The per-line helpers (appendMarkerLine/parseMarkerLine) are shared
-/// with the chunked stream format (trace/chunked_io.h), which groups
-/// the same marker lines into bounded chunks for multi-GB replay.
+/// This file holds the writer. readTraceStream/readTimedTrace
+/// (trace/chunked_io.h) read this format and the chunked v2 format,
+/// which groups the same marker lines (appendMarkerLine) into bounded
+/// chunks. The fields and numbers follow the grammar of DESIGN.md §9.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,9 +31,6 @@
 
 #include "trace/trace.h"
 
-#include "support/check.h"
-
-#include <optional>
 #include <string>
 
 namespace rprosa {
@@ -44,19 +38,9 @@ namespace rprosa {
 /// Renders \p TT in the v1 text format.
 std::string serializeTimedTrace(const TimedTrace &TT);
 
-/// Parses the v1 text format; nullopt on malformed input, with the
-/// reason appended to \p Diags when non-null.
-std::optional<TimedTrace> parseTimedTrace(const std::string &Text,
-                                          CheckResult *Diags = nullptr);
-
 /// Appends one `<ts> <marker...>` line (with trailing newline) to
 /// \p Out.
 void appendMarkerLine(std::string &Out, Time Ts, const MarkerEvent &E);
-
-/// Parses one marker line into (\p Ts, \p E). Returns false on
-/// malformed input with the reason (sans line number) in \p Why.
-bool parseMarkerLine(const std::string &Line, Time &Ts, MarkerEvent &E,
-                     std::string *Why = nullptr);
 
 } // namespace rprosa
 

@@ -101,6 +101,57 @@ TEST(ArrivalLog, RejectsMalformed) {
   }
 }
 
+// The named divergences of the text grammar (DESIGN.md §9), as they
+// touch the arrival log.
+
+TEST(ArrivalLogGrammar, CrlfReadsLikeLf) {
+  // CR separates fields, in the header too.
+  std::optional<ArrivalSequence> Arr = parseArrivalLog(
+      "refinedprosa-arrivals v1\r\n# c\r\n2us 0 1 64\r\n\r\n", 1, 2);
+  ASSERT_TRUE(Arr.has_value());
+  ASSERT_EQ(Arr->arrivals().size(), 1u);
+  EXPECT_EQ(Arr->arrivals()[0].At, 2000u);
+  EXPECT_EQ(Arr->arrivals()[0].Msg.PayloadLen, 64u);
+  // The header is matched field by field.
+  EXPECT_TRUE(
+      parseArrivalLog("refinedprosa-arrivals\tv1 \n0 0 0\n", 1, 1)
+          .has_value());
+}
+
+TEST(ArrivalLogGrammar, VerticalTabDoesNotSeparate) {
+  // Only space, tab and CR separate fields.
+  CheckResult Diags;
+  EXPECT_FALSE(parseArrivalLog("refinedprosa-arrivals v1\n0ns\v0 0\n", 1,
+                               1, &Diags)
+                   .has_value());
+  EXPECT_NE(Diags.describe().find("line 2: malformed time '0ns\v0'"),
+            std::string::npos)
+      << Diags.describe();
+}
+
+TEST(ArrivalLogGrammar, TimeLiteralsTakeAnyDigitCountButNeverSaturate) {
+  // Any digit count makes a number, and a literal never saturates to
+  // TimeInfinity.
+  std::optional<ArrivalSequence> Arr = parseArrivalLog(
+      "refinedprosa-arrivals v1\n00000000000000000000002us 0 0\n"
+      "18446744073709551614 0 0\n",
+      1, 1);
+  ASSERT_TRUE(Arr.has_value());
+  EXPECT_EQ(Arr->arrivals()[0].At, 2000u);
+  EXPECT_EQ(Arr->arrivals()[1].At, TimeInfinity - 1);
+  for (const char *Lit : {"18446744073709552s", "18446744073709551615"}) {
+    CheckResult Diags;
+    EXPECT_FALSE(parseArrivalLog("refinedprosa-arrivals v1\n" +
+                                     std::string(Lit) + " 0 0\n",
+                                 1, 1, &Diags)
+                     .has_value())
+        << Lit;
+    EXPECT_NE(Diags.describe().find("line 2: malformed time"),
+              std::string::npos)
+        << Diags.describe();
+  }
+}
+
 TEST(ArrivalLog, ReplayedLogDrivesTheFullPipeline) {
   // Record a generated workload, replay it from text, and verify
   // Thm. 5.1 on the replayed run.

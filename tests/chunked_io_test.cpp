@@ -273,3 +273,77 @@ TEST(ChunkedErrorPath, ReadTimedTraceReturnsNulloptOnMalformedInput) {
   EXPECT_FALSE(readTimedTrace(In, &Diags).has_value());
   EXPECT_FALSE(Diags.passed());
 }
+
+// The named divergences of the text grammar (DESIGN.md §9), as they
+// touch the v2 format.
+
+TEST(ChunkedGrammar, CrlfReadsLikeLf) {
+  // CR separates fields, on chunk and end lines too.
+  std::string Crlf;
+  for (char C : std::string(WellFormedV2))
+    Crlf += C == '\n' ? std::string("\r\n") : std::string(1, C);
+  std::istringstream Lf(WellFormedV2), In(Crlf);
+  std::optional<TimedTrace> Want = readTimedTrace(Lf);
+  std::optional<TimedTrace> Got = readTimedTrace(In);
+  ASSERT_TRUE(Want.has_value());
+  ASSERT_TRUE(Got.has_value());
+  EXPECT_EQ(serializeTimedTrace(*Got), serializeTimedTrace(*Want));
+}
+
+TEST(ChunkedGrammar, HeaderIsMatchedFieldByField) {
+  std::string Text(WellFormedV2);
+  std::istringstream In(" refinedprosa-trace\tv2 " +
+                        Text.substr(Text.find('\n')));
+  EXPECT_TRUE(readTimedTrace(In).has_value());
+  FailedRead R = expectMalformed("refinedprosa-trace v2 x" +
+                                 Text.substr(Text.find('\n')));
+  EXPECT_NE(R.Diags.describe().find("line 1: missing or unknown header"),
+            std::string::npos);
+}
+
+TEST(ChunkedGrammar, VerticalTabDoesNotSeparate) {
+  // Only space, tab and CR separate fields.
+  std::string Text(WellFormedV2);
+  std::size_t At = Text.find("8 Idling");
+  Text[At + 1] = '\v';
+  FailedRead R = expectMalformed(Text);
+  EXPECT_NE(R.Diags.describe().find("line 7: expected a timestamp"),
+            std::string::npos)
+      << R.Diags.describe();
+  EXPECT_EQ(R.V.trace().size(), 3u);
+}
+
+TEST(ChunkedGrammar, FieldAfterTheLastOneIsAnError) {
+  // Extra fields on a chunk or marker line are damage, not padding.
+  std::string Text(WellFormedV2);
+  std::size_t At = Text.find("chunk 2");
+  FailedRead R = expectMalformed(Text.substr(0, At) + "chunk 2 x" +
+                                 Text.substr(At + 7));
+  EXPECT_NE(R.Diags.describe().find(
+                "line 6: unexpected 'x' after the chunk size"),
+            std::string::npos)
+      << R.Diags.describe();
+  EXPECT_EQ(R.V.trace().size(), 3u);
+
+  At = Text.find("8 Idling");
+  FailedRead R2 = expectMalformed(Text.substr(0, At) + "8 Idling 9 ReadS" +
+                                  Text.substr(At + 8));
+  EXPECT_NE(R2.Diags.describe().find(
+                "line 7: unexpected '9' after the Idling marker"),
+            std::string::npos)
+      << R2.Diags.describe();
+  EXPECT_EQ(R2.V.trace().size(), 3u);
+}
+
+TEST(ChunkedGrammar, ThirtyTwoBitFieldsRejectWideValues) {
+  // A wide socket id must not wrap to a valid one.
+  std::string Text(WellFormedV2);
+  std::size_t At = Text.find("2 ReadE 0 fail");
+  FailedRead R = expectMalformed(Text.substr(0, At) +
+                                 "2 ReadE 4294967296 fail" +
+                                 Text.substr(At + 14));
+  EXPECT_NE(R.Diags.describe().find("line 4: malformed ReadE"),
+            std::string::npos)
+      << R.Diags.describe();
+  EXPECT_EQ(R.V.trace().size(), 0u);
+}

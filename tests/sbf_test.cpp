@@ -7,6 +7,7 @@
 #include "rta/sbf.h"
 
 #include "rta/jitter.h"
+#include "rta/warm_start.h"
 
 #include "test_util.h"
 
@@ -185,22 +186,14 @@ TEST(LeastFixedPoint, FindsSmallestSolution) {
   // F(t) = 10 + ⌊t/2⌋ has least fixed point 19 over the naturals
   // (19 = 10 + 9; 18 maps to 19).
   auto F = [](Time T) { return 10 + T / 2; };
-  std::optional<Time> T = leastFixedPoint(F, 0, 1000);
+  std::optional<Time> T = leastFixedPointSeeded(F, 0, 0, 1000);
   ASSERT_TRUE(T.has_value());
   EXPECT_EQ(*T, 19u);
 }
 
 TEST(LeastFixedPoint, DetectsDivergence) {
   auto F = [](Time T) { return T + 1; };
-  EXPECT_FALSE(leastFixedPoint(F, 0, 1000).has_value());
-}
-
-TEST(LeastFixedPoint, RespectsStart) {
-  auto F = [](Time) { return Time(5); };
-  std::optional<Time> T = leastFixedPoint(F, 7, 1000);
-  // F is below the start: converged conservatively at the start.
-  ASSERT_TRUE(T.has_value());
-  EXPECT_EQ(*T, 7u);
+  EXPECT_FALSE(leastFixedPointSeeded(F, 0, 0, 1000).has_value());
 }
 
 TEST(RosslSupply, EmpiricalSoundnessOnSimulatedRun) {

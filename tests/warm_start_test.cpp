@@ -35,12 +35,13 @@ using namespace rprosa::testutil;
 TEST(LeastFixedPointSeeded, ColdSeedMatchesLeastFixedPoint) {
   // F(T) = 10 + ⌊9T/10⌋ is monotone with lfp 91 (from any Start ≤ 91: F(91) = 10 + ⌊819/10⌋ = 91).
   auto F = [](Time T) { return 10 + (T * 9) / 10; };
-  std::optional<Time> Cold = leastFixedPoint(F, 1, 1000000);
+  std::optional<Time> Cold = leastFixedPointSeeded(F, 1, 0, 1000000);
   ASSERT_TRUE(Cold.has_value());
   EXPECT_EQ(*Cold, 91u);
-  std::optional<Time> Seeded = leastFixedPointSeeded(F, 1, 0, 1000000);
-  ASSERT_TRUE(Seeded.has_value());
-  EXPECT_EQ(*Seeded, *Cold);
+  // Seed 0 is the cold start: the iteration begins at Start.
+  std::optional<Time> AtStart = leastFixedPointSeeded(F, 1, 1, 1000000);
+  ASSERT_TRUE(AtStart.has_value());
+  EXPECT_EQ(*AtStart, *Cold);
 }
 
 TEST(LeastFixedPointSeeded, AnySoundSeedReachesTheSameFixpoint) {
