@@ -52,17 +52,14 @@ void checkAssumptions(const AdequacySpec &Spec, AdequacyReport &Rep) {
   Rep.ArrivalOk.merge(Spec.Arr.uniqueMsgIds());
 }
 
-/// Step 6: the RTA matching the client's policy. With StaticTiming set
-/// the NPFP analysis runs from the derived timing inputs instead of the
-/// hand-supplied tables.
+/// Step 6: the RTA matching the client's policy, from StaticTiming when
+/// set and from the hand-supplied tables otherwise.
 void runRta(const AdequacySpec &Spec, AdequacyReport &Rep) {
-  if (Spec.StaticTiming && Spec.Client.Policy == SchedPolicy::Npfp)
-    Rep.Rta = analyzeNpfp(Spec.Client.Tasks, *Spec.StaticTiming,
-                          Spec.Client.NumSockets, Spec.Rta);
-  else
-    Rep.Rta = analyzePolicy(Spec.Client.Tasks, Spec.Client.Wcets,
-                            Spec.Client.NumSockets, Spec.Client.Policy,
-                            Spec.Rta);
+  TimingInputs In{Spec.Client.Wcets, {}, TimingSource::HandSupplied};
+  Rep.Rta = analyzePolicy(Spec.Client.Tasks,
+                          Spec.StaticTiming ? *Spec.StaticTiming : In,
+                          Spec.Client.NumSockets, Spec.Client.Policy,
+                          Spec.Rta);
 }
 
 /// Step 7: per-job verdicts. Completion is matched by message identity

@@ -56,8 +56,8 @@ struct AdequacySpec {
   RtaConfig Rta;
   /// When set, step 6's RTA draws its overhead WCETs and callback WCETs
   /// from these (e.g. statically derived by analysis/timing) instead of
-  /// Client.Wcets / the task table. NPFP-only: other policies fall back
-  /// to the hand-supplied tables.
+  /// Client.Wcets / the task table, under every policy, and reports
+  /// their Source.
   std::optional<TimingInputs> StaticTiming;
 };
 

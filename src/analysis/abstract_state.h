@@ -58,7 +58,6 @@ struct AbsValue {
   /// A constant, widened to NonNeg/Top when it escapes the bound.
   static AbsValue known(caesium::Value V, caesium::Value Bound);
 
-  bool isKnown(caesium::Value W) const { return K == Kind::Known && V == W; }
   bool operator==(const AbsValue &O) const { return K == O.K && V == O.V; }
 };
 

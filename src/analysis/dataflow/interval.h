@@ -75,13 +75,6 @@ struct RangeFlags {
   bool DefOverflow = false;
   bool MayDivZero = false;
   bool DefDivZero = false;
-
-  void mergeFrom(const RangeFlags &O) {
-    MayOverflow |= O.MayOverflow;
-    DefOverflow |= O.DefOverflow;
-    MayDivZero |= O.MayDivZero;
-    DefDivZero |= O.DefDivZero;
-  }
 };
 
 ValueInterval intervalAdd(ValueInterval A, ValueInterval B, RangeFlags &F);

@@ -62,8 +62,6 @@ public:
   /// with no constraints (top).
   explicit Zone(std::uint32_t NumVars = 1);
 
-  std::uint32_t vars() const { return N; }
-
   /// True iff the constraint system is unsatisfiable.
   bool isEmpty() const;
 

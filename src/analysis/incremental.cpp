@@ -203,9 +203,7 @@ std::vector<SweepPoint> WorkspaceAnalyzer::sweepPointsFor(
       continue;
     TimingInputs In = R.Timing.toRtaInputs(Tasks, HandWcets);
     SweepPoint Pt;
-    for (const Task &T : Tasks.tasks())
-      Pt.Tasks.addTask(T.Name, In.callbackWcet(T.Id, T.Wcet), T.Prio,
-                       T.Curve, T.Deadline);
+    Pt.Tasks = In.applyTo(Tasks);
     Pt.Cfg = Cfg;
     Pt.Sbf.Wcets = In.Wcets;
     Pt.Sbf.NumSockets = R.Timing.NumSockets;

@@ -161,14 +161,6 @@ std::vector<LoopBound> rprosa::analysis::inferLoopBounds(const Cfg &G) {
   return Out;
 }
 
-const LoopBound *
-rprosa::analysis::findLoop(const std::vector<LoopBound> &Loops, NodeId Head) {
-  for (const LoopBound &L : Loops)
-    if (L.Head == Head)
-      return &L;
-  return nullptr;
-}
-
 std::string LoopBound::describe(const Cfg &G) const {
   std::string S = "n" + std::to_string(Head) + " [" + G[Head].label() + "]: ";
   if (FuelGoverned)

@@ -78,9 +78,6 @@ struct LoopBound {
 /// Classifies every cycle-heading Branch of \p G.
 std::vector<LoopBound> inferLoopBounds(const Cfg &G);
 
-/// The bound record anchored at \p Head, or nullptr.
-const LoopBound *findLoop(const std::vector<LoopBound> &Loops, NodeId Head);
-
 } // namespace rprosa::analysis
 
 #endif // RPROSA_ANALYSIS_TIMING_LOOP_BOUNDS_H

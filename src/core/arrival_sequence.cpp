@@ -118,30 +118,30 @@ CheckResult ArrivalSequence::respectsCurves(const TaskSet &Tasks) const {
     }
     PerTask[A.Msg.Task].push_back(A.At);
   }
-  // For each pair of arrival indices (J, K) of the same task, the K-J+1
-  // arrivals at times T_J..T_K fit into a half-open window of length
-  // T_K - T_J + 1, so the curve must admit that many.
-  for (auto &[TaskIdV, Times] : PerTask) {
-    const ArrivalCurve &Curve = *Tasks.task(TaskIdV).Curve;
-    for (std::size_t J = 0; J < Times.size(); ++J) {
-      for (std::size_t K = J; K < Times.size(); ++K) {
-        R.noteCheck();
-        Duration WindowLen = Times[K] - Times[J] + 1;
-        std::uint64_t Count = K - J + 1;
-        if (Count > Curve.eval(WindowLen)) {
-          R.addFailure("task " + Tasks.task(TaskIdV).Name + ": " +
-                       std::to_string(Count) + " arrivals in a window of "
-                       "length " + std::to_string(WindowLen) +
-                       " exceed the curve bound " +
-                       std::to_string(Curve.eval(WindowLen)));
-          // One diagnostic per task keeps the output readable.
-          K = Times.size();
-          J = Times.size();
-        }
-      }
+  // One diagnostic per task keeps the output readable.
+  for (auto &[TaskIdV, Times] : PerTask)
+    if (std::optional<CurveExcess> E =
+            firstCurveExcess(Times, *Tasks.task(TaskIdV).Curve, R))
+      R.addFailure("task " + Tasks.task(TaskIdV).Name + ": " +
+                   std::to_string(E->Count) + " arrivals in a window of "
+                   "length " + std::to_string(E->WindowLen) +
+                   " exceed the curve bound " + std::to_string(E->Bound));
+  return R;
+}
+
+std::optional<CurveExcess>
+rprosa::firstCurveExcess(const std::vector<Time> &Times,
+                         const ArrivalCurve &Curve, CheckResult &R) {
+  for (std::size_t J = 0; J < Times.size(); ++J) {
+    for (std::size_t K = J; K < Times.size(); ++K) {
+      R.noteCheck();
+      CurveExcess E{K - J + 1, Times[K] - Times[J] + 1, 0};
+      E.Bound = Curve.eval(E.WindowLen);
+      if (E.Count > E.Bound)
+        return E;
     }
   }
-  return R;
+  return std::nullopt;
 }
 
 CheckResult ArrivalSequence::uniqueMsgIds() const {

@@ -46,6 +46,24 @@ struct Arrival {
 Time earliestCompliantArrival(const ArrivalCurve &Curve,
                               const std::vector<Time> &Prev, Time Proposed);
 
+/// A window of Eq. 2's pairwise scan that holds more times than the
+/// curve admits: Count times within WindowLen ticks, against Bound.
+struct CurveExcess {
+  std::uint64_t Count = 0;
+  Duration WindowLen = 0;
+  std::uint64_t Bound = 0;
+};
+
+/// Eq. 2 over one task's ascending \p Times: for every J ≤ K, in order,
+/// the K − J + 1 times T_J..T_K fit a half-open window of length
+/// T_K − T_J + 1, so \p Curve must admit that many there. Notes one
+/// check in \p R per pair compared and stops at the first excess, which
+/// it returns. respectsCurves and rta/compliance's checkReleaseCurve
+/// both scan through it.
+std::optional<CurveExcess> firstCurveExcess(const std::vector<Time> &Times,
+                                            const ArrivalCurve &Curve,
+                                            CheckResult &R);
+
 /// A finite arrival sequence for one run.
 class ArrivalSequence {
 public:

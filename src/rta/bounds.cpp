@@ -20,6 +20,14 @@ OverheadBounds OverheadBounds::compute(const BasicActionWcets &W,
   return B;
 }
 
+TaskSet TimingInputs::applyTo(const TaskSet &Tasks) const {
+  TaskSet Out;
+  for (const Task &T : Tasks.tasks())
+    Out.addTask(T.Name, callbackWcet(T.Id, T.Wcet), T.Prio, T.Curve,
+                T.Deadline);
+  return Out;
+}
+
 std::string rprosa::toString(TimingSource S) {
   switch (S) {
   case TimingSource::HandSupplied:

@@ -29,6 +29,7 @@
 #define RPROSA_RTA_BOUNDS_H
 
 #include "core/ids.h"
+#include "core/task.h"
 #include "core/time.h"
 #include "core/wcet.h"
 
@@ -69,9 +70,9 @@ std::string toString(TimingSource S);
 
 /// A complete set of timing inputs for the RTA: basic-action WCETs plus
 /// optional per-task callback-WCET overrides, tagged with provenance.
-/// Every analysis entry point that takes (BasicActionWcets, NumSockets)
-/// has an overload taking TimingInputs, so statically derived bounds
-/// flow end to end without touching the hand-supplied tables.
+/// analyzePolicy (rta_policies.h) has an overload taking TimingInputs,
+/// so statically derived bounds reach every policy's analysis without
+/// touching the hand-supplied tables.
 struct TimingInputs {
   BasicActionWcets Wcets;
   /// Callback WCETs indexed by TaskId; tasks beyond the vector keep
@@ -79,15 +80,15 @@ struct TimingInputs {
   std::vector<Duration> CallbackWcets;
   TimingSource Source = TimingSource::HandSupplied;
 
-  static TimingInputs handSupplied(const BasicActionWcets &W) {
-    return {W, {}, TimingSource::HandSupplied};
-  }
-
   /// The callback WCET of task \p Id, falling back to \p Fallback
   /// (the task's own C_i) when no override is present.
   Duration callbackWcet(TaskId Id, Duration Fallback) const {
     return Id < CallbackWcets.size() ? CallbackWcets[Id] : Fallback;
   }
+
+  /// \p Tasks with every callback WCET replaced by callbackWcet (ids are
+  /// dense and kept).
+  TaskSet applyTo(const TaskSet &Tasks) const;
 };
 
 } // namespace rprosa

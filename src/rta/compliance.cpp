@@ -141,21 +141,11 @@ CheckResult rprosa::checkReleaseCurve(const ReleaseSequence &Rel,
     std::sort(Times.begin(), Times.end());
     ArrivalCurvePtr Beta = makeReleaseCurve(Tasks.task(T).Curve,
                                             MaxJitter);
-    for (std::size_t J = 0; J < Times.size(); ++J) {
-      for (std::size_t K = J; K < Times.size(); ++K) {
-        R.noteCheck();
-        Duration WindowLen = Times[K] - Times[J] + 1;
-        std::uint64_t Count = K - J + 1;
-        if (Count > Beta->eval(WindowLen)) {
-          R.addFailure("release curve violated for task " +
-                       Tasks.task(T).Name + ": " + std::to_string(Count) +
-                       " releases in a window of length " +
-                       std::to_string(WindowLen));
-          K = Times.size();
-          J = Times.size();
-        }
-      }
-    }
+    if (std::optional<CurveExcess> E = firstCurveExcess(Times, *Beta, R))
+      R.addFailure("release curve violated for task " + Tasks.task(T).Name +
+                   ": " + std::to_string(E->Count) +
+                   " releases in a window of length " +
+                   std::to_string(E->WindowLen));
   }
   return R;
 }

@@ -13,7 +13,7 @@
 ///    β_i(Δ) = α_i(Δ + J_i) (§4.3),
 ///  - overheads modeled as supply restrictions through the SBF of §4.4.
 ///
-/// Per task τ_i (all fixed points solved with leastFixedPointSeeded; hitting
+/// Per task τ_i (the NPFP part of arsa.h's busy-window walk; hitting
 /// the cap yields Bounded = false):
 ///
 ///   blocking     B_i = max_{k ∈ lp(i)} C_k           (non-preemptive,
@@ -64,8 +64,6 @@ namespace rprosa {
 struct RtaConfig {
   /// Cap on every fixed-point search; beyond it a task is unbounded.
   Time FixedPointCap = 100 * TickSec;
-  /// Cap on the number of release offsets examined per task.
-  std::uint64_t MaxOffsets = 1 << 20;
   /// false = ideal supply, zero jitter, raw arrival curves (the
   /// zero-overhead baseline / the overhead-oblivious naive analysis).
   bool AccountOverheads = true;
@@ -132,11 +130,8 @@ bool meetsDeadlines(const RtaResult &R, const TaskSet &Tasks);
 RtaResult analyzeNpfp(const TaskSet &Tasks, const BasicActionWcets &W,
                       std::uint32_t NumSockets, const RtaConfig &Cfg = {});
 
-/// The same analysis with provenance-tagged timing inputs: the
-/// basic-action WCETs come from \p In, and each task's callback WCET is
-/// overridden by In.callbackWcet (statically derived bounds flow in
-/// here; with TimingInputs::handSupplied this is identical to the
-/// overload above).
+/// The same analysis with provenance-tagged timing inputs:
+/// analyzePolicy's TimingInputs overload under NPFP.
 RtaResult analyzeNpfp(const TaskSet &Tasks, const TimingInputs &In,
                       std::uint32_t NumSockets, const RtaConfig &Cfg = {});
 

@@ -31,6 +31,11 @@
 /// conservative where the read-time/arrival-time gap is involved; the
 /// adequacy sweeps validate their soundness empirically.
 ///
+/// Both are the order part of arsa.h's busy-window walk: the busy
+/// window solves the same demand at A = L, the offsets A_q run while
+/// A_q < L, and F(A_q) is floored at A_q + C_i. EDF tasks without a
+/// deadline are reported unbounded.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RPROSA_RTA_RTA_POLICIES_H
@@ -52,6 +57,14 @@ RtaResult analyzeEdf(const TaskSet &Tasks, const BasicActionWcets &W,
 
 /// Dispatches to the policy's analysis.
 RtaResult analyzePolicy(const TaskSet &Tasks, const BasicActionWcets &W,
+                        std::uint32_t NumSockets, SchedPolicy Policy,
+                        const RtaConfig &Cfg = {});
+
+/// The policy's analysis over provenance-tagged timing inputs: the
+/// basic-action WCETs come from \p In, each callback WCET from
+/// In.applyTo(Tasks), and the result carries In.Source (statically
+/// derived bounds flow in here).
+RtaResult analyzePolicy(const TaskSet &Tasks, const TimingInputs &In,
                         std::uint32_t NumSockets, SchedPolicy Policy,
                         const RtaConfig &Cfg = {});
 

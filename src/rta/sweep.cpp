@@ -24,7 +24,7 @@ bool SweepRunner::canSeed(const SweepPoint &From, const SweepPoint &To) {
   // fields of RtaConfig (Warm, WarmIntraPoint, Telemetry) never change
   // results and are deliberately ignored.
   const RtaConfig &A = From.Cfg, &B = To.Cfg;
-  if (A.FixedPointCap != B.FixedPointCap || A.MaxOffsets != B.MaxOffsets ||
+  if (A.FixedPointCap != B.FixedPointCap ||
       A.AccountOverheads != B.AccountOverheads ||
       A.AblateCarryIn != B.AblateCarryIn ||
       A.BlockingMinusOne != B.BlockingMinusOne)

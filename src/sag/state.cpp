@@ -21,7 +21,6 @@ SagModel SagModel::build(const TaskSet &Tasks, const BasicActionWcets &W,
   M.Wcets = W;
   M.NumSockets = NumSockets == 0 ? 1 : NumSockets;
   M.Policy = Policy;
-  M.Cfg = Cfg;
   M.Status.noteCheck();
 
   CheckResult WValid = W.validate();

@@ -128,7 +128,6 @@ public:
   const std::vector<SagJob> &jobs() const { return Jobs; }
   std::uint32_t numSockets() const { return NumSockets; }
   SchedPolicy policy() const { return Policy; }
-  const SagConfig &config() const { return Cfg; }
   const CheckResult &status() const { return Status; }
 
   /// Effective (AlwaysWcet-sampled) basic-action durations.
@@ -162,7 +161,6 @@ private:
   std::vector<SagJob> Jobs;
   std::uint32_t NumSockets = 1;
   SchedPolicy Policy = SchedPolicy::Npfp;
-  SagConfig Cfg;
   CheckResult Status;
   Duration Fr = 1, Tr = 1, Sel = 1, Disp = 1, Compl = 1, Idle = 1;
   Duration MaxLag = 0;

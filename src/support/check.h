@@ -49,9 +49,6 @@ class CheckResult {
 public:
   CheckResult() = default;
 
-  /// Returns a passing result with no diagnostics.
-  static CheckResult success() { return CheckResult(); }
-
   /// Returns a failing result carrying a single diagnostic.
   static CheckResult failure(std::string Message) {
     CheckResult R;

@@ -36,8 +36,6 @@ public:
   /// quoted).
   std::string renderCsv() const;
 
-  std::size_t numRows() const { return Rows.size(); }
-
 private:
   std::vector<std::string> Header;
   std::vector<std::vector<std::string>> Rows;

@@ -263,7 +263,6 @@ void DeadlineCheckSink::onMarker(const MarkerEvent &E, Time At) {
   const Task &T = Tasks.task(E.J->Task);
   if (T.Deadline == 0)
     return; // Unconstrained task.
-  ++Completions;
   R.noteCheck();
   Duration Response = At >= Arrived ? At - Arrived : 0;
   if (Response > T.Deadline) {

@@ -157,8 +157,6 @@ public:
   void onEnd(Time EndTime) override { (void)EndTime; }
 
   const std::vector<DeadlineMiss> &misses() const { return Misses; }
-  /// Completions of deadline-constrained jobs observed so far.
-  std::size_t checkedCompletions() const { return Completions; }
 
   const CheckResult &result() const { return R; }
   CheckResult take() { return std::move(R); }
@@ -171,7 +169,6 @@ private:
   /// Open jobs: job id -> (msg id, arrival instant).
   std::map<JobId, std::pair<MsgId, Time>> Open;
   std::vector<DeadlineMiss> Misses;
-  std::size_t Completions = 0;
 };
 
 /// Streaming checkWcetRespected (§2.3): checks each basic action's

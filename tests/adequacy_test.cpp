@@ -14,11 +14,14 @@
 #include "adequacy/pipeline.h"
 
 #include "adequacy/report.h"
+#include "rta/rta_policies.h"
 #include "sim/workload.h"
 
 #include "test_util.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 using namespace rprosa;
 using namespace rprosa::testutil;
@@ -166,3 +169,63 @@ TEST(Adequacy, TightnessIsReasonable) {
   ASSERT_GT(Stats[0].MaxResponse, 0u);
   EXPECT_LE(Stats[0].Bound, 50 * Stats[0].MaxResponse);
 }
+
+/// AdequacySpec::StaticTiming reaches the RTA under every policy: the
+/// report's bounds are the policy's analysis over the derived inputs,
+/// tagged with their source.
+class StaticTimingPolicy : public ::testing::TestWithParam<SchedPolicy> {};
+
+TEST_P(StaticTimingPolicy, RtaRunsFromTheDerivedInputs) {
+  TaskSet TS;
+  TS.addTask("fast", 40, 2, std::make_shared<PeriodicCurve>(1000), 900);
+  TS.addTask("slow", 60, 1, std::make_shared<PeriodicCurve>(2000), 1800);
+  AdequacySpec Spec;
+  Spec.Client = makeClient(std::move(TS), 2);
+  Spec.Client.Policy = GetParam();
+  TimingInputs In;
+  In.Wcets = Spec.Client.Wcets;
+  In.Wcets.Selection += 2;
+  In.CallbackWcets = {80, 120}; // Both callback WCETs doubled.
+  In.Source = TimingSource::StaticAnalysis;
+  Spec.StaticTiming = In;
+  WorkloadSpec WSpec;
+  WSpec.NumSockets = 2;
+  WSpec.Horizon = 10000;
+  WSpec.Style = WorkloadStyle::GreedyDense;
+  Spec.Arr = generateWorkload(Spec.Client.Tasks, WSpec);
+  Spec.Limits.Horizon = 20000;
+
+  AdequacyReport Rep = runAdequacyStreaming(Spec);
+  RtaResult Want = analyzePolicy(Spec.Client.Tasks, In,
+                                 Spec.Client.NumSockets, GetParam());
+  RtaResult Hand =
+      analyzePolicy(Spec.Client.Tasks, Spec.Client.Wcets,
+                    Spec.Client.NumSockets, GetParam());
+  EXPECT_EQ(Rep.Rta.Source, TimingSource::StaticAnalysis);
+  EXPECT_EQ(Rep.Rta.Bounds.SB, Want.Bounds.SB);
+  ASSERT_EQ(Rep.Rta.PerTask.size(), Want.PerTask.size());
+  for (const TaskRta &W : Want.PerTask) {
+    const TaskRta &G = Rep.Rta.forTask(W.Task);
+    ASSERT_TRUE(W.Bounded);
+    EXPECT_EQ(G.Bounded, W.Bounded);
+    EXPECT_EQ(G.ResponseBound, W.ResponseBound);
+    EXPECT_EQ(G.ReleaseRelativeBound, W.ReleaseRelativeBound);
+    EXPECT_EQ(G.Jitter, W.Jitter);
+    EXPECT_EQ(G.BusyWindow, W.BusyWindow);
+    EXPECT_EQ(G.Blocking, W.Blocking);
+    // The derived inputs, not the hand tables, set the bound.
+    EXPECT_GT(W.ResponseBound, Hand.forTask(W.Task).ResponseBound);
+  }
+  EXPECT_TRUE(Rep.theoremHolds());
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, StaticTimingPolicy,
+                         ::testing::Values(SchedPolicy::Npfp,
+                                           SchedPolicy::Edf,
+                                           SchedPolicy::Fifo),
+                         [](const auto &Info) {
+                           std::string N = toString(Info.param);
+                           N.erase(std::remove(N.begin(), N.end(), '-'),
+                                   N.end());
+                           return N;
+                         });
