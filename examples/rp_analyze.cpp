@@ -19,7 +19,10 @@
 /// not grow with the horizon, and stops at a fixed marker budget: a
 /// recorded log whose last arrival lies centuries out derives a horizon
 /// no run reaches. A run that hits the budget prints it, with the t_hrzn
-/// reached, and exits 3.
+/// reached, and exits 3. The simulated workload has a fixed budget too,
+/// in arrivals per task: a long horizon or a huge burst would otherwise
+/// generate more arrivals than memory holds. A task that reaches it is
+/// named with the budget, and the run does not start (exit 3).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -47,6 +50,11 @@ const char *Usage = "usage: rp_analyze <spec> [--simulate <horizon>] "
 /// The validation run's marker budget; the built-in demo, the largest
 /// run the shipped inputs ask for, emits 876,900 markers.
 constexpr std::size_t MarkerBudget = std::size_t(1) << 24;
+
+/// The simulated workload's arrival budget per task; the largest run
+/// the shipped inputs ask for, docs/example.spec over 1 s, generates
+/// 33,334 arrivals for one task.
+constexpr std::uint64_t ArrivalBudget = std::uint64_t(1) << 18;
 
 const char *DemoSpec = R"(# rp_analyze demo: a small robot node
 system demo-robot
@@ -135,7 +143,17 @@ int analyze(const SystemSpec &Spec, std::optional<Duration> SimHorizon,
       WSpec.NumSockets = Spec.Client.NumSockets;
       WSpec.Horizon = *SimHorizon / 2;
       WSpec.Style = WorkloadStyle::GreedyDense;
+      WSpec.MaxArrivalsPerTask = ArrivalBudget;
       ASpec.Arr = generateWorkload(Spec.Client.Tasks, WSpec);
+      for (const Task &Tk : Spec.Client.Tasks.tasks())
+        if (ASpec.Arr.countInWindow(Tk.Id, 0, TimeInfinity) ==
+            ArrivalBudget) {
+          std::printf("workload generation stopped at its budget of %s "
+                      "arrivals per task, at task %s\n",
+                      formatWithCommas(ArrivalBudget).c_str(),
+                      Tk.Name.c_str());
+          return 3;
+        }
     }
     ASpec.Limits.Horizon = *SimHorizon;
     ASpec.Limits.MaxMarkers = MarkerBudget;

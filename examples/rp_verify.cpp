@@ -74,7 +74,10 @@
 ///                                   # then cross-check the report
 ///                                   # byte-for-byte against
 ///                                   # runAdequacy (same driver plus
-///                                   # trace/conversion capture sinks)
+///                                   # trace/conversion capture sinks);
+///                                   # a task reaching the 2^18-arrival
+///                                   # workload budget ends it first
+///                                   # (exit 3)
 ///
 /// The --timing sweep fans its socket counts and mutant corpus out over
 /// a thread pool; pass --serial (or --threads=N) anywhere to pin the
@@ -344,6 +347,11 @@ task camera wcet 1500us prio 2 curve periodic 40ms
 task logger wcet 400us prio 1 curve bucket 2 80ms
 )";
 
+/// --stream's workload budget in arrivals per task: a huge burst or a
+/// long horizon would otherwise generate more arrivals than memory
+/// holds. The shipped specs stay far below it.
+constexpr std::uint64_t StreamArrivalBudget = std::uint64_t(1) << 18;
+
 int streamMode(const char *Path, const char *HorizonArg) {
   std::string Text;
   if (Path) {
@@ -383,8 +391,18 @@ int streamMode(const char *Path, const char *HorizonArg) {
   WSpec.NumSockets = Spec->Client.NumSockets;
   WSpec.Horizon = Horizon / 2;
   WSpec.Style = WorkloadStyle::GreedyDense;
+  WSpec.MaxArrivalsPerTask = StreamArrivalBudget;
   ASpec.Arr = generateWorkload(Spec->Client.Tasks, WSpec);
   ASpec.Limits.Horizon = Horizon;
+  for (const Task &Tk : Spec->Client.Tasks.tasks())
+    if (ASpec.Arr.countInWindow(Tk.Id, 0, TimeInfinity) ==
+        StreamArrivalBudget) {
+      std::printf("workload generation stopped at its budget of %s "
+                  "arrivals per task, at task %s\n",
+                  formatWithCommas(StreamArrivalBudget).c_str(),
+                  Tk.Name.c_str());
+      return 3;
+    }
 
   std::printf("=== rp_verify --stream: one-pass dynamic verification of "
               "'%s' over %s ===\n\n",

@@ -58,6 +58,10 @@ std::optional<CurveTail> PeriodicCurve::tail() const {
   return CurveTail{Period, 1, 0, TimeInfinity - Period};
 }
 
+std::optional<CurveRegulator> PeriodicCurve::regulator() const {
+  return CurveRegulator{Period, 0, TimeInfinity - 1};
+}
+
 LeakyBucketCurve::LeakyBucketCurve(std::uint64_t Burst, Duration Rate)
     : Burst(Burst), Rate(Rate) {
   assert(Burst > 0 && "burst must admit at least one arrival");
@@ -80,6 +84,20 @@ std::optional<CurveTail> LeakyBucketCurve::tail() const {
   // the step at the origin). The sum B + Δ/R wraps mod 2^64 just like
   // extrapolated table values do, so the recurrence is exact everywhere.
   return CurveTail{Rate, 1, 1, TimeInfinity - Rate};
+}
+
+std::optional<CurveRegulator> LeakyBucketCurve::regulator() const {
+  // A sum Burst + Δ/Rate that can wrap makes eval non-monotone.
+  if (Burst > TimeInfinity - TimeInfinity / Rate)
+    return std::nullopt;
+  // Slack (1 − Burst)·Rate − 1, floored at −2^126: past the floor no
+  // pair of fewer than 2^62 times has a positive bound either way, and
+  // the floor keeps every sum in range.
+  constexpr WideTime Floor = WideTime(1) << 126;
+  WideTime Lag = WideTime(Burst - 1) <= (Floor - 1) / Rate
+                     ? WideTime(Burst - 1) * Rate + 1
+                     : Floor;
+  return CurveRegulator{Rate, -Lag, TimeInfinity - 1};
 }
 
 StaircaseCurve::StaircaseCurve(std::vector<Step> Steps, Duration TailPeriod)
@@ -155,6 +173,13 @@ std::optional<CurveTail> PeriodicJitterCurve::tail() const {
   if (Slack == TimeInfinity)
     return std::nullopt;
   return CurveTail{Period, 1, 1, TimeInfinity - Slack};
+}
+
+std::optional<CurveRegulator> PeriodicJitterCurve::regulator() const {
+  // Exact while the window plus Jit does not saturate.
+  if (Jit == TimeInfinity)
+    return std::nullopt;
+  return CurveRegulator{Period, -WideTime(Jit), TimeInfinity - 1 - Jit};
 }
 
 SumCurve::SumCurve(std::vector<ArrivalCurvePtr> Parts)

@@ -52,6 +52,42 @@ struct CurveTail {
   Duration ValidTo = TimeInfinity;///< Last Delta it may be applied at.
 };
 
+/// The signed 128-bit integer regulator arithmetic runs in: counts
+/// times periods and times minus them never overflow it. __extension__
+/// keeps -Wpedantic quiet; GCC and Clang both provide it.
+__extension__ typedef __int128 WideTime;
+
+/// Eq. 2 as a spacing rule (a regulator). For ascending times
+/// t_0 ≤ … ≤ t_{n−1} with t_{n−1} − t_0 ≤ ValidTo, the curve admits
+/// every window of the sequence (K − J + 1 ≤ α(t_K − t_J + 1) for all
+/// J ≤ K) iff
+///
+///   t_K − t_J ≥ (K − J)·Period + Slack   for every J < K.
+///
+/// With U_i = t_i − i·Period that is one running maximum,
+/// U_K ≥ max_{J<K} U_J + Slack, and the earliest compliant arrival
+/// after n of them is max(t_{n−1}, max U + n·Period + Slack).
+///
+///   - periodic ⌈Δ/T⌉: c ≤ ⌈(s + 1)/T⌉ iff s ≥ (c − 1)·T, so (T, 0);
+///   - periodic-jitter ⌈(Δ + Jit)/T⌉: (T, −Jit), while Δ + Jit stays
+///     below saturation (ValidTo = TimeInfinity − 1 − Jit);
+///   - leaky-bucket b + ⌊Δ/R⌋: c ≤ b + ⌊(s + 1)/R⌋ iff c ≤ b or
+///     s ≥ (c − b)·R − 1, so (R, (1 − b)·R − 1), unless the sum can
+///     wrap. The pairs with c ≤ b need no term of their own: the rule's
+///     right side is negative for them, so ascending order satisfies
+///     them, just as minWindowAdmitting's floor max(1, ·) admits them
+///     in a window of length 1.
+///
+/// ValidTo is below TimeInfinity for every curve, since the window
+/// t_K − t_J + 1 wraps at a span of TimeInfinity. The rule holds for
+/// fewer than 2^62 times, which bounds every product in WideTime.
+/// Combinators report no form, so compliance with them is scanned.
+struct CurveRegulator {
+  Duration Period = 1;             ///< Spacing per arrival (> 0).
+  WideTime Slack = 0;              ///< Extra spacing, may be negative.
+  Duration ValidTo = TimeInfinity - 1; ///< Largest span it holds over.
+};
+
 /// Abstract arrival curve. Implementations must be monotone with
 /// eval(0) == 0; validate() spot-checks this.
 class ArrivalCurve {
@@ -71,6 +107,13 @@ public:
   /// nullopt tail merely costs table size, never correctness.
   virtual std::optional<CurveTail> tail() const { return std::nullopt; }
 
+  /// The curve's Eq. 2 spacing rule, if it has one (see CurveRegulator).
+  /// Purely an acceleration: without one, compliance is scanned pair
+  /// by pair (core/arrival_sequence.h) with the same answers.
+  virtual std::optional<CurveRegulator> regulator() const {
+    return std::nullopt;
+  }
+
   /// Spot-checks the curve axioms (eval(0)==0, monotonicity on a probe
   /// grid up to \p Horizon).
   CheckResult validate(Duration Horizon) const;
@@ -87,6 +130,7 @@ public:
   std::uint64_t eval(Duration Delta) const override;
   std::string describe() const override;
   std::optional<CurveTail> tail() const override;
+  std::optional<CurveRegulator> regulator() const override;
 
   Duration period() const { return Period; }
 
@@ -104,6 +148,7 @@ public:
   std::uint64_t eval(Duration Delta) const override;
   std::string describe() const override;
   std::optional<CurveTail> tail() const override;
+  std::optional<CurveRegulator> regulator() const override;
 
   std::uint64_t burst() const { return Burst; }
   Duration rate() const { return Rate; }
@@ -176,6 +221,7 @@ public:
   std::uint64_t eval(Duration Delta) const override;
   std::string describe() const override;
   std::optional<CurveTail> tail() const override;
+  std::optional<CurveRegulator> regulator() const override;
 
 private:
   Duration Period;
@@ -259,14 +305,18 @@ Duration minWindowAdmittingIn(const EvalT &Eval, std::uint64_t Count,
   return Hi;
 }
 
+/// minWindowAdmitting's default search cap: one year. A curve that
+/// admits no more arrivals in a window that long admits none at all as
+/// far as the workload generators and the SAG are concerned.
+inline constexpr Duration WindowSearchCap = 365ull * 24 * 3600 * TickSec;
+
 /// The smallest window length Delta with Curve.eval(Delta) >= Count
 /// (doubling + binary search over the monotone curve; TimeInfinity if
 /// no window below \p SearchCap admits Count arrivals). Used by the
 /// workload generators (earliest compliant arrival times) and by the
 /// RTA (release offsets A_q within a busy window).
 Duration minWindowAdmitting(const ArrivalCurve &Curve, std::uint64_t Count,
-                            Duration SearchCap = 365ull * 24 * 3600 *
-                                                 TickSec);
+                            Duration SearchCap = WindowSearchCap);
 
 } // namespace rprosa
 

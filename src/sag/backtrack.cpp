@@ -40,15 +40,15 @@ SagRealization rprosa::sagRealizeArrivals(const SagModel &M,
   // per task realizes its arrivals in order. Iterating tasks in id
   // order keeps message-id assignment deterministic.
   for (const Task &T : M.tasks().tasks()) {
-    std::vector<Time> Times;
+    ArrivalRegulator Reg(*T.Curve);
     for (std::uint32_t Idx = 0; Idx < Jobs.size(); ++Idx) {
       const SagJob &J = Jobs[Idx];
       if (J.Task != T.Id)
         continue;
-      Time At = earliestCompliantArrival(*T.Curve, Times, desired(J, Idx));
+      Time At = Reg.earliest(desired(J, Idx));
       if (At == TimeInfinity)
         break; // Curve exhausted (cannot happen for window-derived jobs).
-      Times.push_back(At);
+      Reg.append(At);
       MsgId Msg = Out.Arrivals.addArrival(At, J.Socket, T.Id);
       if (Idx == VictimJob)
         Out.VictimMsg = Msg;

@@ -9,7 +9,7 @@
 /// flags a state that admits a deadline miss, the abstract evidence is
 /// an interval argument, not a run. This module realizes the candidate
 /// as a *concrete, curve-compliant* arrival sequence (per-job desired
-/// instants pushed through core's earliestCompliantArrival) and replays
+/// instants pushed through core's ArrivalRegulator) and replays
 /// it through the simulator (AlwaysWcet cost model) with the five
 /// streaming check sinks plus the DeadlineCheckSink attached. Only a
 /// replay whose trace exhibits a miss upgrades the candidate to

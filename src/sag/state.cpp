@@ -54,10 +54,9 @@ SagModel SagModel::build(const TaskSet &Tasks, const BasicActionWcets &W,
                           " has no deadline (required for NP-EDF)");
       return M;
     }
-    std::vector<Time> Times;
+    ArrivalRegulator Reg(*T.Curve);
     for (;;) {
-      Time Last = Times.empty() ? 0 : Times.back();
-      Time At = earliestCompliantArrival(*T.Curve, Times, Last);
+      Time At = Reg.earliest(Reg.last());
       if (At == TimeInfinity || At >= Cfg.Horizon)
         break;
       if (M.Jobs.size() >= JobCap) {
@@ -69,7 +68,7 @@ SagModel SagModel::build(const TaskSet &Tasks, const BasicActionWcets &W,
       }
       SagJob J;
       J.Task = T.Id;
-      J.Index = static_cast<std::uint32_t>(Times.size());
+      J.Index = static_cast<std::uint32_t>(Reg.count());
       // Same task->socket convention as generateWorkload's default.
       J.Socket = static_cast<SocketId>(T.Id % M.NumSockets);
       J.Rmin = At;
@@ -78,7 +77,7 @@ SagModel SagModel::build(const TaskSet &Tasks, const BasicActionWcets &W,
       J.Deadline = T.Deadline;
       J.Prio = T.Prio;
       M.Jobs.push_back(J);
-      Times.push_back(At);
+      Reg.append(At);
     }
   }
 

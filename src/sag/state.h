@@ -15,7 +15,7 @@
 ///
 /// The job set is finite and derived from the task set: task τ_i's
 /// q-th job arrives no earlier than the greedy-dense instant the
-/// arrival curve admits (rmin, via core's earliestCompliantArrival) and
+/// arrival curve admits (rmin, via core's ArrivalRegulator) and
 /// no later than rmin + ReleaseJitter (rmax). A job is *certainly
 /// released* at instants t with rmax < t and *possibly released* when
 /// rmin <= t <= rmax; the queue-entry window [Qmin, Qmax] shifts the

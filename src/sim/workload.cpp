@@ -14,39 +14,28 @@ using namespace rprosa;
 
 namespace {
 
-/// Generates compliant arrival times for one task.
-class TaskArrivalBuilder {
+/// Randomized proposals for one task's next arrival.
+class GapSampler {
 public:
-  TaskArrivalBuilder(const Task &T, SplitMix64 Rng)
-      : T(T), Rng(Rng),
+  GapSampler(const Task &T, SplitMix64 Rng)
+      : Rng(Rng),
         // The minimum steady-state gap: how far apart two consecutive
         // arrivals must at least be once a long prefix exists. Derived
         // from the window needed for 2 arrivals.
         MinGap(minWindowAdmitting(*T.Curve, 2)) {}
 
-  /// The earliest compliant time >= Proposed for the next arrival,
-  /// given all previous arrival times (core's shared push rule).
-  Time earliestCompliantAt(Time Proposed) const {
-    return earliestCompliantArrival(*T.Curve, Times, Proposed);
-  }
-
-  void commit(Time T_) { Times.push_back(T_); }
-  const std::vector<Time> &times() const { return Times; }
-
-  /// A randomized next proposal after the last arrival.
-  Time proposeRandom(std::uint64_t GapScaleNum, std::uint64_t GapScaleDen) {
+  /// A randomized next proposal after the last arrival \p Last.
+  Time propose(Time Last, std::uint64_t GapScaleNum,
+               std::uint64_t GapScaleDen) {
     Duration Base = MinGap == TimeInfinity ? 1 : MinGap;
     Duration MeanGap = satMul(Base, GapScaleNum) / GapScaleDen + 1;
     Duration Gap = Rng.nextInRange(0, satMul(MeanGap, 2));
-    Time Last = Times.empty() ? 0 : Times.back();
     return satAdd(Last, Gap);
   }
 
 private:
-  const Task &T;
   SplitMix64 Rng;
   Duration MinGap;
-  std::vector<Time> Times;
 };
 
 } // namespace
@@ -60,27 +49,29 @@ ArrivalSequence rprosa::generateWorkload(
 
   for (const Task &T : Tasks.tasks()) {
     assert(TaskSocket[T.Id] < Spec.NumSockets && "socket out of range");
-    TaskArrivalBuilder B(T, Root.fork());
+    GapSampler Gaps(T, Root.fork());
+    // Core's shared push rule: every instant it answers complies.
+    ArrivalRegulator Reg(*T.Curve);
     std::uint64_t Limit = Spec.MaxArrivalsPerTask;
-    while (Limit == 0 || B.times().size() < Limit) {
+    while (Limit == 0 || Reg.count() < Limit) {
       Time Proposed = 0;
       switch (Spec.Style) {
       case WorkloadStyle::GreedyDense:
         // As early as the curve allows (starting from the last arrival
         // time; simultaneous arrivals happen when the curve is bursty).
-        Proposed = B.times().empty() ? 0 : B.times().back();
+        Proposed = Reg.last();
         break;
       case WorkloadStyle::Random:
-        Proposed = B.proposeRandom(1, 1);
+        Proposed = Gaps.propose(Reg.last(), 1, 1);
         break;
       case WorkloadStyle::Sparse:
-        Proposed = B.proposeRandom(3, 1);
+        Proposed = Gaps.propose(Reg.last(), 3, 1);
         break;
       }
-      Time At = B.earliestCompliantAt(Proposed);
+      Time At = Reg.earliest(Proposed);
       if (At == TimeInfinity || At >= Spec.Horizon)
         break;
-      B.commit(At);
+      Reg.append(At);
       Arr.addArrival(At, TaskSocket[T.Id], T.Id);
     }
   }

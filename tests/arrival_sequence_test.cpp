@@ -53,6 +53,47 @@ TEST(ArrivalSequence, FindMsg) {
   EXPECT_FALSE(Arr.findMsg(M + 1000).has_value());
 }
 
+TEST(ArrivalSequence, FindMsgUnknownId) {
+  ArrivalSequence Arr(1);
+  EXPECT_FALSE(Arr.findMsg(1).has_value());
+  Arr.addArrival(30, 0, /*Task=*/0);
+  Arr.addArrival(10, 0, /*Task=*/0);
+  EXPECT_FALSE(Arr.findMsg(0).has_value());
+  EXPECT_FALSE(Arr.findMsg(3).has_value());
+  EXPECT_FALSE(Arr.findMsg(~MsgId(0)).has_value());
+}
+
+TEST(ArrivalSequence, FindMsgDuplicatedIdGivesTheFirstInSortedOrder) {
+  ArrivalSequence Arr(2);
+  Message M;
+  M.Id = 7;
+  M.Task = 0;
+  Arr.addArrival(50, 0, M);
+  M.Task = 1;
+  Arr.addArrival(20, 1, M);
+  M.Task = 2;
+  Arr.addArrival(20, 0, M);
+  auto Found = Arr.findMsg(7);
+  ASSERT_TRUE(Found.has_value());
+  // Sorted by (time, socket, id): the arrival at 20 on socket 0 leads.
+  EXPECT_EQ(Found->At, 20u);
+  EXPECT_EQ(Found->Socket, 0u);
+  EXPECT_EQ(Found->Msg.Task, 2u);
+}
+
+TEST(ArrivalSequence, FindMsgSeesArrivalsAddedAfterALookup) {
+  ArrivalSequence Arr(1);
+  MsgId First = Arr.addArrival(40, 0, /*Task=*/0);
+  ASSERT_TRUE(Arr.findMsg(First).has_value());
+  MsgId Second = Arr.addArrival(5, 0, /*Task=*/1);
+  auto Found = Arr.findMsg(Second);
+  ASSERT_TRUE(Found.has_value());
+  EXPECT_EQ(Found->At, 5u);
+  EXPECT_EQ(Found->Msg.Task, 1u);
+  ASSERT_TRUE(Arr.findMsg(First).has_value());
+  EXPECT_EQ(Arr.findMsg(First)->At, 40u);
+}
+
 TEST(ArrivalSequence, CountInWindowIsHalfOpen) {
   ArrivalSequence Arr(1);
   Arr.addArrival(10, 0, /*Task=*/0);

@@ -12,6 +12,7 @@
 
 #include "sim/workload.h"
 
+#include "sag/state.h"
 #include "test_util.h"
 
 #include <gtest/gtest.h>
@@ -122,4 +123,84 @@ TEST(Workload, TaskSocketMappingIsHonored) {
   ArrivalSequence Arr = generateWorkload(TS, Map, Spec);
   for (const Arrival &A : Arr.arrivals())
     EXPECT_EQ(A.Socket, Map[A.Msg.Task]);
+}
+
+namespace {
+
+/// A base curve that counts its evaluations and passes its regulator
+/// form on: the linearity pins below count work without a clock.
+class CountingCurve : public ArrivalCurve {
+public:
+  explicit CountingCurve(ArrivalCurvePtr Inner) : Inner(std::move(Inner)) {}
+
+  std::uint64_t eval(Duration Delta) const override {
+    ++Evals;
+    return Inner->eval(Delta);
+  }
+  std::string describe() const override { return Inner->describe(); }
+  std::optional<CurveRegulator> regulator() const override {
+    return Inner->regulator();
+  }
+
+  mutable std::uint64_t Evals = 0;
+
+private:
+  ArrivalCurvePtr Inner;
+};
+
+struct LinearityCase {
+  const char *Name;
+  ArrivalCurvePtr Base;
+};
+
+std::vector<LinearityCase> baseCurves() {
+  return {{"periodic", std::make_shared<PeriodicCurve>(100)},
+          {"jitter", std::make_shared<PeriodicJitterCurve>(100, 30)},
+          {"bucket", std::make_shared<LeakyBucketCurve>(3, 100)}};
+}
+
+} // namespace
+
+// Eq. 2 in linear time: with a regulator form, generating 2,000
+// arrivals costs only the few evaluations of the generator's minimum
+// gap (a pairwise scan made tens of millions), and checking them costs
+// none, while the check still counts every pair it decided.
+TEST(WorkloadLinearity, GenerationAndCheckUseTheRegulator) {
+  for (const LinearityCase &C : baseCurves()) {
+    for (WorkloadStyle Style : {WorkloadStyle::Random,
+                                WorkloadStyle::GreedyDense,
+                                WorkloadStyle::Sparse}) {
+      auto Curve = std::make_shared<CountingCurve>(C.Base);
+      TaskSet TS;
+      TS.addTask("t", 10, 1, Curve);
+      WorkloadSpec Spec;
+      Spec.Horizon = TimeInfinity - 1;
+      Spec.Style = Style;
+      Spec.MaxArrivalsPerTask = 2000;
+      ArrivalSequence Arr = generateWorkload(TS, Spec);
+      ASSERT_EQ(Arr.size(), 2000u) << C.Name << " style " << int(Style);
+      EXPECT_LE(Curve->Evals, 48u) << C.Name << " style " << int(Style);
+
+      Curve->Evals = 0;
+      CheckResult R = Arr.respectsCurves(TS);
+      EXPECT_TRUE(R.passed()) << C.Name << " style " << int(Style);
+      EXPECT_EQ(Curve->Evals, 0u) << C.Name << " style " << int(Style);
+      EXPECT_EQ(R.checksPerformed(), 2001000u)
+          << C.Name << " style " << int(Style);
+    }
+  }
+}
+
+TEST(WorkloadLinearity, SagJobEnumerationUsesTheRegulator) {
+  for (const LinearityCase &C : baseCurves()) {
+    auto Curve = std::make_shared<CountingCurve>(C.Base);
+    TaskSet TS;
+    TS.addTask("t", 10, 1, Curve);
+    SagConfig Cfg;
+    Cfg.Horizon = 100 * 240;
+    SagModel M =
+        SagModel::build(TS, tinyWcets(), 1, SchedPolicy::Npfp, Cfg);
+    EXPECT_GE(M.jobs().size(), 240u) << C.Name;
+    EXPECT_EQ(Curve->Evals, 0u) << C.Name;
+  }
 }
