@@ -18,10 +18,10 @@
 ///
 ///  2. warm-started fixpoints — a 10k-point neighbor grid (each point a
 ///     small perturbation of the last) analyzed cold (no seeding at
-///     all) and warm (cross-point + intra-point seeding). Gate: warm
-///     saves ≥ 30% of the fixpoint iterations, with byte-identical
-///     results — iteration counts are deterministic, so this gate holds
-///     on any machine;
+///     all) and warm (intra-point seeding: S_q from S_{q−1}, and the
+///     supply memo's nearest-lower seed). Gate: warm saves ≥ 30% of the
+///     fixpoint iterations, with byte-identical results — iteration
+///     counts are deterministic, so this gate holds on any machine;
 ///
 ///  3. sweep wall-clock at 3, 48, and 10k points, serial vs parallel,
 ///     with the adaptive chunking in effect (informational: wall-clock
@@ -180,8 +180,7 @@ double throughputPerSec(const EvalT &Eval,
 }
 
 /// The 10k-point neighbor grid: one shared task set whose WCETs drift
-/// upward in small steps — the sensitivity-search shape warm starts
-/// were built for.
+/// upward in small steps — the sensitivity-search shape.
 std::vector<SweepPoint> neighborGrid(std::size_t N) {
   TaskSet Base;
   Base.addTask("ctrl", 1 * TickUs, 3,
@@ -215,16 +214,14 @@ struct SweepRun {
 };
 
 SweepRun runSweep(const std::vector<SweepPoint> &Points, unsigned Threads,
-                  std::size_t Chunk, bool Warm, bool IntraPoint) {
+                  std::size_t Chunk, bool Warm) {
   SweepOptions Opts;
   Opts.Threads = Threads;
   Opts.ChunkSize = Chunk;
-  Opts.WarmStarts = Warm;
   SweepRunner Runner(Opts);
   std::vector<SweepPoint> Local = Points;
-  if (!IntraPoint)
-    for (SweepPoint &P : Local)
-      P.Cfg.WarmIntraPoint = false;
+  for (SweepPoint &P : Local)
+    P.Cfg.WarmIntraPoint = Warm;
   auto T0 = std::chrono::steady_clock::now();
   std::vector<RtaResult> Results = Runner.run(Local);
   SweepRun Out;
@@ -290,10 +287,8 @@ int main(int argc, char **argv) {
   // 2. Warm vs cold fixpoint iterations on the neighbor grid.
   std::size_t GridN = Smoke ? 1000 : 10000;
   std::vector<SweepPoint> Grid = neighborGrid(GridN);
-  SweepRun Cold = runSweep(Grid, 1, Chunk, /*Warm=*/false,
-                           /*IntraPoint=*/false);
-  SweepRun Warm = runSweep(Grid, 1, Chunk, /*Warm=*/true,
-                           /*IntraPoint=*/true);
+  SweepRun Cold = runSweep(Grid, 1, Chunk, /*Warm=*/false);
+  SweepRun Warm = runSweep(Grid, 1, Chunk, /*Warm=*/true);
   std::uint64_t ColdIters = Cold.Counts.Iterations +
                             Cold.Counts.SupplyIterations;
   std::uint64_t WarmIters = Warm.Counts.Iterations +
@@ -340,8 +335,8 @@ int main(int argc, char **argv) {
   std::vector<double> SerialMs(Scales.size()), ParallelMs(Scales.size());
   for (std::size_t S = 0; S < Scales.size(); ++S) {
     std::vector<SweepPoint> Pts = neighborGrid(Scales[S]);
-    SweepRun Ser = runSweep(Pts, 1, Chunk, true, true);
-    SweepRun Par = runSweep(Pts, Threads, Chunk, true, true);
+    SweepRun Ser = runSweep(Pts, 1, Chunk, true);
+    SweepRun Par = runSweep(Pts, Threads, Chunk, true);
     SerialMs[S] = Ser.Ms;
     ParallelMs[S] = Par.Ms;
     bool Same = Ser.Json == Par.Json;

@@ -34,6 +34,7 @@
 
 #include "trace/protocol.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,14 @@ struct AbsValue {
 
   bool operator==(const AbsValue &O) const { return K == O.K && V == O.V; }
 };
+
+/// The constant-clamping bound of the abstraction for a deployment with
+/// \p NumSockets sockets. The polling loop counts a register up to the
+/// socket count, and that count must stay Known for the loop exit to be
+/// decided, so the bound covers it (and is never below 64).
+inline caesium::Value registerBound(std::uint32_t NumSockets) {
+  return std::max<caesium::Value>(64, NumSockets);
+}
 
 /// Evaluates \p E over abstract registers. Fuel evaluates to Top — the
 /// analysis explores both continuing and stopping, covering every

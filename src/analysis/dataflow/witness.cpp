@@ -214,13 +214,21 @@ struct SearchResult {
   std::string NonReplayableWhy; ///< A feasible but unreplayable path.
 };
 
+/// Path-executor expansions per finding before giving up.
+constexpr std::uint64_t StepBudget = 20000;
+/// Times one CFG node may appear on a single path (loop unrolling depth
+/// of the search).
+constexpr std::uint32_t MaxVisitsPerNode = 8;
+/// Scripted successful reads per path (each costs one zone variable).
+constexpr std::uint32_t MaxScriptedReads = 8;
+
 SearchResult searchTrapPath(const Cfg &G, const Finding &F,
                             const std::vector<TrapAlt> &Alts,
                             const std::vector<char> &CanReach,
                             const WitnessOptions &Opts) {
   const std::uint32_t NumRegs = G.numRegs();
   const std::uint32_t InputBase = 1 + NumRegs;
-  const std::uint32_t TotalVars = InputBase + Opts.MaxScriptedReads;
+  const std::uint32_t TotalVars = InputBase + MaxScriptedReads;
   // The frontier cap bounds memory; hitting it forfeits the
   // exhaustive-enumeration suppression proof, like a visit cap.
   const std::size_t FrontierCap = 4096;
@@ -250,7 +258,7 @@ SearchResult searchTrapPath(const Cfg &G, const Finding &F,
   };
 
   while (!Stack.empty()) {
-    if (Res.Steps >= Opts.StepBudget) {
+    if (Res.Steps >= StepBudget) {
       Res.BudgetHit = true;
       break;
     }
@@ -277,7 +285,7 @@ SearchResult searchTrapPath(const Cfg &G, const Finding &F,
       }
     }
 
-    if (S.Visits[S.Node] >= Opts.MaxVisitsPerNode) {
+    if (S.Visits[S.Node] >= MaxVisitsPerNode) {
       Res.CapHit = true;
       continue;
     }
@@ -336,7 +344,7 @@ SearchResult searchTrapPath(const Cfg &G, const Finding &F,
           ExecState::ReadEvt Evt;
           Evt.Sock = SockConst ? SockLo : 0;
           Evt.Success = true;
-          if (NS.InputsUsed < Opts.MaxScriptedReads) {
+          if (NS.InputsUsed < MaxScriptedReads) {
             const std::uint32_t V = InputBase + NS.InputsUsed++;
             NS.Z.constrainWide(V, 0, static_cast<I128>(UINT32_MAX));
             NS.Z.constrainWide(0, V, 0);
@@ -517,8 +525,7 @@ rprosa::analysis::dataflow::refineFindings(const Cfg &G,
   WitnessSummary Sum;
   CfgOrder Order = CfgOrder::compute(G);
   ZoneDomain Dom(G.numRegs(), Opts.NumSockets);
-  Solution<ZoneState> Fix =
-      solve(G, Dom, Order, Direction::Forward, Opts.Solve);
+  Solution<ZoneState> Fix = solve(G, Dom, Order, Direction::Forward);
 
   for (Finding &F : Fs) {
     if (F.Sev != Severity::Warning ||

@@ -53,7 +53,6 @@
 #define RPROSA_ANALYSIS_DATAFLOW_WITNESS_H
 
 #include "analysis/dataflow/diagnostics.h"
-#include "analysis/dataflow/engine.h"
 
 #include <cstdint>
 #include <vector>
@@ -64,18 +63,9 @@ struct WitnessOptions {
   /// Width of the deployment's socket array (must match the analysis
   /// options the findings came from).
   std::uint32_t NumSockets = 2;
-  /// Path-executor expansions per finding before giving up.
-  std::uint64_t StepBudget = 20000;
-  /// Times one CFG node may appear on a single path (loop unrolling
-  /// depth of the search).
-  std::uint32_t MaxVisitsPerNode = 8;
-  /// Scripted successful reads per path (each costs one zone variable).
-  std::uint32_t MaxScriptedReads = 8;
   /// Replay found witnesses on the interpreter. Off = report
   /// WitnessFound without upgrading (upgrades REQUIRE replay).
   bool Replay = true;
-  /// Passed through to the zone fixpoint.
-  SolveOptions Solve;
 };
 
 /// Aggregate verdict counts of one refineFindings run (the --lint

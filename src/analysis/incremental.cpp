@@ -6,6 +6,7 @@
 
 #include "analysis/incremental.h"
 
+#include "analysis/abstract_state.h"
 #include "analysis/cfg.h"
 #include "analysis/dataflow/diagnostics.h"
 
@@ -65,7 +66,8 @@ std::string timingCacheKey(const caesium::StmtPtr &Program,
   field(Key, "deq", P.Instr.Dequeue);
   field(Key, "free", P.Instr.Free);
   field(Key, "cb", P.MaxCallbackWcet);
-  field(Key, "regbound", static_cast<std::uint64_t>(P.RegBound));
+  field(Key, "regbound",
+        static_cast<std::uint64_t>(registerBound(NumSockets)));
   field(Key, "steps", P.MaxPathSteps);
   field(Key, "visits", P.MaxVisitsPerNode);
   field(Key, "sockets", NumSockets);

@@ -65,8 +65,9 @@ std::uint64_t fnv1a64(std::string_view Bytes,
                       std::uint64_t H = 14695981039346656037ull);
 
 /// The canonical cache key of one timing request: the printed program
-/// plus every StaticCostParams field and the socket count. Exact — two
-/// requests with equal keys are the same analysis question.
+/// plus every StaticCostParams field, the register bound in use and
+/// the socket count. Exact — two requests with equal keys are the same
+/// analysis question.
 std::string timingCacheKey(const caesium::StmtPtr &Program,
                            const StaticCostParams &P,
                            std::uint32_t NumSockets);

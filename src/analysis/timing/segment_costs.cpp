@@ -155,8 +155,9 @@ TimingResult rprosa::analysis::analyzeTiming(const Cfg &G,
   std::uint64_t StepsLeft = P.MaxPathSteps;
   std::uint32_t NumRegs = G.numRegs();
 
+  const caesium::Value RegBound = registerBound(NumSockets);
   dataflow::PathWalkParams WP;
-  WP.RegBound = P.RegBound;
+  WP.RegBound = RegBound;
   WP.MaxVisitsPerNode = P.MaxVisitsPerNode;
   WP.Instr = P.Instr;
   WP.VisitCapDiagnostic = [&](NodeId At) {
@@ -194,7 +195,7 @@ TimingResult rprosa::analysis::analyzeTiming(const Cfg &G,
       // Two flavors: the outcome register is the only non-Top fact.
       std::vector<AbsValue> Fail(NumRegs, AbsValue::top());
       if (Node.Dst < Fail.size())
-        Fail[Node.Dst] = AbsValue::known(-1, P.RegBound);
+        Fail[Node.Dst] = AbsValue::known(-1, RegBound);
       Explore(N, SegmentClass::FailedRead, std::move(Fail));
 
       std::vector<AbsValue> Success(NumRegs, AbsValue::top());

@@ -112,8 +112,6 @@ struct StaticCostParams {
   /// max_i C_i over the deployment's task set (bounds the Execution
   /// segment's marker part; 0 means "no callbacks run").
   Duration MaxCallbackWcet = 0;
-  /// Constant-clamping bound of the abstract register domain.
-  caesium::Value RegBound = 64;
   /// Total node-expansion budget across all sources.
   std::uint64_t MaxPathSteps = 1 << 20;
   /// Per-path revisit cap per node (catches non-benign cycles).
@@ -163,9 +161,10 @@ struct TimingResult {
   std::string describeTable() const;
 };
 
-/// Runs the static pass over \p G. \p NumSockets only feeds the
-/// iteration-WCET formula; the polling width itself is already baked
-/// into the program's literals.
+/// Runs the static pass over \p G. \p NumSockets feeds the
+/// iteration-WCET formula and the abstract registers' constant bound
+/// (registerBound); the polling width itself is already baked into the
+/// program's literals.
 TimingResult analyzeTiming(const Cfg &G, const StaticCostParams &P,
                            std::uint32_t NumSockets);
 

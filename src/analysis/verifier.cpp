@@ -15,6 +15,11 @@ using namespace rprosa::caesium;
 
 namespace {
 
+/// Safety valve on distinct product states (the Rössl state space stays
+/// below ten thousand even at 256 sockets; this only trips on
+/// pathological inputs).
+constexpr std::size_t MaxStates = 1u << 20;
+
 /// The canonical job every concretised marker carries. Sound because
 /// job *identity* only matters between a Dispatch and its Completion,
 /// and the machine always emits its CurrentJob there — so the STS's
@@ -39,8 +44,8 @@ struct SearchNode {
 
 class Search {
 public:
-  Search(const Cfg &G, std::uint32_t NumSockets, const VerifyOptions &Opts)
-      : G(G), NumSockets(NumSockets), Opts(Opts) {
+  Search(const Cfg &G, std::uint32_t NumSockets)
+      : G(G), NumSockets(NumSockets), RegBound(registerBound(NumSockets)) {
     V.EdgeCover.assign(G.size(), 0);
     V.NodeVisited.assign(G.size(), false);
   }
@@ -54,9 +59,9 @@ public:
       Queue.pop_front();
       ++V.StatesExplored;
       expand(I);
-      if (Arena.size() > Opts.MaxStates) {
+      if (Arena.size() > MaxStates) {
         V.Kind = VerdictKind::ResourceLimit;
-        V.Diagnostic = "state limit of " + std::to_string(Opts.MaxStates) +
+        V.Diagnostic = "state limit of " + std::to_string(MaxStates) +
                        " exceeded; verdict inconclusive";
       }
     }
@@ -161,14 +166,14 @@ private:
 
     case CfgNode::Kind::Assign: {
       AbsState Next = S;
-      Next.Regs[N.Dst] = evalAbstract(*N.E, S.Regs, Opts.RegBound);
+      Next.Regs[N.Dst] = evalAbstract(*N.E, S.Regs, RegBound);
       Next.Node = N.Succ;
       step(I, N, std::move(Next));
       break;
     }
 
     case CfgNode::Kind::Branch: {
-      AbsBool T = truth(evalAbstract(*N.E, S.Regs, Opts.RegBound));
+      AbsBool T = truth(evalAbstract(*N.E, S.Regs, RegBound));
       if (T != AbsBool::False) {
         V.EdgeCover[NId] |= 1;
         AbsState Next = S;
@@ -200,7 +205,7 @@ private:
       for (SocketId Sock : Socks) {
         { // READ-STEP-FAILURE: result -1, M_ReadE sock ⊥.
           AbsState Next = S;
-          Next.Regs[N.Dst] = AbsValue::known(-1, Opts.RegBound);
+          Next.Regs[N.Dst] = AbsValue::known(-1, RegBound);
           Next.Node = N.Succ;
           if (!advanceSts(I, N, std::move(Next),
                           {MarkerEvent::readS(),
@@ -284,13 +289,13 @@ private:
       { // Hit: the policy hands out some pending message.
         AbsState Next = S;
         Next.Bufs[N.Buf] = AbsBuf::Full;
-        Next.Regs[N.Dst] = AbsValue::known(1, Opts.RegBound);
+        Next.Regs[N.Dst] = AbsValue::known(1, RegBound);
         Next.Node = N.Succ;
         step(I, N, std::move(Next));
       }
       { // Miss: the queue is empty.
         AbsState Next = S;
-        Next.Regs[N.Dst] = AbsValue::known(0, Opts.RegBound);
+        Next.Regs[N.Dst] = AbsValue::known(0, RegBound);
         Next.Node = N.Succ;
         step(I, N, std::move(Next));
       }
@@ -309,7 +314,8 @@ private:
 
   const Cfg &G;
   std::uint32_t NumSockets;
-  VerifyOptions Opts;
+  /// Constants with |v| above this widen to NonNeg/Top.
+  caesium::Value RegBound;
   Verdict V;
 
   std::vector<SearchNode> Arena;
@@ -320,15 +326,13 @@ private:
 } // namespace
 
 Verdict rprosa::analysis::verifyProtocol(const Cfg &G,
-                                         std::uint32_t NumSockets,
-                                         const VerifyOptions &Opts) {
-  return Search(G, NumSockets, Opts).run();
+                                         std::uint32_t NumSockets) {
+  return Search(G, NumSockets).run();
 }
 
 Verdict rprosa::analysis::verifyProtocol(const StmtPtr &Program,
-                                         std::uint32_t NumSockets,
-                                         const VerifyOptions &Opts) {
-  return verifyProtocol(buildCfg(Program), NumSockets, Opts);
+                                         std::uint32_t NumSockets) {
+  return verifyProtocol(buildCfg(Program), NumSockets);
 }
 
 std::string Verdict::describe() const {

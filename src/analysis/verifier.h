@@ -45,23 +45,13 @@
 
 namespace rprosa::analysis {
 
-struct VerifyOptions {
-  /// Constants with |v| above this widen to NonNeg/Top
-  /// (bounded-register abstraction). Must exceed the socket count for
-  /// the polling loop counter to stay precise.
-  caesium::Value RegBound = 64;
-  /// Safety valve on distinct product states (the Rössl state space is
-  /// a few hundred; this only trips on pathological inputs).
-  std::size_t MaxStates = 1u << 20;
-};
-
 enum class VerdictKind : std::uint8_t {
   Verified,          ///< Every reachable marker emission is accepted.
   ProtocolViolation, ///< Some path emits a marker the STS rejects.
   Defect,            ///< Some path trips a machine precondition (e.g.
                      ///< dispatch of an empty buffer) before any
                      ///< protocol marker can be rejected.
-  ResourceLimit,     ///< MaxStates exceeded; result inconclusive.
+  ResourceLimit,     ///< State cap exceeded; result inconclusive.
 };
 
 struct Verdict {
@@ -88,14 +78,12 @@ struct Verdict {
 };
 
 /// Model-checks \p G against the protocol STS for \p NumSockets
-/// sockets.
-Verdict verifyProtocol(const Cfg &G, std::uint32_t NumSockets,
-                       const VerifyOptions &Opts = {});
+/// sockets, with constants clamped at registerBound(NumSockets).
+Verdict verifyProtocol(const Cfg &G, std::uint32_t NumSockets);
 
 /// Convenience overload: lowers \p Program first.
 Verdict verifyProtocol(const caesium::StmtPtr &Program,
-                       std::uint32_t NumSockets,
-                       const VerifyOptions &Opts = {});
+                       std::uint32_t NumSockets);
 
 } // namespace rprosa::analysis
 

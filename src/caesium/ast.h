@@ -288,9 +288,9 @@ public:
 
   /// Drop every node but keep the underlying storage for reuse.
   /// Invalidates all ExprPtr/StmtPtr handed out so far; dense ids
-  /// restart at 0. The steady-state re-parse path (rp_serve ingest,
-  /// bench/parse_cost) parses into a warm arena instead of paying the
-  /// first-touch cost of fresh chunks on every program.
+  /// restart at 0. The steady-state re-parse path (bench/parse_cost)
+  /// parses into a warm arena instead of paying the first-touch cost of
+  /// fresh chunks on every program.
   void reset();
 
   /// Dense-id views: every node ever created, in creation order.

@@ -193,9 +193,7 @@ template <typename Part> TaskRta walkTask(const Run &R, TaskId I) {
     // A busy window is at least one instant long.
     return std::max<Time>(1, R.Supply->timeToSupply(Work));
   };
-  // A demand-dominated neighbour's solution is ≤ ours (warm_start.h).
-  std::optional<Time> L =
-      R.solve(BusyStep, 1, R.Cfg.Warm ? R.Cfg.Warm->busyWindowSeed(I) : 0);
+  std::optional<Time> L = R.solve(BusyStep, 1, 0);
   if (!L)
     return Out; // Unbounded.
   Out.BusyWindow = *L;

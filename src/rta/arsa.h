@@ -12,8 +12,7 @@
 /// computes
 ///
 ///   blocking     B_i, from the policy part;
-///   busy window  L_i = least L ≥ 1 with SBF(L) ≥ B_i + demand_i(L),
-///                seeded from RtaConfig::Warm;
+///   busy window  L_i = least L ≥ 1 with SBF(L) ≥ B_i + demand_i(L);
 ///   offsets      A_q = least offset admitting the q-th release of β_i,
 ///                for q = 1, 2, ... while A_q < L_i (at most 2^20);
 ///   finish bound F_q, from the policy part, one per offset;

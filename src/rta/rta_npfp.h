@@ -57,10 +57,9 @@ namespace rprosa {
 /// Knobs of the analysis.
 ///
 /// The fields up to BlockingMinusOne are *semantic*: they change what
-/// is computed. Warm, WarmIntraPoint and Telemetry are acceleration /
+/// is computed. WarmIntraPoint and Telemetry are acceleration /
 /// observability hooks that never change any result (warm_start.h's
-/// soundness argument; asserted byte-for-byte by warm_start_test) —
-/// sweep.cpp's canSeed compares only the semantic fields.
+/// soundness argument; asserted byte-for-byte by warm_start_test).
 struct RtaConfig {
   /// Cap on every fixed-point search; beyond it a task is unbounded.
   Time FixedPointCap = 100 * TickSec;
@@ -76,11 +75,6 @@ struct RtaConfig {
   /// behind it in discrete time).
   bool BlockingMinusOne = false;
 
-  /// Optional per-task fixpoint seeds from a demand-dominated solved
-  /// point (not owned; must outlive the analysis call). Callers are
-  /// responsible for the domination precondition — SweepRunner's
-  /// canSeed is the one place that establishes it.
-  const WarmStart *Warm = nullptr;
   /// Monotone seeding *within* one analysis run: S_q seeded from
   /// S_{q−1} (Prior and A_q grow with q, so lfp_{q−1} ≤ lfp_q), and
   /// the supply inverse seeded from its memo's nearest lower entry.
@@ -134,12 +128,6 @@ RtaResult analyzeNpfp(const TaskSet &Tasks, const BasicActionWcets &W,
 /// analyzePolicy's TimingInputs overload under NPFP.
 RtaResult analyzeNpfp(const TaskSet &Tasks, const TimingInputs &In,
                       std::uint32_t NumSockets, const RtaConfig &Cfg = {});
-
-/// Extracts warm-start seeds from a solved result: BusyWindow per
-/// bounded task (unbounded tasks seed cold). Sound to pass as
-/// RtaConfig::Warm only for a point whose demand dominates the seed's
-/// (see warm_start.h).
-WarmStart warmStartFrom(const RtaResult &R);
 
 } // namespace rprosa
 

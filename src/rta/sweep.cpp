@@ -6,7 +6,6 @@
 
 #include "rta/sweep.h"
 
-#include <algorithm>
 #include <cstdio>
 
 using namespace rprosa;
@@ -16,43 +15,6 @@ using namespace rprosa;
 //===----------------------------------------------------------------------===//
 
 SweepRunner::SweepRunner(SweepOptions O) : Opts(O), Pool(O.Threads) {}
-
-bool SweepRunner::canSeed(const SweepPoint &From, const SweepPoint &To) {
-  if (From.Policy != To.Policy)
-    return false;
-  // Semantic knobs must match exactly; the acceleration/observability
-  // fields of RtaConfig (Warm, WarmIntraPoint, Telemetry) never change
-  // results and are deliberately ignored.
-  const RtaConfig &A = From.Cfg, &B = To.Cfg;
-  if (A.FixedPointCap != B.FixedPointCap ||
-      A.AccountOverheads != B.AccountOverheads ||
-      A.AblateCarryIn != B.AblateCarryIn ||
-      A.BlockingMinusOne != B.BlockingMinusOne)
-    return false;
-  // Identical task structure: curve object identity (not equivalence —
-  // identity is what the sweeps actually share), priorities and
-  // deadlines exactly (EDF demand is *anti*tone in the interferer's
-  // deadline, so ≤ would be unsound there), WCETs fieldwise ≤.
-  const std::vector<Task> &FT = From.Tasks.tasks();
-  const std::vector<Task> &TT = To.Tasks.tasks();
-  if (FT.size() != TT.size())
-    return false;
-  for (std::size_t K = 0; K < FT.size(); ++K)
-    if (FT[K].Curve.get() != TT[K].Curve.get() ||
-        FT[K].Prio != TT[K].Prio || FT[K].Deadline != TT[K].Deadline ||
-        FT[K].Wcet > TT[K].Wcet)
-      return false;
-  // Supply parameters fieldwise ≤: overhead bounds, and through them
-  // jitter and blackout, are monotone in every WCET field and in the
-  // socket count — so From's least fixpoints are ≤ To's.
-  if (From.Sbf.NumSockets > To.Sbf.NumSockets)
-    return false;
-  const BasicActionWcets &FW = From.Sbf.Wcets, &TW = To.Sbf.Wcets;
-  return FW.FailedRead <= TW.FailedRead &&
-         FW.SuccessfulRead <= TW.SuccessfulRead &&
-         FW.Selection <= TW.Selection && FW.Dispatch <= TW.Dispatch &&
-         FW.Completion <= TW.Completion && FW.Idling <= TW.Idling;
-}
 
 SweepTelemetry SweepRunner::telemetry() const {
   SweepTelemetry T;
@@ -66,55 +28,18 @@ SweepTelemetry SweepRunner::telemetry() const {
 
 std::vector<RtaResult> SweepRunner::run(const std::vector<SweepPoint> &Points) {
   const std::size_t N = Points.size();
-  // The chunk size must be fixed here (not inside the pool): the
-  // warm-start plan below is only sound within the chunk boundaries the
-  // pool will actually use.
   const std::size_t C = Pool.chunkSize(N, Opts.ChunkSize);
   LastChunk.store(C, std::memory_order_relaxed);
-
-  // Warm-start plan: Seed[I] is the nearest earlier point in I's chunk
-  // whose demand is dominated by I's, or npos. A chunk is processed in
-  // ascending index order by a single lane, so Results[Seed[I]] is
-  // always complete before point I starts; seeding never crosses a
-  // chunk boundary because other chunks may still be in flight. The
-  // plan is a pure function of (Points, C) — independent of the thread
-  // count — and, since warm == cold by the least-fixpoint argument,
-  // results are byte-identical with seeding on or off.
-  constexpr std::size_t Npos = static_cast<std::size_t>(-1);
-  constexpr std::size_t SeedWindow = 4; // How far back to scan.
-  std::vector<std::size_t> Seed;
-  if (Opts.WarmStarts) {
-    Seed.assign(N, Npos);
-    for (std::size_t I = 0; I < N; ++I) {
-      std::size_t ChunkStart = (I / C) * C;
-      std::size_t Lo = std::max(ChunkStart,
-                                I >= SeedWindow ? I - SeedWindow : 0);
-      for (std::size_t J = I; J > Lo;) {
-        --J;
-        if (canSeed(Points[J], Points[I])) {
-          Seed[I] = J;
-          break;
-        }
-      }
-    }
-  }
 
   // Each body invocation writes only its own index-addressed slot; the
   // result vector is sized up front so no reallocation races exist.
   // This is the whole determinism argument: Results[i] depends only on
-  // Points[i] (plus a seed that provably cannot change the value),
-  // never on scheduling.
+  // Points[i], never on scheduling.
   std::vector<RtaResult> Results(N);
   Pool.parallelForChunked(N, C, [&](std::size_t I) {
     const SweepPoint &P = Points[I];
     RtaConfig Cfg = P.Cfg;
     Cfg.Telemetry = &Tel;
-    WarmStart W;
-    if (!Seed.empty() && Seed[I] != Npos) {
-      W = warmStartFrom(Results[Seed[I]]);
-      if (!W.empty())
-        Cfg.Warm = &W;
-    }
     Results[I] = analyzePolicy(P.Tasks, P.Sbf.Wcets, P.Sbf.NumSockets,
                                P.Policy, Cfg);
   });

@@ -19,22 +19,13 @@
 /// run with 1 thread — same values, same order, same rendered JSON.
 /// Nothing downstream may depend on completion order.
 ///
-/// Curves: each point's analysis compiles its own FlatReleaseSet
-/// (core/curve_table.h); there is no sweep-wide curve state. A curve
-/// with a certified periodic tail (every curve outside the tests)
-/// compiles in a few dozen evaluations, so a cache shared across points
-/// would save less than its locks cost.
-///
-/// Warm starts: consecutive points of a sweep are usually tiny
-/// perturbations of each other (one more socket, one larger WCET). When
-/// point J's demand is dominated by point I's (canSeed: identical
-/// structure + fieldwise ≤ parameters), J's busy-window solutions are ≤
-/// I's least fixpoints and therefore sound seeds (warm_start.h). The
-/// runner seeds each point from its nearest dominated predecessor
-/// *within the same chunk* — chunks are processed in ascending index
-/// order by a single lane, so the seed's result is always complete —
-/// and results stay byte-identical to cold starts by the least-fixpoint
-/// argument (asserted by warm_start_test).
+/// Points share nothing: each point's analysis compiles its own
+/// FlatReleaseSet (core/curve_table.h) and builds its own supply, and
+/// every fixpoint starts from its own point's data (the intra-point
+/// seeds of RtaConfig::WarmIntraPoint). A curve with a certified
+/// periodic tail (every curve outside the tests) compiles in a few
+/// dozen evaluations, so a cache shared across points would save less
+/// than its locks cost.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,10 +67,6 @@ struct SweepOptions {
   /// Contiguous indices handed to a lane per claim; 0 derives
   /// ThreadPool::chunkSize's default. Benches expose it as --chunk=N.
   std::size_t ChunkSize = 0;
-  /// Seed each point's fixpoints from a demand-dominated predecessor in
-  /// its chunk (sound: results are byte-identical either way; disabling
-  /// exists for the cold baselines of bench/hotpath).
-  bool WarmStarts = true;
 };
 
 /// Everything a sweep can report about how it ran (as opposed to what
@@ -119,14 +106,6 @@ public:
   SweepTelemetry telemetry() const;
   void resetTelemetry() { Tel.reset(); }
 
-  /// Whether point \p To may be warm-started from \p From's result:
-  /// same policy and semantic analysis config, identical task structure
-  /// (curve object identity, priorities, deadlines), and From's demand
-  /// parameters fieldwise ≤ To's (WCETs, socket count, basic-action
-  /// WCETs) — everything the least fixpoints are monotone in. Public so
-  /// the warm-start tests can probe the predicate directly.
-  static bool canSeed(const SweepPoint &From, const SweepPoint &To);
-
 private:
   SweepOptions Opts;
   ThreadPool Pool;
@@ -148,9 +127,9 @@ std::string sweepResultsJson(const std::vector<SweepPoint> &Points,
 /// The telemetry-carrying rendering: {"results": <plain form>,
 /// "telemetry": {...}}. The "results" value is byte-identical to the
 /// two-argument overload; the telemetry block (supply-memo hits,
-/// fixpoint iteration counts, thread/chunk shape) depends on the thread
-/// count, which sets the default chunk, so byte-identity gates compare
-/// the plain form.
+/// fixpoint iteration counts, thread/chunk shape) names the thread
+/// count and the chunk it sets by default, so byte-identity gates
+/// compare the plain form.
 std::string sweepResultsJson(const std::vector<SweepPoint> &Points,
                              const std::vector<RtaResult> &Results,
                              const SweepTelemetry &Tel);

@@ -7,7 +7,6 @@
 #include "rta/warm_start.h"
 
 #include "rta/arsa.h"
-#include "rta/rta_npfp.h"
 
 using namespace rprosa;
 
@@ -39,17 +38,4 @@ rprosa::leastFixedPointSeeded(const std::function<Time(Time)> &F, Time Start,
     }
     T = Next;
   }
-}
-
-WarmStart rprosa::warmStartFrom(const RtaResult &R) {
-  WarmStart W;
-  W.BusyWindow.resize(R.PerTask.size(), 0);
-  for (std::size_t I = 0; I < R.PerTask.size(); ++I) {
-    const TaskRta &T = R.PerTask[I];
-    // Only bounded tasks yield a certified lfp to seed from, and only
-    // for the same task index (ids are dense).
-    if (T.Bounded && T.Task == I)
-      W.BusyWindow[I] = T.BusyWindow;
-  }
-  return W;
 }

@@ -18,12 +18,11 @@
 ///   is the only fixpoint ≤ lfp.
 ///
 /// A seed *above* the least fixpoint is unsound — iteration can land on
-/// a larger fixpoint — so callers may only seed from solutions of
-/// *demand-dominated* problems: same fixpoint equations with pointwise
-/// smaller-or-equal demand (smaller WCETs, fewer sockets), whose least
-/// fixpoint is ≤ ours by monotonicity of the equations in those
-/// parameters. SweepRunner enforces this via canSeed (sweep.h);
-/// warm_start_test asserts seeded == cold byte-for-byte.
+/// a larger fixpoint — so seeds come only from smaller instances of the
+/// same equation within one analysis run: S_{q−1} for S_q, and the
+/// supply memo's inverse of the nearest smaller demand (both are ≤ the
+/// lfp by monotonicity). warm_start_test asserts seeded == cold
+/// byte-for-byte.
 ///
 /// A seeded iterate may *descend* (F(Seed) < Seed when the seed
 /// overshoots intermediate iterates while staying ≤ lfp — it cannot,
@@ -44,7 +43,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <vector>
 
 namespace rprosa {
 
@@ -120,20 +118,6 @@ private:
   std::atomic<std::uint64_t> Seeded{0};
   std::atomic<std::uint64_t> SupplyMemoHits{0};
   std::atomic<std::uint64_t> SupplyMemoMisses{0};
-};
-
-/// Per-task fixpoint seeds extracted from an already-solved
-/// demand-dominated analysis. Index = task id; 0 = no seed (cold).
-/// Only *bounded* solutions contribute seeds — an unbounded neighbor
-/// proves nothing about our least fixpoint.
-struct WarmStart {
-  std::vector<Duration> BusyWindow;
-
-  Duration busyWindowSeed(std::size_t TaskIdx) const {
-    return TaskIdx < BusyWindow.size() ? BusyWindow[TaskIdx] : 0;
-  }
-
-  bool empty() const { return BusyWindow.empty(); }
 };
 
 /// The one fixed-point iterator of the analyses: Kleene iteration

@@ -27,6 +27,9 @@ using namespace rprosa;
 
 namespace {
 
+/// Cap on replay attempts across all deadline-miss candidates.
+constexpr std::size_t MaxReplays = 32;
+
 /// A dispatch edge that admits a deadline miss: the interval argument
 /// says a job arriving at Rmin can finish past Rmin + Deadline. Kept
 /// by predecessor arena index so merging cannot invalidate it.
@@ -272,7 +275,7 @@ SagResult rprosa::analyzeExact(const TaskSet &Tasks,
           // All variants coincide without release jitter.
           if (Cfg.ReleaseJitter == 0 && V != SagRealizeVariant::AllEarly)
             break;
-          if (R.Stats.Replays >= Cfg.MaxReplays)
+          if (R.Stats.Replays >= MaxReplays)
             break;
           ++R.Stats.Replays;
           SagRealization Real = sagRealizeArrivals(M, C.Job, V);

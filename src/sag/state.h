@@ -63,8 +63,6 @@ struct SagConfig {
   /// Caps that turn the verdict into Unknown instead of running away.
   std::size_t MaxJobs = SagMaxJobs;
   std::size_t MaxStates = 1u << 17;
-  /// Cap on replay attempts across all deadline-miss candidates.
-  std::size_t MaxReplays = 32;
   /// Explorer threads (0 = hardware default, 1 = serial).
   std::size_t Threads = 1;
 };

@@ -109,8 +109,7 @@ public:
   /// The chunk parallelForChunked(N, \p Requested, ...) uses:
   /// \p Requested itself, or for 0 max(1, N / (8 · threads())) — large
   /// enough to amortize, small enough that imbalance still
-  /// self-corrects. Callers that plan per chunk (the sweep's warm
-  /// starts) derive their boundaries here.
+  /// self-corrects. SweepRunner reports it in its telemetry.
   std::size_t chunkSize(std::size_t N, std::size_t Requested) const {
     return Requested != 0 ? Requested
                           : std::max<std::size_t>(1, N / (8 * NumThreads));

@@ -346,6 +346,29 @@ StaticCostParams timingTestParams() {
 
 } // namespace
 
+TEST(RegisterBound, CoversTheSocketCount) {
+  // The polling counter counts up to N, so above 64 sockets the bound
+  // grows with N: the loop exit stays decided, the program verifies,
+  // and every segment bound is the one at 64 sockets.
+  TimingResult At64 = analyzeTiming(buildCfg(buildRosslProgram(64)),
+                                    timingTestParams(), 64);
+  for (std::uint32_t N : {65u, 100u, 256u}) {
+    SCOPED_TRACE("N=" + std::to_string(N));
+    Verdict V = verifyProtocol(buildRosslProgram(N), N);
+    EXPECT_TRUE(V.verified()) << V.describe();
+    TimingResult Got = analyzeTiming(buildCfg(buildRosslProgram(N)),
+                                     timingTestParams(), N);
+    EXPECT_EQ(Got.PathsExplored, At64.PathsExplored);
+    for (std::size_t C = 0; C < NumSegmentClasses; ++C) {
+      const SegmentBound &Want = At64.Segments[C], &Have = Got.Segments[C];
+      EXPECT_EQ(Have.Reachable, Want.Reachable) << "class " << C;
+      EXPECT_EQ(Have.I.Lo, Want.I.Lo) << "class " << C;
+      EXPECT_EQ(Have.I.Hi, Want.I.Hi) << "class " << C;
+      EXPECT_EQ(Have.InstrTailHi, Want.InstrTailHi) << "class " << C;
+    }
+  }
+}
+
 TEST(TimingMutants, ProtocolVerifierAcceptsBoth) {
   // The whole point of the corpus: the Def. 3.1 verifier cannot tell
   // the mutants from the reference — only the cost pass can.

@@ -192,7 +192,7 @@ TEST(ThreadPool, ChunkedEveryIndexExactlyOnce) {
 
 TEST(ThreadPool, ChunkedRunsChunksInAscendingOrderPerLane) {
   // Within one chunk the indices are processed in ascending order by a
-  // single lane — the property the sweep's warm-start plan relies on.
+  // single lane, as parallelForChunked documents.
   ThreadPool Pool(4);
   const std::size_t N = 256, Chunk = 16;
   std::vector<std::thread::id> Lane(N);

@@ -128,11 +128,7 @@ TaskRta NpfpAnalysis::analyzeTask(TaskId I) const {
     // A busy window is at least one instant long.
     return std::max<Time>(1, Setup.Supply->timeToSupply(Work));
   };
-  // Seed the busy window from a demand-dominated neighbor's solution
-  // when the caller supplied one (sound per warm_start.h: the
-  // neighbor's lfp is ≤ ours).
-  Duration BusySeed = Cfg.Warm ? Cfg.Warm->busyWindowSeed(I) : 0;
-  std::optional<Time> L = solve(BusyStep, 1, BusySeed);
+  std::optional<Time> L = solve(BusyStep, 1, 0);
   if (!L)
     return Out; // Unbounded.
   Out.BusyWindow = *L;
@@ -275,11 +271,10 @@ private:
       return std::max<Time>(1, Setup.Supply->timeToSupply(Work));
     };
     std::uint64_t Iters = 0;
-    Duration BusySeed = Cfg.Warm ? Cfg.Warm->busyWindowSeed(I) : 0;
-    std::optional<Time> L = leastFixedPointSeeded(
-        BusyStep, 1, BusySeed, Cfg.FixedPointCap, &Iters);
+    std::optional<Time> L =
+        leastFixedPointSeeded(BusyStep, 1, 0, Cfg.FixedPointCap, &Iters);
     if (Cfg.Telemetry)
-      Cfg.Telemetry->noteFixpoint(Iters, BusySeed > 1);
+      Cfg.Telemetry->noteFixpoint(Iters, false);
     if (!L)
       return Out;
     Out.BusyWindow = *L;

@@ -10,10 +10,10 @@
 /// periodic-with-jitter, staircase and zero curves and their Sum, Min,
 /// Scaled and Shifted combinations; shared priorities; EDF tasks with
 /// and without a deadline; all three policies; every RtaConfig switch
-/// on and off; warm seeds from a demand-dominated neighbour; caps down
-/// to a few ticks and exactly at a solved busy window; and timing
-/// inputs with callback overrides. Every TaskRta field, the overhead
-/// bounds, the timing source and all six fixpoint counters must agree.
+/// on and off; caps down to a few ticks and exactly at a solved busy
+/// window; and timing inputs with callback overrides. Every TaskRta
+/// field, the overhead bounds, the timing source and all six fixpoint
+/// counters must agree.
 /// RPROSA_FUZZ_SEED picks a fresh set of systems; a failure names it.
 ///
 //===----------------------------------------------------------------------===//
@@ -100,21 +100,6 @@ BasicActionWcets randomWcets(SplitMix64 &Rng) {
   // then can an order-driven finish bound need its A_q + C_i floor.
   W.Idling = Rng.nextInRange(0, Rng.nextBernoulli(1, 4) ? 400 : 8);
   return W;
-}
-
-/// \p W with every field lowered by a random amount (keeping SR ≥ FR).
-BasicActionWcets dominatedWcets(SplitMix64 &Rng, const BasicActionWcets &W) {
-  auto Lower = [&](Duration D) { return D - Rng.nextInRange(0, D); };
-  BasicActionWcets Out = W;
-  Out.FailedRead = Lower(W.FailedRead);
-  Out.SuccessfulRead =
-      std::max(Out.FailedRead, W.SuccessfulRead - Rng.nextInRange(
-                                   0, W.SuccessfulRead - W.FailedRead));
-  Out.Selection = Lower(W.Selection);
-  Out.Dispatch = Lower(W.Dispatch);
-  Out.Completion = Lower(W.Completion);
-  Out.Idling = Lower(W.Idling);
-  return Out;
 }
 
 /// One random analysis question.
@@ -227,7 +212,6 @@ struct Coverage {
   int BusyUnbounded = 0;   ///< The busy-window fixpoint hit the cap.
   int OffsetUnbounded = 0; ///< A finish bound or start bound did.
   int AtCap = 0;           ///< A busy window solved to exactly the cap.
-  int WarmSeeded = 0;
   int EdfWithoutDeadline = 0;
   int WithInputs = 0;
 };
@@ -240,8 +224,6 @@ TEST(RtaReference, WalkMatchesThePerPolicyAnalyses) {
   for (int I = 0; I < SystemsPerSeed; ++I) {
     SCOPED_TRACE("system " + std::to_string(I));
     System S = randomSystem(Rng);
-    TaskSet Effective = S.In ? S.In->applyTo(S.Tasks) : S.Tasks;
-    BasicActionWcets EffW = S.In ? S.In->Wcets : S.W;
 
     // Pin the cap at (or just below) a solved busy window.
     if (Rng.nextBernoulli(1, 6)) {
@@ -253,24 +235,8 @@ TEST(RtaReference, WalkMatchesThePerPolicyAnalyses) {
         }
     }
 
-    // Warm seeds from a demand-dominated neighbour: smaller WCETs, no
-    // more sockets, the same curves, priorities and deadlines.
-    WarmStart Warm;
-    RtaConfig Cfg = S.Cfg;
-    if (Rng.nextBernoulli(1, 3)) {
-      TaskSet Lower;
-      for (const Task &T : Effective.tasks())
-        Lower.addTask(T.Name, T.Wcet - Rng.nextInRange(0, T.Wcet - 1),
-                      T.Prio, T.Curve, T.Deadline);
-      auto Sockets =
-          static_cast<std::uint32_t>(Rng.nextInRange(1, S.NumSockets));
-      Warm = warmStartFrom(analyzePolicy(Lower, dominatedWcets(Rng, EffW),
-                                         Sockets, S.Policy, S.Cfg));
-      Cfg.Warm = &Warm;
-    }
-
     FixpointTelemetry RefTel, LibTel;
-    RtaConfig RefCfg = Cfg, LibCfg = Cfg;
+    RtaConfig RefCfg = S.Cfg, LibCfg = S.Cfg;
     RefCfg.Telemetry = &RefTel;
     LibCfg.Telemetry = &LibTel;
     RtaResult Want = referenceRun(S, RefCfg);
@@ -279,12 +245,11 @@ TEST(RtaReference, WalkMatchesThePerPolicyAnalyses) {
 
     ++Cov.PerPolicy[static_cast<int>(S.Policy)];
     Cov.WithInputs += S.In.has_value();
-    Cov.WarmSeeded += RefTel.snapshot().Seeded > 0;
     for (const TaskRta &T : Want.PerTask) {
       Cov.Bounded += T.Bounded;
       Cov.BusyUnbounded += !T.Bounded && T.BusyWindow == 0;
       Cov.OffsetUnbounded += !T.Bounded && T.BusyWindow > 0;
-      Cov.AtCap += T.BusyWindow == Cfg.FixedPointCap;
+      Cov.AtCap += T.BusyWindow == S.Cfg.FixedPointCap;
       Cov.EdfWithoutDeadline += S.Policy == SchedPolicy::Edf &&
                                 S.Tasks.task(T.Task).Deadline == 0;
     }
@@ -295,7 +260,6 @@ TEST(RtaReference, WalkMatchesThePerPolicyAnalyses) {
   EXPECT_GT(Cov.BusyUnbounded, 0);
   EXPECT_GT(Cov.OffsetUnbounded, 0);
   EXPECT_GT(Cov.AtCap, 0);
-  EXPECT_GT(Cov.WarmSeeded, 0);
   EXPECT_GT(Cov.EdfWithoutDeadline, 0);
   EXPECT_GT(Cov.WithInputs, 0);
 }

@@ -51,16 +51,21 @@ std::string runGridJson(unsigned Threads) {
   return sweepResultsJson(Points, Runner.run(Points));
 }
 
+/// Asserts all six fixpoint counters are equal.
+void expectSameCounts(const FixpointCounts &A, const FixpointCounts &B) {
+  EXPECT_EQ(A.Fixpoints, B.Fixpoints);
+  EXPECT_EQ(A.Iterations, B.Iterations);
+  EXPECT_EQ(A.SupplyIterations, B.SupplyIterations);
+  EXPECT_EQ(A.Seeded, B.Seeded);
+  EXPECT_EQ(A.SupplyMemoHits, B.SupplyMemoHits);
+  EXPECT_EQ(A.SupplyMemoMisses, B.SupplyMemoMisses);
+}
+
 /// Asserts every counter of two telemetry snapshots is equal.
 void expectSameCounters(const SweepTelemetry &A, const SweepTelemetry &B) {
   EXPECT_EQ(A.Cache.Hits, B.Cache.Hits);
   EXPECT_EQ(A.Cache.Misses, B.Cache.Misses);
-  EXPECT_EQ(A.Fixpoints.Fixpoints, B.Fixpoints.Fixpoints);
-  EXPECT_EQ(A.Fixpoints.Iterations, B.Fixpoints.Iterations);
-  EXPECT_EQ(A.Fixpoints.SupplyIterations, B.Fixpoints.SupplyIterations);
-  EXPECT_EQ(A.Fixpoints.Seeded, B.Fixpoints.Seeded);
-  EXPECT_EQ(A.Fixpoints.SupplyMemoHits, B.Fixpoints.SupplyMemoHits);
-  EXPECT_EQ(A.Fixpoints.SupplyMemoMisses, B.Fixpoints.SupplyMemoMisses);
+  expectSameCounts(A.Fixpoints, B.Fixpoints);
   EXPECT_EQ(A.ChunkSize, B.ChunkSize);
 }
 
@@ -120,22 +125,34 @@ TEST(SweepRunner, ResetTelemetryClearsEveryCounter) {
 }
 
 TEST(SweepRunner, TelemetryCountersIgnoreTheThreadCount) {
-  // Each point's analysis owns its supply, and the warm-start plan
-  // depends only on the chunk size: with the chunk fixed, every
-  // counter is the same on any number of threads.
-  std::vector<SweepPoint> Points = fixtureGrid();
-  auto CountersAt = [&](unsigned Threads) {
-    SweepOptions Opts;
-    Opts.Threads = Threads;
-    Opts.ChunkSize = 3;
-    SweepRunner Runner(Opts);
-    Runner.run(Points);
-    return Runner.telemetry();
-  };
-  SweepTelemetry Serial = CountersAt(1);
-  EXPECT_EQ(Serial.Cache.Hits, Serial.Fixpoints.SupplyMemoHits);
-  EXPECT_EQ(Serial.Cache.Misses, Serial.Fixpoints.SupplyMemoMisses);
-  expectSameCounters(CountersAt(4), Serial);
+  // Points share nothing: on a grid of dominated neighbours, every
+  // counter is the sum of what each point's analysis reports on its
+  // own, on any number of threads and at any chunk size.
+  std::vector<SweepPoint> Points = seededRandomGrid(fuzzSeed(2026), 64);
+  FixpointCounts PerPoint;
+  for (const SweepPoint &P : Points) {
+    FixpointTelemetry Own;
+    RtaConfig Cfg = P.Cfg;
+    Cfg.Telemetry = &Own;
+    analyzePolicy(P.Tasks, P.Sbf.Wcets, P.Sbf.NumSockets, P.Policy, Cfg);
+    PerPoint += Own.snapshot();
+  }
+  ASSERT_GT(PerPoint.Seeded, 0u);
+  for (unsigned Threads : {1u, 4u}) {
+    for (std::size_t Chunk : {1, 3, 7, 0}) {
+      SCOPED_TRACE(std::to_string(Threads) + " threads, chunk " +
+                   std::to_string(Chunk));
+      SweepOptions Opts;
+      Opts.Threads = Threads;
+      Opts.ChunkSize = Chunk;
+      SweepRunner Runner(Opts);
+      Runner.run(Points);
+      SweepTelemetry Tel = Runner.telemetry();
+      EXPECT_EQ(Tel.Cache.Hits, PerPoint.SupplyMemoHits);
+      EXPECT_EQ(Tel.Cache.Misses, PerPoint.SupplyMemoMisses);
+      expectSameCounts(Tel.Fixpoints, PerPoint);
+    }
+  }
 }
 
 TEST(SweepRunner, SchedulableVectorMatchesAllBounded) {

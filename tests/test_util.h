@@ -16,11 +16,13 @@
 
 #include "caesium/ast.h"
 #include "rossl/scheduler.h"
+#include "rta/sweep.h"
 #include "sim/environment.h"
 #include "sim/workload.h"
 
 #include <cstdlib>
 #include <memory>
+#include <random>
 
 namespace rprosa::testutil {
 
@@ -161,6 +163,43 @@ private:
   TimedTrace TT;
   Time Cursor = 0;
 };
+
+/// A randomized sweep grid in the shape real sweeps have: shared curve
+/// objects, WCETs and socket counts perturbed per point, mixed
+/// policies. Mostly monotone runs, in which a point's demand dominates
+/// its predecessor's, broken by random discontinuities.
+inline std::vector<SweepPoint> seededRandomGrid(std::uint64_t Seed,
+                                                std::size_t N) {
+  std::mt19937_64 Rng(Seed);
+  TaskSet Base = mixedTasks();
+  TaskSet EdfBase;
+  for (const Task &T : Base.tasks())
+    EdfBase.addTask(T.Name, T.Wcet, T.Prio, T.Curve,
+                    /*Deadline=*/2000 + 100 * T.Id);
+
+  std::vector<SweepPoint> Points;
+  std::uniform_int_distribution<int> Jump(0, 9);
+  std::uniform_int_distribution<std::uint32_t> Socks(1, 4);
+  std::uniform_int_distribution<Duration> Bump(0, 5);
+  Duration Drift = 0;
+  for (std::size_t I = 0; I < N; ++I) {
+    if (Jump(Rng) == 0)
+      Drift = 0; // Discontinuity: the next point is not dominated.
+    SweepPoint P;
+    bool Edf = Jump(Rng) < 2;
+    const TaskSet &From = Edf ? EdfBase : Base;
+    for (const Task &T : From.tasks())
+      P.Tasks.addTask(T.Name, T.Wcet + Drift, T.Prio, T.Curve, T.Deadline);
+    P.Cfg.FixedPointCap = 1 * TickSec;
+    P.Sbf.Wcets = tinyWcets();
+    P.Sbf.NumSockets = Socks(Rng);
+    P.Policy = Edf ? SchedPolicy::Edf
+                   : (Jump(Rng) < 5 ? SchedPolicy::Npfp : SchedPolicy::Fifo);
+    Points.push_back(std::move(P));
+    Drift += Bump(Rng);
+  }
+  return Points;
+}
 
 } // namespace rprosa::testutil
 
