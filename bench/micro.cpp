@@ -29,8 +29,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <istream>
 #include <memory>
 #include <sstream>
+#include <streambuf>
 
 using namespace rprosa;
 
@@ -188,6 +190,50 @@ BENCHMARK(BM_WorkloadGeneration)->Unit(benchmark::kMicrosecond);
 } // namespace
 
 namespace {
+
+/// A read-only stream over bytes held in memory (no copy per read).
+class MemBuf final : public std::streambuf {
+public:
+  explicit MemBuf(const std::string &S) {
+    char *B = const_cast<char *>(S.data());
+    setg(B, B, B + S.size());
+  }
+};
+
+/// A sink that only counts, so that the reader alone is timed.
+class CountingSink final : public TraceSink {
+public:
+  void onMarker(const MarkerEvent &, Time) override { ++Markers; }
+  void onEnd(Time) override {}
+  std::size_t Markers = 0;
+};
+
+/// A simulator-written v2 trace of about 2.5 MB.
+const std::string &recordedV2Trace() {
+  static const std::string Text = [] {
+    Fixture F(30000 * TickUs);
+    std::ostringstream Out;
+    writeTraceStream(Out, F.TT);
+    return Out.str();
+  }();
+  return Text;
+}
+
+void BM_ReadTraceStream(benchmark::State &State) {
+  const std::string &Text = recordedV2Trace();
+  for (auto _ : State) {
+    MemBuf Buf(Text);
+    std::istream In(&Buf);
+    CountingSink Sink;
+    bool Ok = readTraceStream(In, Sink);
+    benchmark::DoNotOptimize(Ok);
+    benchmark::DoNotOptimize(Sink.Markers);
+  }
+  State.SetBytesProcessed(static_cast<std::int64_t>(State.iterations()) *
+                          static_cast<std::int64_t>(Text.size()));
+  State.counters["bytes"] = double(Text.size());
+}
+BENCHMARK(BM_ReadTraceStream)->Unit(benchmark::kMillisecond);
 
 void BM_SerializeRoundTrip(benchmark::State &State) {
   const Fixture &F = sharedFixture();

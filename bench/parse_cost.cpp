@@ -50,7 +50,7 @@
 #include "analysis/dataflow/diagnostics.h"
 #include "analysis/incremental.h"
 #include "caesium/parser.h"
-#include "caesium/parser_reference.h"
+#include "reference_parser.h"
 #include "caesium/print.h"
 #include "support/check.h"
 #include "support/parallel.h"

@@ -38,7 +38,7 @@
 /// token vector is ever materialised, so multi-MB generated specs parse
 /// in one cheap pass. Nodes go straight into the caller's AstArena.
 /// The pre-refactor two-pass design survives as parseProgramReference
-/// (parser_reference.h, outside this library): the E24 throughput
+/// (tests/reference_parser.h, outside the library): the E24 throughput
 /// baseline and the differential-fuzz oracle for the new frontend.
 ///
 //===----------------------------------------------------------------------===//

@@ -9,6 +9,7 @@
 #include "support/fields.h"
 
 #include <algorithm>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <utility>
@@ -47,95 +48,114 @@ void ChunkedTraceWriter::onEnd(Time EndTime) {
 
 namespace {
 
-/// The job fields `<jobid> <msgid> <task> <readat>`, then `<sock>` when
-/// \p WithSocket. Task and socket are 32-bit fields.
-std::optional<Job> parseJobFields(FieldCursor &C, bool WithSocket) {
+/// The lines of a stream, read TraceReadBlockBytes at a time. Each line
+/// is a view into the block buffer, valid until the next call; a line
+/// that does not fit doubles the buffer, as std::getline's string would
+/// grow.
+class LineSource {
+public:
+  explicit LineSource(std::istream &In) : In(In), Buf(TraceReadBlockBytes) {}
+
+  /// The next line without its '\n'; false at the end of the stream.
+  bool next(std::string_view &Line) {
+    // Bytes of the partial line already known to hold no '\n'.
+    std::size_t Scanned = 0;
+    for (;;) {
+      const char *From = Buf.data() + Begin;
+      const std::size_t Size = End - Begin;
+      if (const auto *Nl = static_cast<const char *>(
+              std::memchr(From + Scanned, '\n', Size - Scanned))) {
+        Line = {From, static_cast<std::size_t>(Nl - From)};
+        Begin += Line.size() + 1;
+        return true;
+      }
+      Scanned = Size;
+      if (!fill()) {
+        // The last line may lack its '\n'.
+        Line = {Buf.data() + Begin, Size};
+        Begin = End;
+        return Size > 0;
+      }
+    }
+  }
+
+private:
+  /// Moves the partial line to the front of the buffer, doubling the
+  /// buffer when the line fills it, and reads the next block behind it;
+  /// false once the stream has nothing more.
+  bool fill() {
+    const std::size_t Partial = End - Begin;
+    std::memmove(Buf.data(), Buf.data() + Begin, Partial);
+    Begin = 0;
+    End = Partial;
+    if (End == Buf.size())
+      Buf.resize(2 * Buf.size());
+    In.read(Buf.data() + End, static_cast<std::streamsize>(Buf.size() - End));
+    const auto Got = static_cast<std::size_t>(In.gcount());
+    End += Got;
+    return Got > 0;
+  }
+
+  std::istream &In;
+  std::vector<char> Buf;
+  /// The unread bytes are [Begin, End).
+  std::size_t Begin = 0, End = 0;
+};
+
+/// The marker kind \p Word names (it is not empty): one switch on its
+/// first byte, then one comparison with the whole word.
+std::optional<MarkerKind> markerKindNamed(std::string_view Word) {
+  auto Named = [Word](MarkerKind K) -> std::optional<MarkerKind> {
+    if (Word != markerWord(K))
+      return std::nullopt;
+    return K;
+  };
+  switch (Word.front()) {
+  case 'R':
+    return Word.back() == 'S' ? Named(MarkerKind::ReadS)
+                              : Named(MarkerKind::ReadE);
+  case 'S':
+    return Named(MarkerKind::Selection);
+  case 'D':
+    return Named(MarkerKind::Dispatch);
+  case 'E':
+    return Named(MarkerKind::Execution);
+  case 'C':
+    return Named(MarkerKind::Completion);
+  case 'I':
+    return Named(MarkerKind::Idling);
+  default:
+    return std::nullopt;
+  }
+}
+
+/// The job fields `<jobid> <msgid> <task> <readat>` into \p J; task is
+/// a 32-bit field.
+bool parseJobFields(FieldCursor &C, Job &J) {
   std::optional<std::uint64_t> Id = C.nextU64();
   std::optional<std::uint64_t> Msg = C.nextU64();
   std::optional<std::uint32_t> Task = C.nextU32();
   std::optional<std::uint64_t> ReadAt = C.nextU64();
   if (!Id || !Msg || !Task || !ReadAt)
-    return std::nullopt;
-  Job J;
+    return false;
   J.Id = *Id;
   J.Msg = *Msg;
   J.Task = *Task;
   J.ReadAt = *ReadAt;
-  if (WithSocket) {
-    std::optional<std::uint32_t> Sock = C.nextU32();
-    if (!Sock)
-      return std::nullopt;
-    J.Socket = *Sock;
-  }
-  return J;
-}
-
-/// Parses one `<ts> <marker...>` line (serialize.h) into (\p Ts, \p E);
-/// returns why it is malformed (sans line number), or "" if it is not.
-std::string parseMarkerLine(std::string_view Line, Time &Ts,
-                            MarkerEvent &E) {
-  FieldCursor C(Line);
-  std::optional<std::uint64_t> Stamp = C.nextU64();
-  if (!Stamp)
-    return "expected a timestamp";
-  Ts = *Stamp;
-
-  std::string_view Kind = C.next();
-  if (Kind.empty())
-    return "missing marker kind";
-  if (Kind == "ReadS") {
-    E = MarkerEvent::readS();
-  } else if (Kind == "ReadE") {
-    std::optional<std::uint32_t> Sock = C.nextU32();
-    std::string_view Status = C.next();
-    if (!Sock || Status.empty())
-      return "malformed ReadE";
-    if (Status == "ok") {
-      std::optional<Job> J = parseJobFields(C, /*WithSocket=*/false);
-      if (!J)
-        return "malformed ReadE job fields";
-      J->Socket = *Sock;
-      E = MarkerEvent::readE(*Sock, *J);
-    } else if (Status == "fail") {
-      E = MarkerEvent::readE(*Sock, std::nullopt);
-    } else {
-      return "ReadE status must be ok/fail";
-    }
-  } else if (Kind == "Selection") {
-    E = MarkerEvent::selection();
-  } else if (Kind == "Idling") {
-    E = MarkerEvent::idling();
-  } else if (Kind == "Dispatch" || Kind == "Execution" ||
-             Kind == "Completion") {
-    std::optional<Job> J = parseJobFields(C, /*WithSocket=*/true);
-    if (!J)
-      return "malformed " + std::string(Kind) + " job fields";
-    if (Kind == "Dispatch")
-      E = MarkerEvent::dispatch(*J);
-    else if (Kind == "Execution")
-      E = MarkerEvent::execution(*J);
-    else
-      E = MarkerEvent::completion(*J);
-  } else {
-    return "unknown marker kind '" + std::string(Kind) + "'";
-  }
-  if (std::string_view Extra = C.next(); !Extra.empty())
-    return "unexpected '" + std::string(Extra) + "' after the " +
-           std::string(Kind) + " marker";
-  return "";
+  return true;
 }
 
 struct Reader {
   Reader(std::istream &In, TraceSink &Sink, CheckResult *Diags,
          TraceStreamStats *Stats)
-      : In(In), Sink(Sink), Diags(Diags), Stats(Stats) {}
+      : Lines(In), Sink(Sink), Diags(Diags), Stats(Stats) {}
 
-  std::istream &In;
+  LineSource Lines;
   TraceSink &Sink;
   CheckResult *Diags;
   TraceStreamStats *Stats;
   std::size_t LineNo = 0;
-  std::string Line;
+  std::string_view Line;
   /// Parsed-but-undelivered events of the chunk in flight: delivery
   /// happens only once the whole chunk parsed (no partial chunks).
   std::vector<std::pair<MarkerEvent, Time>> Chunk;
@@ -149,20 +169,79 @@ struct Reader {
 
   /// Next line verbatim; false at end of stream.
   bool nextLineRaw() {
-    if (!std::getline(In, Line))
+    if (!Lines.next(Line))
       return false;
     ++LineNo;
     return true;
   }
 
-  /// Next line with a field; false at end of stream. Only valid
-  /// *between* records: inside a chunk body every line is an event, so
-  /// blank lines must be diagnosed, not skipped (nextLineRaw).
-  bool nextLine() {
-    while (nextLineRaw())
-      if (!FieldCursor(Line).next().empty())
+  /// Next line with a field, with \p C past its \p First field; false
+  /// at end of stream. Only valid *between* records: inside a chunk
+  /// body every line is an event, so blank lines must be diagnosed, not
+  /// skipped (readChunk).
+  bool nextRecord(FieldCursor &C, std::string_view &First) {
+    while (nextLineRaw()) {
+      C = FieldCursor(Line);
+      First = C.next();
+      if (!First.empty())
         return true;
+    }
     return false;
+  }
+
+  /// The rest of a `<ts> <marker...>` line (serialize.h) whose first
+  /// field \p Stamp \p C has split off, into (\p Ts, \p E).
+  bool parseMarker(std::string_view Stamp, FieldCursor &C, Time &Ts,
+                   MarkerEvent &E) {
+    std::optional<std::uint64_t> At = parseU64(Stamp);
+    if (!At)
+      return fail("expected a timestamp");
+    Ts = *At;
+
+    std::string_view Word = C.next();
+    if (Word.empty())
+      return fail("missing marker kind");
+    std::optional<MarkerKind> Kind = markerKindNamed(Word);
+    if (!Kind)
+      return fail("unknown marker kind '" + std::string(Word) + "'");
+    E.Kind = *Kind;
+    E.Socket = 0;
+    E.J.reset();
+    switch (*Kind) {
+    case MarkerKind::ReadE: {
+      std::optional<std::uint32_t> Sock = C.nextU32();
+      std::string_view Status = C.next();
+      if (!Sock || Status.empty())
+        return fail("malformed ReadE");
+      E.Socket = *Sock;
+      if (Status == "ok") {
+        if (!parseJobFields(C, E.J.emplace()))
+          return fail("malformed ReadE job fields");
+        E.J->Socket = *Sock;
+      } else if (Status != "fail") {
+        return fail("ReadE status must be ok/fail");
+      }
+      break;
+    }
+    case MarkerKind::Dispatch:
+    case MarkerKind::Execution:
+    case MarkerKind::Completion: {
+      Job &J = E.J.emplace();
+      std::optional<std::uint32_t> Sock;
+      if (!parseJobFields(C, J) || !(Sock = C.nextU32()))
+        return fail("malformed " + std::string(Word) + " job fields");
+      J.Socket = *Sock;
+      break;
+    }
+    case MarkerKind::ReadS:
+    case MarkerKind::Selection:
+    case MarkerKind::Idling:
+      break;
+    }
+    if (std::string_view Extra = C.next(); !Extra.empty())
+      return fail("unexpected '" + std::string(Extra) + "' after the " +
+                  std::string(Word) + " marker");
+    return true;
   }
 
   void deliver(const MarkerEvent &E, Time Ts) {
@@ -179,7 +258,8 @@ struct Reader {
     if (std::string_view Extra = C.next(); !Extra.empty())
       return fail("unexpected '" + std::string(Extra) +
                   "' after the end time");
-    if (nextLine())
+    std::string_view First;
+    if (nextRecord(C, First))
       return fail("content after the end line");
     if (Stats)
       Stats->SawEnd = true;
@@ -204,19 +284,21 @@ struct Reader {
     Chunk.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(*Count, 1 << 20)));
     for (std::uint64_t I = 0; I < *Count; ++I) {
-      // Chunk bodies are read verbatim: a blank line here is a torn
-      // write blanking an event, and silently skipping it would
-      // misattribute the damage to the next line's parse.
       if (!nextLineRaw())
         return fail("truncated chunk (expected " + std::to_string(*Count) +
                     " events, got " + std::to_string(I) + ")");
-      if (FieldCursor(Line).next().empty())
+      // Chunk bodies are read verbatim: a blank line here is a torn
+      // write blanking an event, and silently skipping it would
+      // misattribute the damage to the next line's parse.
+      FieldCursor Body(Line);
+      std::string_view Stamp = Body.next();
+      if (Stamp.empty())
         return fail("blank line inside a chunk body (event " +
                     std::to_string(I + 1) + " of " +
                     std::to_string(*Count) + "; torn write?)");
       auto &[E, Ts] = Chunk.emplace_back();
-      if (std::string Why = parseMarkerLine(Line, Ts, E); !Why.empty())
-        return fail(Why);
+      if (!parseMarker(Stamp, Body, Ts, E))
+        return false;
     }
     for (const auto &[E, Ts] : Chunk)
       deliver(E, Ts);
@@ -226,9 +308,9 @@ struct Reader {
   }
 
   bool run(bool V2) {
-    while (nextLine()) {
-      FieldCursor C(Line);
-      std::string_view First = C.next();
+    FieldCursor C{std::string_view()};
+    std::string_view First;
+    while (nextRecord(C, First)) {
       if (First == "end")
         return finish(C);
       if (V2) {
@@ -241,8 +323,8 @@ struct Reader {
       }
       Time Ts = 0;
       MarkerEvent E;
-      if (std::string Why = parseMarkerLine(Line, Ts, E); !Why.empty())
-        return fail(Why);
+      if (!parseMarker(First, C, Ts, E))
+        return false;
       deliver(E, Ts);
     }
     return fail("missing end line");

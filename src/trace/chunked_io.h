@@ -26,6 +26,13 @@
 /// that chunk (and no onEnd), never a partial chunk. This is the
 /// crash-consistency story: everything a sink saw was durably framed.
 ///
+/// The reader takes the stream in blocks of TraceReadBlockBytes and
+/// hands out each line as a view into its block; a longer line grows
+/// the buffer. Every line, v1 or chunk body, goes through one marker
+/// parser, which picks the kind by its first byte and then checks the
+/// whole word. After a failed read the stream may have been consumed
+/// up to one block past the diagnosed line.
+///
 /// Both formats follow the grammar of DESIGN.md §9 (support/fields.h):
 /// fields are separated by space, tab or CR, so CRLF files read like
 /// their LF twins; a field after a line's last one is an error; socket
@@ -72,6 +79,9 @@ private:
   std::size_t NumEvents = 0;
   bool Finished = false;
 };
+
+/// The bytes readTraceStream asks its stream for at a time.
+inline constexpr std::size_t TraceReadBlockBytes = 64 * 1024;
 
 /// Replay statistics of one readTraceStream call.
 struct TraceStreamStats {

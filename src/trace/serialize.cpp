@@ -23,12 +23,10 @@ void rprosa::appendMarkerLine(std::string &Out, Time Ts,
                               const MarkerEvent &E) {
   Out += std::to_string(Ts);
   Out += ' ';
+  Out += markerWord(E.Kind);
   switch (E.Kind) {
-  case MarkerKind::ReadS:
-    Out += "ReadS";
-    break;
   case MarkerKind::ReadE:
-    Out += "ReadE ";
+    Out += ' ';
     Out += std::to_string(E.Socket);
     if (E.J) {
       Out += " ok";
@@ -37,25 +35,18 @@ void rprosa::appendMarkerLine(std::string &Out, Time Ts,
       Out += " fail";
     }
     break;
-  case MarkerKind::Selection:
-    Out += "Selection";
-    break;
   case MarkerKind::Dispatch:
   case MarkerKind::Execution:
-  case MarkerKind::Completion: {
-    Out += E.Kind == MarkerKind::Dispatch
-               ? "Dispatch"
-               : (E.Kind == MarkerKind::Execution ? "Execution"
-                                                  : "Completion");
+  case MarkerKind::Completion:
     if (E.J) {
       appendJobFields(Out, *E.J);
       Out += ' ';
       Out += std::to_string(E.J->Socket);
     }
     break;
-  }
+  case MarkerKind::ReadS:
+  case MarkerKind::Selection:
   case MarkerKind::Idling:
-    Out += "Idling";
     break;
   }
   Out += '\n';

@@ -32,6 +32,7 @@
 #include "trace/trace.h"
 
 #include <string>
+#include <string_view>
 
 namespace rprosa {
 
@@ -41,6 +42,27 @@ std::string serializeTimedTrace(const TimedTrace &TT);
 /// Appends one `<ts> <marker...>` line (with trailing newline) to
 /// \p Out.
 void appendMarkerLine(std::string &Out, Time Ts, const MarkerEvent &E);
+
+/// The word a marker line names \p K with ("ReadS", "Dispatch", ...).
+inline std::string_view markerWord(MarkerKind K) {
+  switch (K) {
+  case MarkerKind::ReadS:
+    return "ReadS";
+  case MarkerKind::ReadE:
+    return "ReadE";
+  case MarkerKind::Selection:
+    return "Selection";
+  case MarkerKind::Dispatch:
+    return "Dispatch";
+  case MarkerKind::Execution:
+    return "Execution";
+  case MarkerKind::Completion:
+    return "Completion";
+  case MarkerKind::Idling:
+    return "Idling";
+  }
+  return "?";
+}
 
 } // namespace rprosa
 

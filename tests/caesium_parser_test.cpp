@@ -5,7 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "caesium/parser.h"
-#include "caesium/parser_reference.h"
+#include "reference_parser.h"
 
 #include "caesium/interp.h"
 #include "caesium/print.h"

@@ -8,7 +8,8 @@
 /// v1 fallback, replay statistics, and — the crash-consistency story —
 /// the error paths: a truncated or torn final chunk must produce a
 /// clean diagnostic and deliver NOTHING from the offending chunk,
-/// never a partial chunk and never an onEnd.
+/// never a partial chunk and never an onEnd. The reader's blocks: short
+/// reads, lines longer than a block and lines ending on its boundary.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,6 +64,25 @@ struct FailedRead {
   CheckResult Diags;
   TraceStreamStats Stats;
 };
+
+/// What a read shows the outside: the events, the end and the stats.
+std::string readAll(std::istream &In) {
+  VectorSink V;
+  TraceStreamStats Stats;
+  CheckResult Diags;
+  bool Ok = readTraceStream(In, V, &Diags, &Stats);
+  return std::string(Ok ? "accept\n" : "reject\n") +
+         serializeTimedTrace(V.trace()) + "events " +
+         std::to_string(Stats.Events) + " chunks " +
+         std::to_string(Stats.Chunks) + " end " +
+         std::to_string(V.finished() ? V.trace().EndTime : 0) + "\n" +
+         Diags.describe();
+}
+
+std::string readAll(const std::string &Text) {
+  std::istringstream In(Text);
+  return readAll(In);
+}
 
 FailedRead expectMalformed(const std::string &Text) {
   FailedRead R;
@@ -346,4 +366,103 @@ TEST(ChunkedGrammar, ThirtyTwoBitFieldsRejectWideValues) {
             std::string::npos)
       << R.Diags.describe();
   EXPECT_EQ(R.V.trace().size(), 0u);
+}
+
+TEST(ChunkedErrorPath, FailedStreamHasNoHeader) {
+  std::istringstream In(WellFormedV2);
+  In.setstate(std::ios::failbit);
+  VectorSink V;
+  CheckResult Diags;
+  TraceStreamStats Stats;
+  EXPECT_FALSE(readTraceStream(In, V, &Diags, &Stats));
+  EXPECT_NE(Diags.describe().find("line 1: missing or unknown header"),
+            std::string::npos)
+      << Diags.describe();
+  EXPECT_EQ(V.trace().size(), 0u);
+  EXPECT_FALSE(Stats.SawEnd);
+}
+
+// The reader takes its stream in blocks of TraceReadBlockBytes.
+
+TEST(ChunkedBlocks, MegabyteTraceReadsAlikeThroughShortReads) {
+  // A simulator-written trace spanning many blocks, from a stream that
+  // returns 1-7 bytes per call.
+  ClientConfig C = makeClient(mixedTasks(), 2);
+  WorkloadSpec Spec;
+  Spec.NumSockets = 2;
+  Spec.Horizon = 150000;
+  TimedTrace TT = runRossl(C, generateWorkload(C.Tasks, Spec), 300000);
+  std::string Text = writeV2(TT, 4096);
+  ASSERT_GT(Text.size(), std::size_t(1) << 20);
+
+  std::istringstream Whole(Text);
+  std::optional<TimedTrace> Want = readTimedTrace(Whole);
+  ASSERT_TRUE(Want.has_value());
+  EXPECT_EQ(serializeTimedTrace(*Want), serializeTimedTrace(TT));
+  ShortReadBuf Buf(Text, fuzzSeed(2026));
+  std::istream In(&Buf);
+  std::optional<TimedTrace> Got = readTimedTrace(In);
+  ASSERT_TRUE(Got.has_value());
+  EXPECT_EQ(serializeTimedTrace(*Got), serializeTimedTrace(*Want));
+  EXPECT_EQ(Got->EndTime, Want->EndTime);
+}
+
+TEST(ChunkedBlocks, LineLongerThanABlockGrowsTheBuffer) {
+  const std::string Plain = "refinedprosa-trace v2\n"
+                            "chunk 2\n"
+                            "0 Idling\n"
+                            "5 ReadS\n"
+                            "end 9\n";
+  std::string Long = Plain;
+  Long.insert(Long.find("5 ReadS"), std::string(200000, ' '));
+  ASSERT_GT(Long.size(), 3 * TraceReadBlockBytes);
+  EXPECT_EQ(readAll(Long), readAll(Plain));
+  ShortReadBuf Buf(Long, fuzzSeed(2026));
+  std::istream In(&Buf);
+  EXPECT_EQ(readAll(In), readAll(Plain));
+
+  // A damaged long line is diagnosed at its own line number.
+  std::string Bad = Long;
+  Bad.replace(Bad.find("5 ReadS"), 7, "5 Reads");
+  EXPECT_NE(readAll(Bad).find("line 4: unknown marker kind 'Reads'"),
+            std::string::npos);
+}
+
+TEST(ChunkedBlocks, LinesEndingAtABlockBoundaryReadLikeTheirLfTwins) {
+  // Padding with leading blanks moves a line's end onto, just before
+  // and just after the end of the first block.
+  auto Trace = [](std::size_t Pad, const char *Eol) {
+    return "refinedprosa-trace v2" + std::string(Eol) + "chunk 2" + Eol +
+           std::string(Pad, ' ') + "0 ReadS" + Eol + "9 Idling" + Eol +
+           "end 12" + Eol;
+  };
+  const std::string Lf = readAll(Trace(0, "\n"));
+  ASSERT_EQ(Lf.rfind("accept", 0), 0u) << Lf;
+  // The CRLF line "<pad>0 ReadS\r\n" ends LineEnd bytes into the
+  // unpadded trace; Shift 0 splits its CR from its LF across the
+  // boundary, Shift 1 ends it on the boundary.
+  const std::string_view Line = "0 ReadS\r\n";
+  const std::size_t LineEnd = Trace(0, "\r\n").find(Line) + Line.size();
+  for (std::size_t Shift : {0, 1, 2, 3}) {
+    std::size_t Pad = TraceReadBlockBytes + 1 - Shift - LineEnd;
+    std::string Crlf = Trace(Pad, "\r\n");
+    ASSERT_EQ(Crlf.find(Line) + Line.size(), TraceReadBlockBytes + 1 - Shift);
+    EXPECT_EQ(readAll(Crlf), Lf) << "shift " << Shift;
+    EXPECT_EQ(readAll(Trace(Pad, "\n")), Lf) << "shift " << Shift;
+  }
+
+  // A last line without its '\n' that ends at a block boundary, once
+  // and twice into the stream, bare or with its CR.
+  for (std::size_t Blocks : {1, 2}) {
+    for (const char *Cr : {"", "\r"}) {
+      std::string Text = Trace(0, "\n");
+      Text.pop_back();
+      Text += Cr;
+      std::size_t Pad = Blocks * TraceReadBlockBytes - Text.size();
+      Text.insert(Text.find("0 ReadS"), std::string(Pad, ' '));
+      ASSERT_EQ(Text.size(), Blocks * TraceReadBlockBytes);
+      EXPECT_EQ(readAll(Text), Lf) << Blocks << " block(s), CR '" << Cr
+                                   << "'";
+    }
+  }
 }

@@ -28,8 +28,10 @@
 ///    rejected.
 ///
 /// Every v2 read is also held to the crash-consistency contract: whole
-/// chunks only, and onEnd exactly on success. RPROSA_FUZZ_SEED replays
-/// a run; a failure prints the mutant.
+/// chunks only, and onEnd exactly on success. Every v1 and v2 mutant is
+/// read a second time through a stream that returns 1-7 bytes at a
+/// time, and must read exactly as from a string. RPROSA_FUZZ_SEED
+/// replays a run; a failure prints the mutant.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +52,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <sstream>
 
 using namespace rprosa;
@@ -412,14 +415,18 @@ private:
 using TraceReadFn = bool (*)(std::istream &, TraceSink &, CheckResult *,
                              TraceStreamStats *);
 
-Outcome readTrace(TraceReadFn Read, const std::string &Text) {
+Outcome readTrace(TraceReadFn Read, std::istream &In) {
   Outcome O;
   RecordingSink Sink(O);
-  std::istringstream In(Text);
   CheckResult Diags;
   O.Ok = Read(In, Sink, &Diags, &O.Stats);
   O.Diag = Diags.describe();
   return O;
+}
+
+Outcome readTrace(TraceReadFn Read, const std::string &Text) {
+  std::istringstream In(Text);
+  return readTrace(Read, In);
 }
 
 std::string renderSpec(const SystemSpec &S) {
@@ -704,6 +711,17 @@ void expectEndOnSuccess(const std::string &Text, const Outcome &New) {
   EXPECT_EQ(New.Stats.SawEnd, New.Ok) << escaped(Text);
 }
 
+/// The library reads \p Text through a stream that returns 1-7 bytes
+/// at a time (counts drawn from \p Rng) exactly as from a string.
+void expectShortReadsAlike(const std::string &Text, const Outcome &New,
+                           SplitMix64 &Rng) {
+  ShortReadBuf Buf(Text, Rng.next());
+  std::istream In(&Buf);
+  EXPECT_EQ(readTrace(readTraceStream, In).render(), New.render())
+      << "short reads changed the read of\n"
+      << escaped(Text);
+}
+
 /// Runs MutantsPerFormat mutants of \p Seed through \p F.
 void runFormat(const Format &F, const std::string &Seed, std::uint64_t Salt) {
   std::uint64_t S = fuzzSeed(2026) ^ Salt;
@@ -741,10 +759,12 @@ Format traceFormat(const char *Name, bool V2) {
           },
           {"refinedprosa-trace v1", "refinedprosa-trace v2"},
           explainTraceLine,
-          [V2](const std::string &Text, const Outcome &New) {
+          [V2, Rng = std::make_shared<SplitMix64>(fuzzSeed(2026) ^ 0x5407)](
+              const std::string &Text, const Outcome &New) {
             expectEndOnSuccess(Text, New);
             if (V2)
               expectWholeChunks(Text, New);
+            expectShortReadsAlike(Text, New, *Rng);
           }};
 }
 

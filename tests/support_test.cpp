@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/check.h"
+#include "support/fields.h"
 #include "support/interval_set.h"
 #include "support/rng.h"
 #include "support/table.h"
@@ -14,6 +15,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 using namespace rprosa;
 
@@ -62,6 +66,43 @@ TEST(SplitMix64, ForkIsIndependent) {
   SplitMix64 B = A.fork();
   // The fork must not replay the parent's stream.
   EXPECT_NE(A.next(), B.next());
+}
+
+TEST(FieldCursor, SplitsLikeTheFindFormulation) {
+  // The formulation the inline cursor replaced, as the oracle: each
+  // field as (offset, length) into the line.
+  using Spans = std::vector<std::pair<std::size_t, std::size_t>>;
+  auto Reference = [](std::string_view Line) {
+    constexpr std::string_view Separators = " \t\r";
+    Spans Out;
+    for (std::size_t At = 0;;) {
+      std::size_t B = Line.find_first_not_of(Separators, At);
+      if (B == std::string_view::npos)
+        return Out;
+      std::size_t E = Line.find_first_of(Separators, B);
+      E = E == std::string_view::npos ? Line.size() : E;
+      Out.emplace_back(B, E - B);
+      At = E;
+    }
+  };
+  // Half the bytes are drawn from all 256 values, half from the three
+  // separators, so fields and separator runs both come in every length.
+  SplitMix64 Rng(testutil::fuzzSeed(2026) ^ 0xf1e1d5);
+  for (int I = 0; I < 100000; ++I) {
+    std::string Line;
+    for (std::uint64_t N = Rng.nextInRange(0, 24); N > 0; --N)
+      Line += Rng.nextBernoulli(1, 2)
+                  ? static_cast<char>(Rng.nextInRange(0, 255))
+                  : " \t\r"[Rng.nextInRange(0, 2)];
+    FieldCursor C(Line);
+    Spans Got;
+    for (std::string_view F = C.next(); !F.empty(); F = C.next())
+      Got.emplace_back(static_cast<std::size_t>(F.data() - Line.data()),
+                       F.size());
+    ASSERT_EQ(Got, Reference(Line)) << "line " << I << " of seed "
+                                    << testutil::fuzzSeed(2026);
+    EXPECT_TRUE(C.next().empty());
+  }
 }
 
 TEST(CheckResult, DefaultPasses) {

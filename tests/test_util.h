@@ -6,8 +6,9 @@
 ///
 /// \file
 /// Builders for the scenarios the tests exercise over and over: small
-/// WCET tables, task sets of varying shapes, and a one-call "run Rössl
-/// and hand me the trace" helper.
+/// WCET tables, task sets of varying shapes, a one-call "run Rössl and
+/// hand me the trace" helper, and a stream that reads a few bytes at a
+/// time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +20,15 @@
 #include "rta/sweep.h"
 #include "sim/environment.h"
 #include "sim/workload.h"
+#include "support/rng.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <random>
+#include <streambuf>
+#include <string>
+#include <utility>
 
 namespace rprosa::testutil {
 
@@ -162,6 +168,36 @@ public:
 private:
   TimedTrace TT;
   Time Cursor = 0;
+};
+
+/// A read-only stream buffer over a text that hands out 1-7 bytes per
+/// underflow, the count drawn from \p Seed: a reader on top of it
+/// meets a short read at every offset.
+class ShortReadBuf final : public std::streambuf {
+public:
+  ShortReadBuf(std::string Text, std::uint64_t Seed)
+      : Text(std::move(Text)), Rng(Seed) {}
+  ShortReadBuf(const ShortReadBuf &) = delete;
+  ShortReadBuf &operator=(const ShortReadBuf &) = delete;
+
+protected:
+  int_type underflow() override {
+    if (gptr() < egptr())
+      return traits_type::to_int_type(*gptr());
+    if (Pos == Text.size())
+      return traits_type::eof();
+    std::size_t N = std::min<std::size_t>(Text.size() - Pos,
+                                          Rng.nextInRange(1, 7));
+    char *B = Text.data() + Pos;
+    setg(B, B, B + N);
+    Pos += N;
+    return traits_type::to_int_type(*B);
+  }
+
+private:
+  std::string Text;
+  SplitMix64 Rng;
+  std::size_t Pos = 0;
 };
 
 /// A randomized sweep grid in the shape real sweeps have: shared curve
