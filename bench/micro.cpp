@@ -18,6 +18,7 @@
 #include "rta/jitter.h"
 #include "rta/rta_npfp.h"
 #include "rta/sbf.h"
+#include "rta/sweep.h"
 #include "sim/environment.h"
 #include "sim/workload.h"
 #include "trace/chunked_io.h"
@@ -29,6 +30,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cmath>
 #include <istream>
 #include <memory>
 #include <sstream>
@@ -160,6 +163,57 @@ void BM_RtaSolve(benchmark::State &State) {
 }
 BENCHMARK(BM_RtaSolve)->Arg(2)->Arg(4)->Arg(8)->Arg(16)
     ->Unit(benchmark::kMillisecond);
+
+void BM_RtaSweepQuestion(benchmark::State &State) {
+  // One capacity question of the rta_sweep shape, on one thread: 32
+  // tasks with log-spaced 1-100 ms periods and equal utilization
+  // shares, periodic / leaky-bucket / jitter curves by index, swept
+  // over sockets {1, 2, 4, 8, 16} x WCET scales 50-140% at a 1 s cap.
+  constexpr std::uint32_t N = 32;
+  constexpr double Util = 0.75;
+  std::vector<std::string> Names;
+  std::vector<Duration> Periods;
+  std::vector<ArrivalCurvePtr> Curves;
+  for (std::uint32_t I = 0; I < N; ++I) {
+    Names.push_back("t");
+    Names.back() += std::to_string(I);
+    Duration Period = static_cast<Duration>(
+        double(TickMs) * std::pow(10.0, 2.0 * I / (N - 1)));
+    Periods.push_back(Period);
+    if (I % 3 == 0)
+      Curves.push_back(std::make_shared<PeriodicCurve>(Period));
+    else if (I % 3 == 1)
+      Curves.push_back(std::make_shared<LeakyBucketCurve>(2, Period));
+    else
+      Curves.push_back(
+          std::make_shared<PeriodicJitterCurve>(Period, Period / 8));
+  }
+  std::vector<SweepPoint> Points;
+  for (std::uint32_t Sockets : {1u, 2u, 4u, 8u, 16u}) {
+    for (std::uint64_t Pct = 50; Pct <= 140; Pct += 10) {
+      SweepPoint P;
+      for (std::uint32_t I = 0; I < N; ++I) {
+        Duration Wcet = static_cast<Duration>(
+            Util / N * double(Periods[I]) * double(Pct) / 100.0);
+        P.Tasks.addTask(Names[I], std::max<Duration>(Wcet, 1),
+                        static_cast<Priority>(N - I), Curves[I],
+                        I % 2 ? 0 : Periods[I]);
+      }
+      P.Cfg.FixedPointCap = 1 * TickSec;
+      P.Sbf.Wcets = BasicActionWcets::typicalDeployment();
+      P.Sbf.NumSockets = Sockets;
+      Points.push_back(std::move(P));
+    }
+  }
+  SweepOptions Opts;
+  Opts.Threads = 1;
+  SweepRunner Runner(Opts);
+  for (auto _ : State) {
+    std::vector<RtaResult> Rs = Runner.run(Points);
+    benchmark::DoNotOptimize(Rs.data());
+  }
+}
+BENCHMARK(BM_RtaSweepQuestion)->Unit(benchmark::kMillisecond);
 
 void BM_FullAdequacyPipeline(benchmark::State &State) {
   const Fixture &F = sharedFixture();

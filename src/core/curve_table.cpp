@@ -94,23 +94,7 @@ FlatCurveTable::FlatCurveTable(ArrivalCurvePtr Curve, Duration Horizon)
   }
 }
 
-std::uint64_t FlatCurveTable::evalBeyond(Duration Delta) const {
-  // Reduce Delta by whole tail periods into (Covered - Period, Covered]
-  // and add the per-period increments. The recurrence chain runs over
-  // Base, Base+P, ..., Delta-P, all ≤ ValidTo since Delta is; the
-  // arithmetic wraps mod 2^64 exactly like the source's own (the tail
-  // contract, arrival_curve.h).
-  if (HasTail && Delta <= TailValidTo) {
-    Duration Span = Delta - Covered;
-    Duration Rem = Span % TailPeriod;
-    std::uint64_t K = Span / TailPeriod;
-    Duration Base = Covered;
-    if (Rem != 0) {
-      Base = Covered - (TailPeriod - Rem);
-      ++K;
-    }
-    return evalSearch(Base) + K * TailIncrement;
-  }
+std::uint64_t FlatCurveTable::evalSource(Duration Delta) const {
   return Source->eval(Delta);
 }
 

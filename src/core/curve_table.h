@@ -20,10 +20,11 @@
 ///
 ///  - if the curve certified an exact eventually-periodic tail
 ///    (ArrivalCurve::tail()), only one tail period of breakpoints is
-///    compiled and larger Δ extrapolate by whole periods — *exactly*,
-///    in the same wrapping uint64 arithmetic the curve itself uses;
+///    compiled and larger Δ extrapolate by whole periods, inline in
+///    eval — *exactly*, in the same wrapping uint64 arithmetic the
+///    curve itself uses;
 ///  - otherwise (or past the tail's ValidTo guard) eval falls back to
-///    the source curve, which is exact by definition.
+///    the source curve, out of line, which is exact by definition.
 ///
 /// Equivalence `flat.eval(Δ) == curve.eval(Δ)` for every Δ — including
 /// the saturation edge near UINT64_MAX — is asserted by
@@ -71,7 +72,25 @@ public:
         return DenseVals[Delta];
       return evalSearch(Delta);
     }
-    return evalBeyond(Delta);
+    if (HasTail && Delta <= TailValidTo) {
+      // Reduce Delta by whole tail periods into (Covered - Period,
+      // Covered] and add the per-period increments. The recurrence
+      // chain runs over Base, Base+P, ..., Delta-P, all ≤ ValidTo since
+      // Delta is; the arithmetic wraps mod 2^64 exactly like the
+      // source's own (the tail contract, arrival_curve.h). The search
+      // over the few breakpoints of one period stays in L1, where a
+      // dense value array of up to 2^16 entries would not.
+      Duration Span = Delta - Covered;
+      Duration Rem = Span % TailPeriod;
+      std::uint64_t K = Span / TailPeriod;
+      Duration Base = Covered;
+      if (Rem != 0) {
+        Base = Covered - (TailPeriod - Rem);
+        ++K;
+      }
+      return evalSearch(Base) + K * TailIncrement;
+    }
+    return evalSource(Delta);
   }
 
   const ArrivalCurvePtr &source() const { return Source; }
@@ -96,7 +115,8 @@ private:
     return Vals[static_cast<std::size_t>(Base - Breaks.data())];
   }
 
-  std::uint64_t evalBeyond(Duration Delta) const;
+  /// Source->eval(Delta): past the table and any certified tail.
+  std::uint64_t evalSource(Duration Delta) const;
 
   ArrivalCurvePtr Source;
   std::vector<Duration> Breaks; ///< Strictly increasing, Breaks[0] == 0.

@@ -48,13 +48,12 @@ struct Run {
   }
 
   /// The walk's one fixpoint solver: seeded, capped, counted.
-  std::optional<Time> solve(const std::function<Time(Time)> &F, Time Start,
-                            Time Seed) const {
+  template <typename StepFn>
+  std::optional<Time> solve(const StepFn &F, Time Start, Time Seed) {
     std::uint64_t Iters = 0;
     std::optional<Time> T =
         leastFixedPointSeeded(F, Start, Seed, Cfg.FixedPointCap, &Iters);
-    if (Cfg.Telemetry)
-      Cfg.Telemetry->noteFixpoint(Iters, Seed > Start);
+    Counts.noteFixpoint(Iters, Seed > Start);
     return T;
   }
 
@@ -68,12 +67,14 @@ struct Run {
   std::shared_ptr<const FlatReleaseSet> Releases;
   /// Rössl's SBF over Releases, or the ideal supply without overheads.
   std::unique_ptr<SupplyModel> Supply;
+  /// The run's fixpoint counts, added to Cfg.Telemetry once at its end.
+  FixpointCounts Counts;
 };
 
 /// NPFP (rta_npfp.h).
 class NpfpPart {
 public:
-  NpfpPart(const Run &R, TaskId I)
+  NpfpPart(Run &R, TaskId I)
       : Blocking(R.Tasks.maxLowerPriorityWcet(I)), R(R), I(I),
         Ci(R.Tasks.task(I).Wcet),
         Hep(R.Tasks.higherOrEqualPriorityOthers(I)) {
@@ -117,7 +118,7 @@ private:
     return Sum;
   }
 
-  const Run &R;
+  Run &R;
   TaskId I;
   Duration Ci;
   std::vector<TaskId> Hep;
@@ -181,7 +182,7 @@ Duration edfWindow(const Run &R, TaskId I, TaskId K, Time A) {
 }
 
 /// The busy-window walk of arsa.h for task \p I.
-template <typename Part> TaskRta walkTask(const Run &R, TaskId I) {
+template <typename Part> TaskRta walkTask(Run &R, TaskId I) {
   Part P(R, I);
   TaskRta Out;
   Out.Task = I;
@@ -228,6 +229,8 @@ RtaResult walk(const TaskSet &Tasks, const BasicActionWcets &W,
   Res.Bounds = R.Bounds;
   for (const Task &T : Tasks.tasks())
     Res.PerTask.push_back(walkTask<Part>(R, T.Id));
+  if (Cfg.Telemetry)
+    Cfg.Telemetry->add(R.Counts);
   return Res;
 }
 

@@ -18,11 +18,12 @@
 ///   finish bound F_q, from the policy part, one per offset;
 ///   R_i = max_q (F_q − A_q), reported as R_i + J_i (Thm. 4.2).
 ///
-/// Every fixpoint goes through one solve helper (warm_start.h's
-/// leastFixedPointSeeded, plus telemetry). A fixpoint past the cap, a
-/// finish bound past it (exceedsCap) or an exhausted offset budget
-/// reports the task unbounded. The three policy parts supply only what
-/// differs:
+/// Every fixpoint goes through one solve helper: warm_start.h's
+/// leastFixedPointSeeded with the step inlined, counted into the run's
+/// own FixpointCounts, which reach the telemetry sink once when the run
+/// ends. A fixpoint past the cap, a finish bound past it (exceedsCap)
+/// or an exhausted offset budget reports the task unbounded. The three
+/// policy parts supply only what differs:
 ///
 ///  - NPFP (rta_npfp.h): B_i = max_{lp} C_k (−1 with BlockingMinusOne),
 ///    the demand of hep(i) ∪ {i}, and per offset the start-bound

@@ -80,7 +80,8 @@ struct RtaConfig {
   /// the supply inverse seeded from its memo's nearest lower entry.
   /// Disabled only to measure the cold baseline (bench/hotpath).
   bool WarmIntraPoint = true;
-  /// Optional iteration-count sink (not owned; thread-safe).
+  /// Optional iteration-count sink (not owned; thread-safe). A run adds
+  /// its counts once, when it finishes.
   FixpointTelemetry *Telemetry = nullptr;
 };
 

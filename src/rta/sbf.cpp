@@ -8,6 +8,8 @@
 
 #include "support/check.h"
 
+#include <algorithm>
+
 using namespace rprosa;
 
 RosslSupply::RosslSupply(std::shared_ptr<const FlatReleaseSet> Releases,
@@ -23,7 +25,7 @@ RosslSupply::~RosslSupply() {
   if (!Telemetry)
     return;
   std::lock_guard<std::mutex> L(MemoM);
-  Telemetry->noteSupplyMemo(MemoHits, MemoMisses);
+  Telemetry->add(Counts);
 }
 
 std::uint64_t RosslSupply::jobBound(Duration Delta) const {
@@ -43,7 +45,26 @@ Duration RosslSupply::nrb(Duration Delta) const {
 }
 
 Duration RosslSupply::blackoutBound(Duration Delta) const {
-  return satAdd(trb(Delta), nrb(Delta));
+  // trb(Δ) + nrb(Δ), with the job count they share counted once.
+  std::uint64_t N = jobBound(Delta);
+  return satAdd(satMul(N, B.RB), satMul(N, B.perJobNonReadOverhead()));
+}
+
+auto RosslSupply::memoAbove(Duration Work) const
+    -> std::vector<MemoEntry>::iterator {
+  return std::upper_bound(
+      Memo.begin(), Memo.end(), Work,
+      [](Duration W, const MemoEntry &E) { return W < E.Work; });
+}
+
+void RosslSupply::remember(Duration Work, Time T) const {
+  if (Memo.size() >= MemoCapacity)
+    return;
+  auto It = memoAbove(Work);
+  // Another thread sharing the supply may have stored Work meanwhile.
+  if (It != Memo.begin() && It[-1].Work == Work)
+    return;
+  Memo.insert(It, MemoEntry{Work, T});
 }
 
 Time RosslSupply::timeToSupply(Duration Work) const {
@@ -54,23 +75,23 @@ Time RosslSupply::timeToSupply(Duration Work) const {
   Time Seed = 0;
   {
     std::lock_guard<std::mutex> L(MemoM);
-    auto It = TimeToSupplyMemo.upper_bound(Work);
-    if (It != TimeToSupplyMemo.begin()) {
-      --It; // Largest memoized W' <= Work.
-      if (It->first == Work) {
-        ++MemoHits;
-        return It->second;
+    auto It = memoAbove(Work);
+    if (It != Memo.begin()) {
+      const MemoEntry &Lower = It[-1]; // Largest memoized W' <= Work.
+      if (Lower.Work == Work) {
+        ++Counts.SupplyMemoHits;
+        return Lower.T;
       }
       if (WarmSeeds) {
         // The inverse is monotone in Work, so t(W') is a sound lower
         // seed for t(W) — and if no t below the cap exists for the
         // smaller demand, none exists for ours either.
-        if (It->second == TimeInfinity) {
-          ++MemoHits;
-          TimeToSupplyMemo.emplace(Work, TimeInfinity);
+        if (Lower.T == TimeInfinity) {
+          ++Counts.SupplyMemoHits;
+          remember(Work, TimeInfinity);
           return TimeInfinity;
         }
-        Seed = It->second;
+        Seed = Lower.T;
       }
     }
   }
@@ -81,21 +102,23 @@ Time RosslSupply::timeToSupply(Duration Work) const {
   std::uint64_t Iters = 0;
   std::optional<Time> T = leastFixedPointSeeded(Step, Work, Seed, Cap,
                                                 &Iters);
-  if (Telemetry)
-    Telemetry->noteSupplyIterations(Iters);
   Time Out = T ? *T : TimeInfinity;
   std::lock_guard<std::mutex> L(MemoM);
-  ++MemoMisses;
-  TimeToSupplyMemo.emplace(Work, Out);
+  ++Counts.SupplyMemoMisses;
+  Counts.SupplyIterations += Iters;
+  remember(Work, Out);
   return Out;
 }
 
 Duration RosslSupply::supplyBound(Duration Delta) const {
   // SBF(Delta) = max{W : timeToSupply(W) <= Delta}, found by binary
-  // search (SBF is monotone, and W <= Delta always).
+  // search (SBF is monotone, and W <= Delta always). The midpoint
+  // rounds up without forming Hi - Lo + 1, which wraps to 0 when
+  // Delta is TimeInfinity.
   Duration Lo = 0, Hi = Delta;
   while (Lo < Hi) {
-    Duration Mid = Lo + (Hi - Lo + 1) / 2;
+    Duration Gap = Hi - Lo;
+    Duration Mid = Lo + Gap / 2 + Gap % 2;
     if (timeToSupply(Mid) <= Delta)
       Lo = Mid;
     else

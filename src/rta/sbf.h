@@ -28,7 +28,8 @@
 ///
 /// SBF is monotone by construction (the max over δ) as aRSA requires.
 /// The inverse timeToSupply(W) = min{t : SBF(t) ≥ W} is computed by the
-/// classic request-bound fixed point t ← W + BlackoutBound(t).
+/// classic request-bound fixed point t ← W + BlackoutBound(t); each of
+/// its steps counts NJobs once and prices both blackouts from it.
 ///
 /// NJobs reads β_i through a FlatReleaseSet (core/curve_table.h): the
 /// same compilation, shared by pointer, that the analyses' busy-window
@@ -45,10 +46,11 @@
 
 #include "core/curve_table.h"
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
+#include <vector>
 
 namespace rprosa {
 
@@ -66,7 +68,8 @@ public:
               const OverheadBounds &B, Time Cap,
               bool CarryInPerTask = true);
 
-  /// Adds the memo's hit and miss totals to the telemetry sink, if any.
+  /// Adds the supply-iteration and memo totals to the telemetry sink,
+  /// if any.
   ~RosslSupply() override;
   RosslSupply(const RosslSupply &) = delete;
   RosslSupply &operator=(const RosslSupply &) = delete;
@@ -78,11 +81,17 @@ public:
   /// before the first query.
   void setWarmSeeding(bool Enabled) { WarmSeeds = Enabled; }
 
-  /// Reports supply-fixpoint iteration counts into \p Tel (not owned),
-  /// and on destruction the memo's totals: a hit is a timeToSupply call
-  /// answered from the memo (the monotone ∞ shortcut included), a miss
-  /// a call that ran the blackout fixpoint; Work == 0 is neither.
+  /// Reports into \p Tel (not owned), once, on destruction: the
+  /// supply-fixpoint iterations and the memo's totals. A hit is a
+  /// timeToSupply call answered from the memo (the monotone ∞ shortcut
+  /// included), a miss a call that ran the blackout fixpoint; Work == 0
+  /// is neither.
   void setTelemetry(FixpointTelemetry *Tel) { Telemetry = Tel; }
+
+  /// The most answers the memo keeps. Past it, answers are computed
+  /// (and counted as misses) but not stored, so the memo stays within
+  /// 256 KiB, which also bounds what one insert moves.
+  static constexpr std::size_t MemoCapacity = std::size_t(1) << 14;
 
   /// NJobs(Δ): the job-count bound described above.
   std::uint64_t jobBound(Duration Delta) const;
@@ -93,7 +102,7 @@ public:
   /// NRB(Δ): blackout from the non-read overhead states.
   Duration nrb(Duration Delta) const;
 
-  /// BlackoutBound(Δ) = TRB(Δ) + NRB(Δ).
+  /// BlackoutBound(Δ) = TRB(Δ) + NRB(Δ), from one NJobs(Δ) count.
   Duration blackoutBound(Duration Delta) const;
 
   Duration supplyBound(Duration Delta) const override;
@@ -111,13 +120,24 @@ private:
   /// is repeatedly queried at the same Work values (the Kleene iterates
   /// revisit each other's results, and supplyBound bisects over it).
   /// The model is immutable after construction, so the inverse is pure;
-  /// this memo caches it. Mutex-guarded: one RosslSupply may be shared
-  /// across sweep threads (sbf_curves, the SweepRunner ports). Ordered
-  /// so warm seeding can find the nearest memoized W' ≤ W.
+  /// this memo caches it: (W, t) pairs sorted by W in one flat array,
+  /// so warm seeding finds the nearest memoized W' ≤ W by binary
+  /// search, and at most MemoCapacity of them. Mutex-guarded: one
+  /// RosslSupply may be shared across sweep threads (sbf_curves, the
+  /// SweepRunner ports).
+  struct MemoEntry {
+    Duration Work;
+    Time T;
+  };
   mutable std::mutex MemoM;
-  mutable std::map<Duration, Time> TimeToSupplyMemo;
-  mutable std::uint64_t MemoHits = 0;   ///< Guarded by MemoM.
-  mutable std::uint64_t MemoMisses = 0; ///< Guarded by MemoM.
+  mutable std::vector<MemoEntry> Memo;  ///< Guarded by MemoM.
+  mutable FixpointCounts Counts;        ///< Guarded by MemoM.
+
+  /// The first memo entry above \p Work. Requires MemoM.
+  std::vector<MemoEntry>::iterator memoAbove(Duration Work) const;
+  /// Stores t(\p Work) = \p T unless the memo holds Work or is full.
+  /// Requires MemoM.
+  void remember(Duration Work, Time T) const;
 };
 
 } // namespace rprosa

@@ -101,8 +101,10 @@ public:
   ThreadPool &pool() { return Pool; }
 
   /// Snapshot of the fixpoint and supply-memo counters, accumulated
-  /// since the last resetTelemetry(). ChunkSize is the chunk of the
-  /// latest run().
+  /// since the last resetTelemetry(). Each point's counts land at once,
+  /// when its analysis finishes, so a snapshot taken during a run()
+  /// counts only finished points. ChunkSize is the chunk of the latest
+  /// run().
   SweepTelemetry telemetry() const;
   void resetTelemetry() { Tel.reset(); }
 

@@ -38,16 +38,19 @@
 #define RPROSA_RTA_WARM_START_H
 
 #include "core/time.h"
+#include "rta/arsa.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 namespace rprosa {
 
 /// Aggregated fixpoint counters: a plain copyable snapshot (rendered
-/// into the sweep telemetry JSON and compared by the benches).
+/// into the sweep telemetry JSON and compared by the benches). An
+/// analysis run counts into one of these and hands it to the shared
+/// FixpointTelemetry once, when it finishes.
 struct FixpointCounts {
   std::uint64_t Fixpoints = 0;   ///< leastFixedPointSeeded calls.
   std::uint64_t Iterations = 0;  ///< F applications across them.
@@ -57,6 +60,13 @@ struct FixpointCounts {
   std::uint64_t SupplyMemoHits = 0;
   /// RosslSupply::timeToSupply calls that ran the blackout fixpoint.
   std::uint64_t SupplyMemoMisses = 0;
+
+  /// One fixpoint of \p Iters F applications, \p Warm if seeded.
+  void noteFixpoint(std::uint64_t Iters, bool Warm) {
+    ++Fixpoints;
+    Iterations += Iters;
+    Seeded += Warm ? 1 : 0;
+  }
 
   FixpointCounts &operator+=(const FixpointCounts &O) {
     Fixpoints += O.Fixpoints;
@@ -71,24 +81,20 @@ struct FixpointCounts {
 
 /// A thread-safe telemetry sink the analyses report into (relaxed
 /// atomics: counts are exact, ordering is irrelevant). One sink is
-/// shared across all points of a sweep.
+/// shared across all points of a sweep; each analysis run and each
+/// supply adds its totals once, so the sweep lanes touch the shared
+/// counters once per point, not once per fixpoint.
 class FixpointTelemetry {
 public:
-  void noteFixpoint(std::uint64_t Iters, bool Warm) {
-    Fixpoints.fetch_add(1, std::memory_order_relaxed);
-    Iterations.fetch_add(Iters, std::memory_order_relaxed);
-    if (Warm)
-      Seeded.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  void noteSupplyIterations(std::uint64_t Iters) {
-    SupplyIterations.fetch_add(Iters, std::memory_order_relaxed);
-  }
-
-  /// One supply's memo totals, added once when the supply retires.
-  void noteSupplyMemo(std::uint64_t Hits, std::uint64_t Misses) {
-    SupplyMemoHits.fetch_add(Hits, std::memory_order_relaxed);
-    SupplyMemoMisses.fetch_add(Misses, std::memory_order_relaxed);
+  void add(const FixpointCounts &C) {
+    Fixpoints.fetch_add(C.Fixpoints, std::memory_order_relaxed);
+    Iterations.fetch_add(C.Iterations, std::memory_order_relaxed);
+    SupplyIterations.fetch_add(C.SupplyIterations,
+                               std::memory_order_relaxed);
+    Seeded.fetch_add(C.Seeded, std::memory_order_relaxed);
+    SupplyMemoHits.fetch_add(C.SupplyMemoHits, std::memory_order_relaxed);
+    SupplyMemoMisses.fetch_add(C.SupplyMemoMisses,
+                               std::memory_order_relaxed);
   }
 
   FixpointCounts snapshot() const {
@@ -125,11 +131,38 @@ private:
 /// iteration telemetry. \p Seed MUST be ≤ the least fixed point above
 /// Start (0 = cold start). Returns nullopt once an iterate exceeds
 /// \p Cap (arsa.h's exceedsCap). \p IterationsOut (if non-null)
-/// receives the number of F applications.
-std::optional<Time>
-leastFixedPointSeeded(const std::function<Time(Time)> &F, Time Start,
-                      Time Seed, Time Cap,
-                      std::uint64_t *IterationsOut = nullptr);
+/// receives the number of F applications. \p F is any callable
+/// Time → Time; a template, so the step inlines into the loop.
+template <typename StepFn>
+std::optional<Time> leastFixedPointSeeded(const StepFn &F, Time Start,
+                                          Time Seed, Time Cap,
+                                          std::uint64_t *IterationsOut =
+                                              nullptr) {
+  Time T = std::max(Start, Seed);
+  std::uint64_t Iters = 0;
+  // Kleene iteration from a point ≤ the least fixed point: iterates
+  // never cross it (see the file comment), so convergence is exact. A
+  // *decreasing* step keeps iterating — with a seed strictly between
+  // Start and the lfp the map may first pull the iterate down toward
+  // the cold trajectory before climbing; once the direction is downward
+  // it stays downward (monotone F), so the iteration still terminates
+  // within the cap's range.
+  std::optional<Time> Out;
+  while (true) {
+    Time Next = F(T);
+    ++Iters;
+    if (exceedsCap(Next, Cap))
+      break;
+    if (Next == T) {
+      Out = T;
+      break;
+    }
+    T = Next;
+  }
+  if (IterationsOut)
+    *IterationsOut += Iters;
+  return Out;
+}
 
 } // namespace rprosa
 

@@ -9,6 +9,7 @@
 #include "support/check.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -19,6 +20,16 @@ namespace rprosa::reference {
 constexpr std::uint64_t MaxOffsets = 1 << 20;
 
 namespace detail {
+
+/// Reports one fixpoint into \p Cfg's telemetry sink, if any.
+inline void noteFixpoint(const RtaConfig &Cfg, std::uint64_t Iters,
+                         bool Warm) {
+  if (!Cfg.Telemetry)
+    return;
+  FixpointCounts C;
+  C.noteFixpoint(Iters, Warm);
+  Cfg.Telemetry->add(C);
+}
 
 struct AnalysisSetup {
   OverheadBounds Bounds;
@@ -93,8 +104,7 @@ private:
     std::uint64_t Iters = 0;
     std::optional<Time> T =
         leastFixedPointSeeded(F, Start, Seed, Cfg.FixedPointCap, &Iters);
-    if (Cfg.Telemetry)
-      Cfg.Telemetry->noteFixpoint(Iters, Seed > Start);
+    detail::noteFixpoint(Cfg, Iters, Seed > Start);
     return T;
   }
 
@@ -273,8 +283,7 @@ private:
     std::uint64_t Iters = 0;
     std::optional<Time> L =
         leastFixedPointSeeded(BusyStep, 1, 0, Cfg.FixedPointCap, &Iters);
-    if (Cfg.Telemetry)
-      Cfg.Telemetry->noteFixpoint(Iters, false);
+    detail::noteFixpoint(Cfg, Iters, false);
     if (!L)
       return Out;
     Out.BusyWindow = *L;

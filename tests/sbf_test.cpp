@@ -9,11 +9,17 @@
 #include "rta/jitter.h"
 #include "rta/warm_start.h"
 
+#include "support/rng.h"
+
 #include "test_util.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
 
 using namespace rprosa;
 using namespace rprosa::testutil;
@@ -128,6 +134,46 @@ TEST(RosslSupply, BlackoutDecomposition) {
     EXPECT_EQ(S.blackoutBound(D), S.trb(D) + S.nrb(D));
 }
 
+TEST(RosslSupply, MemoStopsStoringAtItsCapacity) {
+  // Answers past the capacity are computed but not stored: a repeated
+  // W past the cap is a miss each time, one stored below it a hit.
+  FixpointTelemetry Tel;
+  const Duration Full = RosslSupply::MemoCapacity;
+  {
+    RosslSupply S = makeSupply();
+    S.setWarmSeeding(true);
+    S.setTelemetry(&Tel);
+    for (Duration W = 1; W <= Full; ++W)
+      S.timeToSupply(W);
+    Time Past = S.timeToSupply(Full + 1);
+    EXPECT_EQ(S.timeToSupply(Full + 1), Past);
+    S.timeToSupply(1);
+  }
+  FixpointCounts C = Tel.snapshot();
+  EXPECT_EQ(C.SupplyMemoMisses, Full + 2);
+  EXPECT_EQ(C.SupplyMemoHits, 1u);
+}
+
+TEST(RosslSupply, SbfAtInfinityReturns) {
+  // The bisection's midpoint must not wrap when Hi − Lo = 2^64 − 1:
+  // timeToSupply(W) ≤ TimeInfinity for every W, so SBF(∞) = ∞.
+  RosslSupply S = makeSupply();
+  EXPECT_EQ(S.supplyBound(TimeInfinity), TimeInfinity);
+  // Finite Δ keep their values: SBF(Δ) is the largest W whose inverse
+  // fits in Δ, and past the cap (10^6) no more supply is promised.
+  const std::pair<Duration, Duration> Pinned[] = {
+      {1, 0},           {3, 0},
+      {999, 928},       {1000, 928},
+      {12345, 11953},   {999999, 971956},
+      {1000000, 971956}, {1000001, 971956},
+      {TimeInfinity - 1, 971956}};
+  for (auto [D, Sbf] : Pinned) {
+    EXPECT_EQ(S.supplyBound(D), Sbf) << "Delta=" << D;
+    EXPECT_LE(S.timeToSupply(Sbf), D) << "Delta=" << D;
+    EXPECT_GT(S.timeToSupply(Sbf + 1), D) << "Delta=" << D;
+  }
+}
+
 TEST(RosslSupply, SbfAtZeroIsZero) {
   RosslSupply S = makeSupply();
   EXPECT_EQ(S.supplyBound(0), 0u);
@@ -227,4 +273,202 @@ TEST(RosslSupply, EmpiricalSoundnessOnSimulatedRun) {
           << "anchor=" << A << " Delta=" << D;
     }
   }
+}
+
+namespace {
+
+/// The supply inverse without a memo, a seed or a shared job count:
+/// t ← W + TRB(t) + NRB(t) from W, capped as the analyses cap.
+Time referenceTimeToSupply(const RosslSupply &S, Duration W, Time Cap) {
+  if (W == 0)
+    return 0;
+  Time T = W;
+  while (true) {
+    Time Next = satAdd(W, satAdd(S.trb(T), S.nrb(T)));
+    if (exceedsCap(Next, Cap))
+      return TimeInfinity;
+    if (Next == T)
+      return T;
+    T = Next;
+  }
+}
+
+/// A random release set of 1–32 periodic, leaky-bucket and jitter
+/// curves.
+std::vector<ArrivalCurvePtr> randomAlphas(SplitMix64 &Rng) {
+  std::vector<ArrivalCurvePtr> Alphas;
+  for (std::uint64_t N = Rng.nextInRange(1, 32); N > 0; --N) {
+    Duration Period = Rng.nextInRange(1, 20000);
+    switch (Rng.nextInRange(0, 2)) {
+    case 0:
+      Alphas.push_back(std::make_shared<PeriodicCurve>(Period));
+      break;
+    case 1:
+      Alphas.push_back(
+          std::make_shared<LeakyBucketCurve>(Rng.nextInRange(1, 4), Period));
+      break;
+    default:
+      Alphas.push_back(std::make_shared<PeriodicJitterCurve>(
+          Period, Rng.nextInRange(0, Period)));
+      break;
+    }
+  }
+  return Alphas;
+}
+
+/// Overhead bounds from small WCETs, or with probability 1/8 an RB so
+/// large that NJobs · RB saturates satMul.
+OverheadBounds randomBounds(SplitMix64 &Rng) {
+  BasicActionWcets W;
+  W.FailedRead = Rng.nextInRange(1, 20);
+  W.SuccessfulRead = Rng.nextInRange(1, 40);
+  W.Selection = Rng.nextInRange(1, 20);
+  W.Dispatch = Rng.nextInRange(1, 20);
+  W.Completion = Rng.nextInRange(1, 20);
+  W.Idling = Rng.nextInRange(1, 20);
+  OverheadBounds B =
+      OverheadBounds::compute(W, std::uint32_t(Rng.nextInRange(1, 8)));
+  if (Rng.nextBernoulli(1, 8))
+    B.RB = TimeInfinity / Rng.nextInRange(1, 64);
+  return B;
+}
+
+/// \p N demands in random order, some repeated, some zero, some beyond
+/// any supply below the cap.
+std::vector<Duration> randomDemands(SplitMix64 &Rng, std::size_t N,
+                                    Time Cap) {
+  std::vector<Duration> Ws;
+  for (std::size_t K = 0; K < N; ++K) {
+    switch (Rng.nextInRange(0, 9)) {
+    case 0:
+      Ws.push_back(Ws.empty() ? 0 : Ws[Rng.nextInRange(0, Ws.size() - 1)]);
+      break;
+    case 1:
+      Ws.push_back(Rng.nextInRange(0, TimeInfinity));
+      break;
+    default:
+      Ws.push_back(Rng.nextInRange(0, Cap));
+      break;
+    }
+  }
+  return Ws;
+}
+
+} // namespace
+
+TEST(RosslSupply, TimeToSupplyMatchesAMemoFreeOracle) {
+  // The memo, its warm seeds, its capacity and the one NJobs count per
+  // step against the plain fixpoint, on random release sets.
+  const std::uint64_t Seed = fuzzSeed(20261018);
+  SplitMix64 Rng(Seed);
+  std::size_t Finite = 0, Infinite = 0;
+  for (int Sys = 0; Sys < 60; ++Sys) {
+    std::vector<ArrivalCurvePtr> Alphas = randomAlphas(Rng);
+    OverheadBounds B = randomBounds(Rng);
+    Time Cap = Rng.nextInRange(1000, 10000000);
+    RosslSupply S(releases(Alphas, maxReleaseJitter(B), Cap), B, Cap,
+                  /*CarryInPerTask=*/!Rng.nextBernoulli(1, 8));
+    const bool Warm = Rng.nextBernoulli(1, 2);
+    S.setWarmSeeding(Warm);
+    for (Duration W : randomDemands(Rng, 400, Cap)) {
+      Time Expected = referenceTimeToSupply(S, W, Cap);
+      (Expected == TimeInfinity ? Infinite : Finite) += W > 0;
+      ASSERT_EQ(S.timeToSupply(W), Expected)
+          << "system " << Sys << ", W=" << W << ", warm " << Warm
+          << "; replay: RPROSA_FUZZ_SEED=" << Seed;
+    }
+  }
+  // Both kinds of answer were compared in bulk.
+  EXPECT_GT(Finite, 2000u) << "replay: RPROSA_FUZZ_SEED=" << Seed;
+  EXPECT_GT(Infinite, 2000u) << "replay: RPROSA_FUZZ_SEED=" << Seed;
+
+  // A full memo: the answers past its capacity, ∞ ones included (the
+  // warm ∞ shortcut among them), still match. The demands are
+  // distinct, and every answer is stored while there is room, so the
+  // memo is full after the first MemoCapacity of them.
+  for (bool Warm : {false, true}) {
+    OverheadBounds B = OverheadBounds::compute(tinyWcets(), 2);
+    const Time Cap = 200000;
+    RosslSupply S(releases({std::make_shared<PeriodicCurve>(100),
+                            std::make_shared<LeakyBucketCurve>(2, 700)},
+                           maxReleaseJitter(B), Cap),
+                  B, Cap);
+    S.setWarmSeeding(Warm);
+    std::vector<Duration> Ws;
+    for (Duration W = 1; W <= RosslSupply::MemoCapacity + 2000; ++W)
+      Ws.push_back(W * 7);
+    for (std::size_t K = Ws.size() - 1; K > 0; --K)
+      std::swap(Ws[K], Ws[Rng.nextInRange(0, K)]);
+    // Past the capacity: ∞ answers, and those a warm memo answers by
+    // the shortcut (some stored W' < W has an ∞ answer; by
+    // monotonicity so does the nearest stored one).
+    std::size_t InfinitePast = 0, ShortcutPast = 0;
+    Duration LeastStoredInfinite = TimeInfinity;
+    for (std::size_t K = 0; K < Ws.size(); ++K) {
+      const Duration W = Ws[K];
+      Time Expected = referenceTimeToSupply(S, W, Cap);
+      if (K < RosslSupply::MemoCapacity) {
+        if (Expected == TimeInfinity)
+          LeastStoredInfinite = std::min(LeastStoredInfinite, W);
+      } else if (Expected == TimeInfinity) {
+        ++InfinitePast;
+        ShortcutPast += W > LeastStoredInfinite;
+      }
+      ASSERT_EQ(S.timeToSupply(W), Expected)
+          << "W=" << W << ", warm " << Warm
+          << "; replay: RPROSA_FUZZ_SEED=" << Seed;
+    }
+    EXPECT_GT(InfinitePast, 50u) << "replay: RPROSA_FUZZ_SEED=" << Seed;
+    EXPECT_GT(ShortcutPast, 50u) << "replay: RPROSA_FUZZ_SEED=" << Seed;
+    for (Duration W : {Ws.front(), Ws.back(), Duration(TimeInfinity)})
+      ASSERT_EQ(S.timeToSupply(W), referenceTimeToSupply(S, W, Cap))
+          << "W=" << W << ", warm " << Warm
+          << "; replay: RPROSA_FUZZ_SEED=" << Seed;
+  }
+}
+
+TEST(RosslSupply, SharedAcrossThreadsMatchesASerialSupply) {
+  // Four threads query one supply in their own orders, as the
+  // sbf_curves bench shares one; every answer must be the serial one.
+  // Enough distinct demands to fill the memo past its capacity.
+  const std::uint64_t Seed = fuzzSeed(20261018);
+  SplitMix64 Rng(Seed);
+  std::vector<ArrivalCurvePtr> Alphas = randomAlphas(Rng);
+  OverheadBounds B = OverheadBounds::compute(tinyWcets(), 4);
+  const Time Cap = 1000000;
+  auto Releases = releases(Alphas, maxReleaseJitter(B), Cap);
+  RosslSupply Shared(Releases, B, Cap), Serial(Releases, B, Cap);
+  Shared.setWarmSeeding(true);
+  Serial.setWarmSeeding(true);
+
+  std::vector<Duration> Ws;
+  for (std::size_t K = 0; K < RosslSupply::MemoCapacity + 1000; ++K)
+    Ws.push_back(Rng.nextInRange(0, Cap));
+  std::vector<Time> Expected;
+  for (Duration W : Ws)
+    Expected.push_back(Serial.timeToSupply(W));
+
+  constexpr unsigned Threads = 4;
+  std::vector<std::vector<std::size_t>> Orders(Threads);
+  for (std::vector<std::size_t> &O : Orders) {
+    for (std::size_t K = 0; K < Ws.size(); ++K)
+      O.push_back(K);
+    for (std::size_t K = O.size() - 1; K > 0; --K)
+      std::swap(O[K], O[Rng.nextInRange(0, K)]);
+  }
+  std::vector<std::vector<Time>> Got(Threads,
+                                     std::vector<Time>(Ws.size()));
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (std::size_t K : Orders[T])
+        Got[T][K] = Shared.timeToSupply(Ws[K]);
+    });
+  for (std::thread &Th : Pool)
+    Th.join();
+  for (unsigned T = 0; T < Threads; ++T)
+    for (std::size_t K = 0; K < Ws.size(); ++K)
+      ASSERT_EQ(Got[T][K], Expected[K])
+          << "thread " << T << ", W=" << Ws[K]
+          << "; replay: RPROSA_FUZZ_SEED=" << Seed;
 }
