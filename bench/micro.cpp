@@ -148,14 +148,20 @@ void BM_SbfEval(benchmark::State &State) {
 BENCHMARK(BM_SbfEval);
 
 void BM_RtaSolve(benchmark::State &State) {
-  // Task-set size sweep: priorities descend, periods spread out.
+  // Task-set size sweep: priorities descend, periods spread out and
+  // stretch with N / 4, so every size is schedulable and each point
+  // times bounded fixpoints.
   std::int64_t N = State.range(0);
+  const std::int64_t Stretch = std::max<std::int64_t>(1, N / 4);
   TaskSet TS;
   for (std::int64_t I = 0; I < N; ++I)
     TS.addTask("t" + std::to_string(I), (400 + 100 * I) * TickNs,
                static_cast<Priority>(N - I),
-               std::make_shared<PeriodicCurve>((20 + 10 * I) * TickUs));
+               std::make_shared<PeriodicCurve>((20 + 10 * I) * Stretch *
+                                               TickUs));
   BasicActionWcets W = BasicActionWcets::typicalDeployment();
+  RPROSA_CHECK(analyzeNpfp(TS, W, 2).allBounded(),
+               "every task of the size sweep must be bounded");
   for (auto _ : State) {
     RtaResult R = analyzeNpfp(TS, W, 2);
     benchmark::DoNotOptimize(R.allBounded());
@@ -227,6 +233,68 @@ void BM_FullAdequacyPipeline(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_FullAdequacyPipeline)->Unit(benchmark::kMillisecond);
+
+/// A job-dense system in the shape of perfbench's adequacy_dense middle
+/// rung, unperturbed: 7 tasks on 3 sockets, about 2,200 Random arrivals
+/// on µs-scale periodic, leaky-bucket and periodic-jitter curves, 600 ns
+/// callbacks and the Uniform cost model.
+AdequacySpec denseSystem() {
+  constexpr std::uint32_t NumTasks = 7;
+  constexpr std::uint64_t Arrivals = 2200;
+  AdequacySpec Spec;
+  ClientConfig &C = Spec.Client;
+  C.NumSockets = 3;
+  C.Wcets = BasicActionWcets::typicalDeployment();
+  C.Policy = SchedPolicy::Npfp;
+  // The summed arrival rate scales with the polling cost of the socket
+  // count; task I's period is proportional to 1 + I / 4.
+  const double Rate = 1.0 / (1600.0 * (4 + C.NumSockets)); // Per ns.
+  double RawRate = 0;
+  for (std::uint32_t I = 0; I < NumTasks; ++I)
+    RawRate += 1 / (1 + 0.25 * I);
+  for (std::uint32_t I = 0; I < NumTasks; ++I) {
+    const auto Period =
+        static_cast<Duration>((1 + 0.25 * I) * RawRate / Rate);
+    ArrivalCurvePtr Curve;
+    if (I % 3 == 0)
+      Curve = std::make_shared<PeriodicCurve>(Period);
+    else if (I % 3 == 1)
+      Curve = std::make_shared<LeakyBucketCurve>(2, Period);
+    else
+      Curve = std::make_shared<PeriodicJitterCurve>(Period, Period / 4);
+    C.Tasks.addTask("t" + std::to_string(I), 600 * TickNs,
+                    static_cast<Priority>(NumTasks - I), std::move(Curve));
+  }
+  WorkloadSpec WS;
+  WS.NumSockets = C.NumSockets;
+  WS.Horizon = static_cast<Time>(1.15 * double(Arrivals) / Rate);
+  WS.Seed = 7;
+  WS.Style = WorkloadStyle::Random;
+  WS.MaxArrivalsPerTask = Arrivals;
+  Spec.Arr = generateWorkload(C.Tasks, WS);
+  Spec.Cost = CostModelKind::Uniform;
+  Spec.Seed = 11;
+  Spec.Limits.Horizon = WS.Horizon + WS.Horizon / 8 + 200 * TickUs;
+  return Spec;
+}
+
+void BM_AdequacyStreaming(benchmark::State &State) {
+  static const AdequacySpec Spec = denseSystem();
+  const AdequacyReport Check = runAdequacyStreaming(Spec);
+  RPROSA_CHECK(Check.theoremHolds() && Check.assumptionsHold() &&
+                   Check.invariantsHold(),
+               "the dense system must satisfy Thm. 5.1 with every "
+               "assumption and invariant holding");
+  for (auto _ : State) {
+    AdequacyReport Rep = runAdequacyStreaming(Spec);
+    benchmark::DoNotOptimize(Rep.Markers);
+  }
+  State.SetItemsProcessed(static_cast<std::int64_t>(State.iterations()) *
+                          static_cast<std::int64_t>(Check.Markers));
+  State.counters["markers"] = double(Check.Markers);
+  State.counters["jobs"] = double(Check.NumJobs);
+}
+BENCHMARK(BM_AdequacyStreaming)->Unit(benchmark::kMillisecond);
 
 void BM_WorkloadGeneration(benchmark::State &State) {
   const Fixture &F = sharedFixture();

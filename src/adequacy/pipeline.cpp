@@ -62,34 +62,6 @@ void runRta(const AdequacySpec &Spec, AdequacyReport &Rep) {
                           Spec.Rta);
 }
 
-/// Step 7: per-job verdicts. Completion is matched by message identity
-/// (job ids are assigned at read time, arrivals are identified by
-/// MsgId); \p ByMsg maps each read message to the completion time of
-/// the job that owns it — the *first* job in conversion-table order
-/// that read it.
-void renderVerdicts(const AdequacySpec &Spec, AdequacyReport &Rep,
-                    const std::map<MsgId, std::optional<Time>> &ByMsg) {
-  for (const Arrival &A : Spec.Arr.arrivals()) {
-    JobVerdict V;
-    V.Msg = A.Msg.Id;
-    V.Task = A.Msg.Task;
-    V.ArrivalAt = A.At;
-    if (V.Task < Rep.Rta.PerTask.size() &&
-        Rep.Rta.forTask(V.Task).Bounded)
-      V.Bound = Rep.Rta.forTask(V.Task).ResponseBound;
-    Time Deadline = satAdd(V.ArrivalAt, V.Bound);
-    V.WithinHorizon = Deadline != TimeInfinity && Deadline < Rep.Horizon;
-    auto It = ByMsg.find(A.Msg.Id);
-    if (It != ByMsg.end() && It->second) {
-      V.Completed = true;
-      V.CompletedAt = *It->second;
-      V.ResponseTime = V.CompletedAt - V.ArrivalAt;
-    }
-    V.Holds = !V.WithinHorizon || (V.Completed && V.CompletedAt <= Deadline);
-    Rep.Jobs.push_back(V);
-  }
-}
-
 /// The verdict source: remembers, per message, the completion time of
 /// its owning job — the first-admitted job that read the message — so a
 /// completion from a different (duplicate-message) job is ignored.
@@ -104,11 +76,10 @@ public:
       It->second.CompletedAt = CJ.CompletedAt;
   }
 
-  std::map<MsgId, std::optional<Time>> take() {
-    std::map<MsgId, std::optional<Time>> Out;
-    for (const auto &[M, O] : ByMsg)
-      Out.emplace(M, O.CompletedAt);
-    return Out;
+  /// The completion time of \p M's owning job, if it completed.
+  std::optional<Time> completion(MsgId M) const {
+    auto It = ByMsg.find(M);
+    return It == ByMsg.end() ? std::nullopt : It->second.CompletedAt;
   }
 
 private:
@@ -119,11 +90,82 @@ private:
   std::map<MsgId, Owner> ByMsg;
 };
 
+/// Step 7: per-job verdicts. Completion is matched by message identity
+/// (job ids are assigned at read time, arrivals are identified by
+/// MsgId) through \p Compl.
+void renderVerdicts(const AdequacySpec &Spec, AdequacyReport &Rep,
+                    const CompletionIndex &Compl) {
+  for (const Arrival &A : Spec.Arr.arrivals()) {
+    JobVerdict V;
+    V.Msg = A.Msg.Id;
+    V.Task = A.Msg.Task;
+    V.ArrivalAt = A.At;
+    if (V.Task < Rep.Rta.PerTask.size() &&
+        Rep.Rta.forTask(V.Task).Bounded)
+      V.Bound = Rep.Rta.forTask(V.Task).ResponseBound;
+    Time Deadline = satAdd(V.ArrivalAt, V.Bound);
+    V.WithinHorizon = Deadline != TimeInfinity && Deadline < Rep.Horizon;
+    if (std::optional<Time> C = Compl.completion(A.Msg.Id)) {
+      V.Completed = true;
+      V.CompletedAt = *C;
+      V.ResponseTime = V.CompletedAt - V.ArrivalAt;
+    }
+    V.Holds = !V.WithinHorizon || (V.Completed && V.CompletedAt <= Deadline);
+    Rep.Jobs.push_back(V);
+  }
+}
+
+/// The trace side of one pass. The sink set is fixed, so each marker
+/// reaches the five trace checkers and the converter by direct calls on
+/// their final types rather than through a TraceFanout: one virtual call
+/// per marker instead of one per sink (DESIGN.md §9). \p Tap, when set
+/// (runAdequacy's capture), comes last.
+class PipelineSinks final : public TraceSink {
+public:
+  PipelineSinks(const AdequacySpec &Spec, ScheduleEventConsumer &Events,
+                CheckResult &Diags, TraceSink *Tap)
+      : Prot(Spec.Client.NumSockets),
+        Fun(Spec.Client.Tasks, Spec.Client.Policy), Cons(Spec.Arr),
+        Wcet(Spec.Client.Tasks, Spec.Client.Wcets),
+        Builder(Spec.Client.NumSockets, Events, &Diags), Tap(Tap) {}
+
+  void onMarker(const MarkerEvent &E, Time At) override {
+    Ts.onMarker(E, At);
+    Prot.onMarker(E, At);
+    Fun.onMarker(E, At);
+    Cons.onMarker(E, At);
+    Wcet.onMarker(E, At);
+    Builder.onMarker(E, At);
+    if (Tap)
+      Tap->onMarker(E, At);
+  }
+  void onEnd(Time EndTime) override {
+    Ts.onEnd(EndTime);
+    Prot.onEnd(EndTime);
+    Fun.onEnd(EndTime);
+    Cons.onEnd(EndTime);
+    Wcet.onEnd(EndTime);
+    Builder.onEnd(EndTime);
+    if (Tap)
+      Tap->onEnd(EndTime);
+  }
+
+  TimestampCheckSink Ts;
+  ProtocolCheckSink Prot;
+  FunctionalCheckSink Fun;
+  ConsistencyCheckSink Cons;
+  WcetCheckSink Wcet;
+  ScheduleBuilder Builder;
+
+private:
+  TraceSink *Tap;
+};
+
 /// Steps 1-7 as one pass: one simulator run drives the five trace
 /// invariants and, behind the incremental converter, the structure,
 /// validity, and verdict consumers. \p TraceTap and \p EventTap, when
-/// non-null, join the trace and event fan-outs (runAdequacy's capture
-/// sinks).
+/// non-null, follow the trace sinks and join the event fan-out
+/// (runAdequacy's capture sinks).
 AdequacyReport drive(const AdequacySpec &Spec, TraceSink *TraceTap,
                      ScheduleEventConsumer *EventTap) {
   AdequacyReport Rep;
@@ -132,12 +174,6 @@ AdequacyReport drive(const AdequacySpec &Spec, TraceSink *TraceTap,
   Environment Env(Spec.Arr);
   CostModel Costs(Spec.Client.Wcets, Spec.Cost, Spec.Seed);
   FdScheduler Sched(Spec.Client, Env, Costs);
-
-  TimestampCheckSink Ts;
-  ProtocolCheckSink Prot(Spec.Client.NumSockets);
-  FunctionalCheckSink Fun(Spec.Client.Tasks, Spec.Client.Policy);
-  ConsistencyCheckSink Cons(Spec.Arr);
-  WcetCheckSink Wcet(Spec.Client.Tasks, Spec.Client.Wcets);
 
   StreamingValidity Val(Spec.Client.Tasks, Spec.Arr, Spec.Client.Wcets,
                         Spec.Client.NumSockets, Spec.Client.Policy);
@@ -149,34 +185,24 @@ AdequacyReport drive(const AdequacySpec &Spec, TraceSink *TraceTap,
   Events.add(Compl);
   if (EventTap)
     Events.add(*EventTap);
-  ScheduleBuilder Builder(Spec.Client.NumSockets, Events, &Rep.ScheduleOk);
+  PipelineSinks Sinks(Spec, Events, Rep.ScheduleOk, TraceTap);
 
-  TraceFanout Fan;
-  Fan.add(Ts);
-  Fan.add(Prot);
-  Fan.add(Fun);
-  Fan.add(Cons);
-  Fan.add(Wcet);
-  Fan.add(Builder);
-  if (TraceTap)
-    Fan.add(*TraceTap);
+  Rep.Horizon = Sched.run(Spec.Limits, Sinks);
+  Rep.Markers = Sinks.Ts.markers();
+  Rep.NumJobs = Sinks.Builder.admittedJobs();
 
-  Rep.Horizon = Sched.run(Spec.Limits, Fan);
-  Rep.Markers = Ts.markers();
-  Rep.NumJobs = Builder.admittedJobs();
-
-  Rep.TimestampsOk = Ts.take();
-  Rep.ProtocolOk = Prot.take();
-  Rep.FunctionalOk = Fun.take();
-  Rep.ConsistencyOk = Cons.take();
-  Rep.WcetOk = Wcet.take();
+  Rep.TimestampsOk = Sinks.Ts.take();
+  Rep.ProtocolOk = Sinks.Prot.take();
+  Rep.FunctionalOk = Sinks.Fun.take();
+  Rep.ConsistencyOk = Sinks.Cons.take();
+  Rep.WcetOk = Sinks.Wcet.take();
   // ScheduleOk already carries the builder's conversion diagnostics;
   // the structure checks follow them.
   Rep.ScheduleOk.merge(Struct.take());
   Rep.ValidityOk = Val.take();
 
   runRta(Spec, Rep);
-  renderVerdicts(Spec, Rep, Compl.take());
+  renderVerdicts(Spec, Rep, Compl);
   return Rep;
 }
 

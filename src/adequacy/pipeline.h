@@ -137,7 +137,8 @@ AdequacyReport runAdequacy(const AdequacySpec &Spec);
 
 /// The single-pass pipeline: one simulator run drives every trace
 /// checker, the incremental §2.4 converter, and the validity
-/// constraints through a TraceFanout, keeping O(tasks + open jobs)
+/// constraints through one sink that calls each of them directly
+/// (DESIGN.md §9), keeping O(tasks + open jobs)
 /// state — Rep.TT and Rep.Conv stay empty, so memory is independent of
 /// the horizon. tests/stream_equivalence_test.cpp checks its reports
 /// against the reference implementations of tests/reference_batch.cpp,

@@ -152,7 +152,7 @@ void ScheduleBuilder::pushRead(const BasicAction &A, Time ReadEAt) {
     attributeRound(Window);
     Window.clear();
   }
-  Window.push_back(RAct{A, ReadEAt});
+  Window.push_back(RAct{A.J, A.len(), ReadEAt});
   ++PhaseReads;
 }
 
@@ -161,7 +161,7 @@ void ScheduleBuilder::attributeRound(const std::vector<RAct> &Round) {
   // previous chunk; the last success absorbs the trailing failures too.
   std::size_t LastSuccess = Round.size();
   for (std::size_t K = 0; K < Round.size(); ++K)
-    if (Round[K].A.J)
+    if (Round[K].J)
       LastSuccess = K;
   if (LastSuccess == Round.size()) {
     // No success: can only happen on malformed input (the final
@@ -169,27 +169,27 @@ void ScheduleBuilder::attributeRound(const std::vector<RAct> &Round) {
     diag("polling round without a successful read outside the final "
          "round; mapped to Idle");
     for (const RAct &R : Round)
-      emit(ProcState::idle(), R.A.len());
+      emit(ProcState::idle(), R.Len);
     return;
   }
   Duration Buffered = 0;
   for (std::size_t K = 0; K < Round.size(); ++K) {
-    const BasicAction &A = Round[K].A;
+    const RAct &A = Round[K];
     if (!A.J) {
-      Buffered += A.len();
+      Buffered += A.Len;
       continue;
     }
-    Duration ChunkLen = Buffered + A.len();
+    Duration ChunkLen = Buffered + A.Len;
     if (K == LastSuccess) {
       for (std::size_t T = K + 1; T < Round.size(); ++T)
-        ChunkLen += Round[T].A.len();
+        ChunkLen += Round[T].Len;
     }
     emit(ProcState::overhead(ProcStateKind::ReadOvh, A.J->Id), ChunkLen);
     bool IsNew = false;
     Rec &R = jobEntry(*A.J, IsNew);
     // ReadAt is the M_ReadE timestamp (the segmenter recorded it when
     // it absorbed the read-result marker).
-    R.CJ.ReadAt = Round[K].ReadEAt;
+    R.CJ.ReadAt = A.ReadEAt;
     if (IsNew)
       Out.onJobAdmitted(R.CJ, R.Index);
     Buffered = 0;
@@ -204,7 +204,7 @@ void ScheduleBuilder::holdFinalRound() {
   if (Window.size() == NumSockets) {
     FinalRoundLen = 0;
     for (const RAct &R : Window)
-      FinalRoundLen += R.A.len();
+      FinalRoundLen += R.Len;
   } else {
     diag("polling phase with a truncated round (" +
          std::to_string(PhaseReads) + " reads, " +
@@ -220,7 +220,7 @@ void ScheduleBuilder::endPhaseNoSelection(bool AtEnd) {
     // Truncated run: the final all-failed round closes with Idle.
     Duration Len = 0;
     for (const RAct &R : Window)
-      Len += R.A.len();
+      Len += R.Len;
     emit(ProcState::idle(), Len);
   } else {
     diag("polling phase with a truncated round (" +

@@ -153,9 +153,12 @@ public:
   }
 
 private:
-  /// One buffered Read action with its M_ReadE timestamp (§2.4 ReadAt).
+  /// What the conversion needs of one buffered Read action: its job
+  /// (⊥ for a failed read), its length and its M_ReadE timestamp (§2.4
+  /// ReadAt).
   struct RAct {
-    BasicAction A;
+    std::optional<Job> J;
+    Duration Len = 0;
     Time ReadEAt = 0;
   };
   /// A live job-table record.

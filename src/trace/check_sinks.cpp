@@ -283,8 +283,10 @@ void DeadlineCheckSink::onMarker(const MarkerEvent &E, Time At) {
 
 void WcetCheckSink::onAction(const BasicAction &A) {
   R.noteCheck();
+  // The fixed kinds' names are literals; a callback's name (What stays
+  // null) is built only for a failure message.
   Duration Bound = 0;
-  std::string What;
+  const char *What = nullptr;
   switch (A.Kind) {
   case BasicActionKind::Read:
     Bound = A.J ? W.SuccessfulRead : W.FailedRead;
@@ -298,16 +300,14 @@ void WcetCheckSink::onAction(const BasicAction &A) {
     Bound = W.Dispatch;
     What = "dispatch";
     break;
-  case BasicActionKind::Exec: {
+  case BasicActionKind::Exec:
     if (!A.J || A.J->Task >= Tasks.size()) {
       R.addFailure("execution action without a valid task at marker " +
                    std::to_string(A.FirstMarker));
       return;
     }
     Bound = Tasks.task(A.J->Task).Wcet;
-    What = "callback of task " + Tasks.task(A.J->Task).Name;
     break;
-  }
   case BasicActionKind::Compl:
     Bound = W.Completion;
     What = "completion";
@@ -318,7 +318,9 @@ void WcetCheckSink::onAction(const BasicAction &A) {
     break;
   }
   if (A.len() > Bound)
-    R.addFailure(What + " at marker " + std::to_string(A.FirstMarker) +
-                 " took " + std::to_string(A.len()) +
-                 " ticks, exceeding its WCET of " + std::to_string(Bound));
+    R.addFailure((What ? std::string(What)
+                       : "callback of task " + Tasks.task(A.J->Task).Name) +
+                 " at marker " + std::to_string(A.FirstMarker) + " took " +
+                 std::to_string(A.len()) + " ticks, exceeding its WCET of " +
+                 std::to_string(Bound));
 }

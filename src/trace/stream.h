@@ -155,8 +155,11 @@ private:
     Open = false;
   }
 
+  /// Opens the next action in place: every field that close() does not
+  /// set is written here, so nothing of the previous action survives.
   void start(const MarkerEvent &E, Time At) {
-    A = BasicAction();
+    A.J.reset();
+    A.Socket = 0;
     A.FirstMarker = Index;
     A.Start = At;
     ReadEAt = 0;
@@ -166,8 +169,9 @@ private:
       AwaitReadE = true;
       break;
     case MarkerKind::ReadE:
-      // Dangling read result (a protocol violation): kept as the
-      // default Idling action.
+      // Dangling read result (a protocol violation): kept as an Idling
+      // action.
+      A.Kind = BasicActionKind::Idling;
       break;
     case MarkerKind::Selection:
       A.Kind = BasicActionKind::Selection;

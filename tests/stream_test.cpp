@@ -75,31 +75,74 @@ TEST(TraceFanout, DeliversToEverySinkInOrder) {
   EXPECT_EQ(B.trace().EndTime, TT.EndTime);
 }
 
-TEST(ActionSegmenterStream, MatchesBatchSegmentation) {
-  TimedTrace TT = simTrace();
+namespace {
+
+/// Streams \p TT through an ActionSegmenter and compares every field of
+/// every action with the reference segmentation, plus the M_ReadE
+/// instant handed out with it (0 unless a Read absorbed a result).
+void expectSegmentsLikeReference(const TimedTrace &TT) {
   std::vector<BasicAction> Batch = reference::segmentBasicActions(TT);
 
   std::vector<BasicAction> Streamed;
-  ActionSegmenter Seg(
-      [&](const BasicAction &A, Time) { Streamed.push_back(A); });
+  std::vector<Time> ReadEAts;
+  ActionSegmenter Seg([&](const BasicAction &A, Time ReadEAt) {
+    Streamed.push_back(A);
+    ReadEAts.push_back(ReadEAt);
+  });
   for (std::size_t I = 0; I < TT.size(); ++I)
     Seg.onMarker(TT.Tr[I], TT.Ts[I]);
   Seg.onEnd(TT.EndTime);
 
   ASSERT_EQ(Streamed.size(), Batch.size());
   for (std::size_t I = 0; I < Batch.size(); ++I) {
-    EXPECT_EQ(Streamed[I].Kind, Batch[I].Kind) << "action " << I;
-    EXPECT_EQ(Streamed[I].Start, Batch[I].Start) << "action " << I;
-    EXPECT_EQ(Streamed[I].End, Batch[I].End) << "action " << I;
-    EXPECT_EQ(Streamed[I].FirstMarker, Batch[I].FirstMarker)
-        << "action " << I;
-    EXPECT_EQ(Streamed[I].EndMarker, Batch[I].EndMarker) << "action " << I;
-    EXPECT_EQ(Streamed[I].J.has_value(), Batch[I].J.has_value())
-        << "action " << I;
-    if (Streamed[I].J && Batch[I].J) {
-      EXPECT_EQ(Streamed[I].J->Id, Batch[I].J->Id) << "action " << I;
+    const BasicAction &Got = Streamed[I];
+    const BasicAction &Want = Batch[I];
+    EXPECT_EQ(Got.Kind, Want.Kind) << "action " << I;
+    EXPECT_EQ(Got.Socket, Want.Socket) << "action " << I;
+    EXPECT_EQ(Got.Start, Want.Start) << "action " << I;
+    EXPECT_EQ(Got.End, Want.End) << "action " << I;
+    EXPECT_EQ(Got.FirstMarker, Want.FirstMarker) << "action " << I;
+    EXPECT_EQ(Got.EndMarker, Want.EndMarker) << "action " << I;
+    ASSERT_EQ(Got.J.has_value(), Want.J.has_value()) << "action " << I;
+    if (Want.J) {
+      EXPECT_EQ(Got.J->Id, Want.J->Id) << "action " << I;
+      EXPECT_EQ(Got.J->Msg, Want.J->Msg) << "action " << I;
+      EXPECT_EQ(Got.J->Task, Want.J->Task) << "action " << I;
+      EXPECT_EQ(Got.J->Socket, Want.J->Socket) << "action " << I;
+      EXPECT_EQ(Got.J->ReadAt, Want.J->ReadAt) << "action " << I;
     }
+    bool Absorbed = Want.Kind == BasicActionKind::Read &&
+                    Want.EndMarker == Want.FirstMarker + 2;
+    EXPECT_EQ(ReadEAts[I], Absorbed ? TT.Ts[Want.FirstMarker + 1] : 0)
+        << "action " << I;
   }
+}
+
+} // namespace
+
+TEST(ActionSegmenterStream, MatchesBatchSegmentation) {
+  expectSegmentsLikeReference(simTrace());
+
+  // Malformed shapes, each reusing the action before it: a successful
+  // read on socket 1, a dangling M_ReadE, a selection that resolves to
+  // idling, and a trailing bare M_ReadS.
+  Job J = mkJob(7, 1, 9, 1);
+  J.ReadAt = 12;
+  TimedTrace Bad = TraceBuilder()
+                       .at(MarkerEvent::readS(), 10)
+                       .at(MarkerEvent::readE(1, J), 2)
+                       .at(MarkerEvent::readE(0, std::nullopt), 3)
+                       .at(MarkerEvent::selection(), 4)
+                       .at(MarkerEvent::idling(), 5)
+                       .at(MarkerEvent::readS(), 6)
+                       .finish();
+  std::vector<BasicAction> Want = reference::segmentBasicActions(Bad);
+  ASSERT_EQ(Want.size(), 5u);
+  EXPECT_EQ(Want[0].Socket, 1u);
+  EXPECT_FALSE(Want[1].J.has_value());
+  EXPECT_EQ(Want[2].Kind, BasicActionKind::Selection);
+  EXPECT_EQ(Want[4].Kind, BasicActionKind::Read);
+  expectSegmentsLikeReference(Bad);
 }
 
 TEST(CheckSinks, AgreeWithBatchCheckersOnASimulatedRun) {

@@ -45,21 +45,47 @@ TEST(WcetCheck, AcceptsInBoundTrace) {
 }
 
 TEST(WcetCheck, FlagsEachOverrunKind) {
+  // An iterationTrace's markers: ReadS 0, ReadE 1, ReadS 2, ReadE 3,
+  // Selection 4, Dispatch 5, Execution 6, Completion 7.
   struct Case {
     TimedTrace TT;
-    const char *What;
+    const char *Want;
   };
   std::vector<Case> Cases = {
-      {iterationTrace(11, 4, 3, 2, 50, 5), "successful read"},
-      {iterationTrace(10, 5, 3, 2, 50, 5), "failed read"},
-      {iterationTrace(10, 4, 4, 2, 50, 5), "selection"},
-      {iterationTrace(10, 4, 3, 3, 50, 5), "dispatch"},
-      {iterationTrace(10, 4, 3, 2, 51, 5), "callback"},
-      {iterationTrace(10, 4, 3, 2, 50, 6), "completion"},
+      {iterationTrace(11, 4, 3, 2, 50, 5),
+       "successful read at marker 0 took 11 ticks, exceeding its WCET of 10"},
+      {iterationTrace(10, 5, 3, 2, 50, 5),
+       "failed read at marker 2 took 5 ticks, exceeding its WCET of 4"},
+      {iterationTrace(10, 4, 4, 2, 50, 5),
+       "selection at marker 4 took 4 ticks, exceeding its WCET of 3"},
+      {iterationTrace(10, 4, 3, 3, 50, 5),
+       "dispatch at marker 5 took 3 ticks, exceeding its WCET of 2"},
+      {iterationTrace(10, 4, 3, 2, 51, 5),
+       "callback of task t at marker 6 took 51 ticks, exceeding its WCET "
+       "of 50"},
+      {iterationTrace(10, 4, 3, 2, 50, 6),
+       "completion at marker 7 took 6 ticks, exceeding its WCET of 5"},
+      {TraceBuilder()
+           .failedRead(0, 4)
+           .at(MarkerEvent::selection(), 3)
+           .at(MarkerEvent::idling(), 9)
+           .finish(),
+       "idle cycle at marker 3 took 9 ticks, exceeding its WCET of 8"},
+      // An execution of an unknown task, and one without a job.
+      {TraceBuilder()
+           .failedRead(0, 4)
+           .at(MarkerEvent::execution(mkJob(2, 5)), 1)
+           .finish(),
+       "execution action without a valid task at marker 2"},
+      {TraceBuilder()
+           .failedRead(0, 4)
+           .at(MarkerEvent{MarkerKind::Execution, 0, std::nullopt}, 1)
+           .finish(),
+       "execution action without a valid task at marker 2"},
   };
   for (const Case &C : Cases) {
     CheckResult R = checkWcetRespected(C.TT, oneTask(), tinyWcets());
-    EXPECT_FALSE(R.passed()) << C.What << " overrun not flagged";
+    EXPECT_EQ(R.failures(), std::vector<std::string>{C.Want});
   }
 }
 
