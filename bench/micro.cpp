@@ -7,12 +7,16 @@
 /// \file
 /// google-benchmark microbenchmarks for every stage of the pipeline:
 /// simulation (markers/second), the trace checkers, the conversion, SBF
-/// evaluation and the RTA solver as the task count grows. These document
-/// that the executable verification scales to long traces.
+/// evaluation, the RTA solver as the task count grows, and the static
+/// protocol model check as the socket count grows. These document that
+/// the executable verification scales to long traces.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "adequacy/pipeline.h"
+#include "analysis/cfg.h"
+#include "analysis/verifier.h"
+#include "caesium/rossl_program.h"
 #include "convert/trace_to_schedule.h"
 #include "rossl/scheduler.h"
 #include "rta/jitter.h"
@@ -295,6 +299,25 @@ void BM_AdequacyStreaming(benchmark::State &State) {
   State.counters["jobs"] = double(Check.NumJobs);
 }
 BENCHMARK(BM_AdequacyStreaming)->Unit(benchmark::kMillisecond);
+
+void BM_VerifyProtocol(benchmark::State &State) {
+  // One exhaustive protocol model check of the N-socket Rössl program;
+  // items are product states explored.
+  const auto N = static_cast<std::uint32_t>(State.range(0));
+  const analysis::Cfg G = analysis::buildCfg(caesium::buildRosslProgram(N));
+  const analysis::Verdict Check = analysis::verifyProtocol(G, N);
+  RPROSA_CHECK(Check.verified(),
+               "the Rössl program must verify at every socket count");
+  for (auto _ : State) {
+    analysis::Verdict V = analysis::verifyProtocol(G, N);
+    benchmark::DoNotOptimize(V.StatesExplored);
+  }
+  State.SetItemsProcessed(static_cast<std::int64_t>(State.iterations()) *
+                          static_cast<std::int64_t>(Check.StatesExplored));
+  State.counters["states"] = double(Check.StatesExplored);
+}
+BENCHMARK(BM_VerifyProtocol)->Arg(8)->Arg(64)->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WorkloadGeneration(benchmark::State &State) {
   const Fixture &F = sharedFixture();

@@ -151,22 +151,3 @@ AbsValue rprosa::analysis::evalAbstract(const Expr &E,
   }
   return AbsValue::top();
 }
-
-std::string AbsState::key() const {
-  std::string K;
-  K.reserve(16 + Regs.size() * 9 + Bufs.size());
-  auto putU64 = [&K](std::uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      K.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  putU64(Node);
-  for (const AbsValue &R : Regs) {
-    K.push_back(static_cast<char>(R.K));
-    putU64(static_cast<std::uint64_t>(R.V));
-  }
-  for (AbsBuf B : Bufs)
-    K.push_back(static_cast<char>(B));
-  K.push_back(HasJob ? 1 : 0);
-  putU64(Sts.abstractKey());
-  return K;
-}

@@ -35,7 +35,6 @@
 #include "trace/protocol.h"
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 namespace rprosa::analysis {
@@ -98,10 +97,6 @@ struct AbsState {
   AbsState(std::uint32_t NumRegs, std::uint32_t NumBufs,
            std::uint32_t NumSockets)
       : Regs(NumRegs), Bufs(NumBufs, AbsBuf::Empty), Sts(NumSockets) {}
-
-  /// A canonical byte string identifying the state up to acceptance
-  /// behaviour — the visited-set key of the model check.
-  std::string key() const;
 };
 
 } // namespace rprosa::analysis

@@ -177,82 +177,60 @@ void collectRegs(const Expr &E, std::vector<RegId> &Out) {
     collectRegs(*E.R, Out);
 }
 
-/// May-uninitialised state: a set bit means "some path reaches here
-/// with no write to that register / no fill of that buffer yet".
-struct InitState {
-  bool Reachable = false;
-  std::vector<bool> RegUnset;
-  std::vector<bool> BufUnset;
-
-  bool operator==(const InitState &O) const = default;
-};
-
-class InitDomain {
-public:
-  using State = InitState;
-
-  InitDomain(std::uint32_t NumRegs, std::uint32_t NumBufs)
-      : NumRegs(NumRegs), NumBufs(NumBufs) {}
-
-  State bottom(const Cfg &) const { return {}; }
-
-  State boundary(const Cfg &) const {
-    State S;
-    S.Reachable = true;
-    S.RegUnset.assign(NumRegs, true);
-    S.BufUnset.assign(NumBufs, true);
-    return S;
-  }
-
-  bool join(State &Into, const State &From) const {
-    if (!From.Reachable)
-      return false;
-    if (!Into.Reachable) {
-      Into = From;
-      return true;
-    }
-    bool Changed = false;
-    for (std::size_t I = 0; I < Into.RegUnset.size(); ++I)
-      if (From.RegUnset[I] && !Into.RegUnset[I]) {
-        Into.RegUnset[I] = true;
-        Changed = true;
-      }
-    for (std::size_t I = 0; I < Into.BufUnset.size(); ++I)
-      if (From.BufUnset[I] && !Into.BufUnset[I]) {
-        Into.BufUnset[I] = true;
-        Changed = true;
-      }
-    return Changed;
-  }
-
-  State transfer(const Cfg &G, NodeId N, const State &In) const {
-    if (!In.Reachable)
-      return In;
-    State Out = In;
-    const CfgNode &Node = G[N];
-    switch (Node.K) {
-    case CfgNode::Kind::Assign:
-      if (Node.Dst < Out.RegUnset.size())
-        Out.RegUnset[Node.Dst] = false;
-      break;
-    case CfgNode::Kind::Read:
-    case CfgNode::Kind::Dequeue:
-      if (Node.Dst < Out.RegUnset.size())
-        Out.RegUnset[Node.Dst] = false;
-      if (Node.Buf < Out.BufUnset.size())
-        Out.BufUnset[Node.Buf] = false;
-      break;
-    default:
-      break;
-    }
-    return Out;
-  }
-
-private:
-  std::uint32_t NumRegs, NumBufs;
-};
-
 } // namespace
+
+InitState InitDomain::boundary(const Cfg &) const {
+  State S;
+  S.Reachable = true;
+  S.RegUnset.assign(NumRegs, true);
+  S.BufUnset.assign(NumBufs, true);
+  return S;
+}
+
+bool InitDomain::join(State &Into, const State &From) const {
+  if (!From.Reachable)
+    return false;
+  if (!Into.Reachable) {
+    Into = From;
+    return true;
+  }
+  bool Changed = false;
+  for (std::size_t I = 0; I < Into.RegUnset.size(); ++I)
+    if (From.RegUnset[I] && !Into.RegUnset[I]) {
+      Into.RegUnset[I] = true;
+      Changed = true;
+    }
+  for (std::size_t I = 0; I < Into.BufUnset.size(); ++I)
+    if (From.BufUnset[I] && !Into.BufUnset[I]) {
+      Into.BufUnset[I] = true;
+      Changed = true;
+    }
+  return Changed;
+}
+
+InitState InitDomain::transfer(const Cfg &G, NodeId N,
+                               const State &In) const {
+  if (!In.Reachable)
+    return In;
+  State Out = In;
+  const CfgNode &Node = G[N];
+  switch (Node.K) {
+  case CfgNode::Kind::Assign:
+    if (Node.Dst < Out.RegUnset.size())
+      Out.RegUnset[Node.Dst] = false;
+    break;
+  case CfgNode::Kind::Read:
+  case CfgNode::Kind::Dequeue:
+    if (Node.Dst < Out.RegUnset.size())
+      Out.RegUnset[Node.Dst] = false;
+    if (Node.Buf < Out.BufUnset.size())
+      Out.BufUnset[Node.Buf] = false;
+    break;
+  default:
+    break;
+  }
+  return Out;
+}
 
 std::vector<Finding>
 rprosa::analysis::dataflow::analyzeDefiniteInit(const Cfg &G) {
@@ -350,53 +328,30 @@ rprosa::analysis::dataflow::analyzeDeadCode(const Cfg &G,
   return Out;
 }
 
-namespace {
+bool MarkerDomain::join(State &Into, const State &From) const {
+  if (!From.Reachable)
+    return false;
+  bool Changed = !Into.Reachable || (From.MayOpen && !Into.MayOpen) ||
+                 (From.MayClosed && !Into.MayClosed);
+  Into.Reachable = true;
+  Into.MayOpen |= From.MayOpen;
+  Into.MayClosed |= From.MayClosed;
+  return Changed;
+}
 
-/// The may-open/may-closed protocol lattice: one bit for "some path
-/// reaches here with a dispatched job still open", one for "some path
-/// reaches here with no open job".
-struct MarkerState {
-  bool Reachable = false;
-  bool MayOpen = false;
-  bool MayClosed = false;
-
-  bool operator==(const MarkerState &O) const = default;
-};
-
-class MarkerDomain {
-public:
-  using State = MarkerState;
-
-  State bottom(const Cfg &) const { return {}; }
-  State boundary(const Cfg &) const { return {true, false, true}; }
-
-  bool join(State &Into, const State &From) const {
-    if (!From.Reachable)
-      return false;
-    bool Changed = !Into.Reachable ||
-                   (From.MayOpen && !Into.MayOpen) ||
-                   (From.MayClosed && !Into.MayClosed);
-    Into.Reachable = true;
-    Into.MayOpen |= From.MayOpen;
-    Into.MayClosed |= From.MayClosed;
-    return Changed;
-  }
-
-  State transfer(const Cfg &G, NodeId N, const State &In) const {
-    if (!In.Reachable)
-      return In;
-    const CfgNode &Node = G[N];
-    if (Node.K != CfgNode::Kind::Trace)
-      return In;
-    if (Node.Fn == TraceFn::TrDisp)
-      return {true, true, false};
-    if (Node.Fn == TraceFn::TrCompl)
-      return {true, false, true};
+MarkerState MarkerDomain::transfer(const Cfg &G, NodeId N,
+                                   const State &In) const {
+  if (!In.Reachable)
     return In;
-  }
-};
-
-} // namespace
+  const CfgNode &Node = G[N];
+  if (Node.K != CfgNode::Kind::Trace)
+    return In;
+  if (Node.Fn == TraceFn::TrDisp)
+    return {true, true, false};
+  if (Node.Fn == TraceFn::TrCompl)
+    return {true, false, true};
+  return In;
+}
 
 std::vector<Finding>
 rprosa::analysis::dataflow::analyzeMarkerDiscipline(const Cfg &G) {

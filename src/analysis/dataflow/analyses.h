@@ -63,6 +63,58 @@ struct ValueRangeResult {
 ValueRangeResult analyzeValueRanges(const Cfg &G,
                                     const AnalysisOptions &Opts = {});
 
+/// Definite-init's may-uninitialised state: a set bit means "some path
+/// reaches here with no write to that register / no fill of that buffer
+/// yet".
+struct InitState {
+  bool Reachable = false;
+  std::vector<bool> RegUnset;
+  std::vector<bool> BufUnset;
+
+  bool operator==(const InitState &O) const = default;
+};
+
+/// The engine Domain of analyzeDefiniteInit. Entry boundary: every
+/// register and buffer unset.
+class InitDomain {
+public:
+  using State = InitState;
+
+  InitDomain(std::uint32_t NumRegs, std::uint32_t NumBufs)
+      : NumRegs(NumRegs), NumBufs(NumBufs) {}
+
+  State bottom(const Cfg &) const { return {}; }
+  State boundary(const Cfg &) const;
+  bool join(State &Into, const State &From) const;
+  State transfer(const Cfg &G, NodeId N, const State &In) const;
+
+private:
+  std::uint32_t NumRegs, NumBufs;
+};
+
+/// Marker discipline's may-open/may-closed protocol lattice: one bit for
+/// "some path reaches here with a dispatched job still open", one for
+/// "some path reaches here with no open job".
+struct MarkerState {
+  bool Reachable = false;
+  bool MayOpen = false;
+  bool MayClosed = false;
+
+  bool operator==(const MarkerState &O) const = default;
+};
+
+/// The engine Domain of analyzeMarkerDiscipline. Entry boundary: no
+/// open job.
+class MarkerDomain {
+public:
+  using State = MarkerState;
+
+  State bottom(const Cfg &) const { return {}; }
+  State boundary(const Cfg &) const { return {true, false, true}; }
+  bool join(State &Into, const State &From) const;
+  State transfer(const Cfg &G, NodeId N, const State &In) const;
+};
+
 /// Findings only; check-ids "definite-init.register" / ".buffer".
 std::vector<Finding> analyzeDefiniteInit(const Cfg &G);
 

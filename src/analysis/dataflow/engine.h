@@ -55,9 +55,11 @@
 
 #include "analysis/cfg.h"
 
+#include <algorithm>
 #include <concepts>
 #include <cstdint>
-#include <set>
+#include <functional>
+#include <numeric>
 #include <vector>
 
 namespace rprosa::analysis::dataflow {
@@ -163,18 +165,33 @@ solve(const Cfg &G, const Domain &Dom, const CfgOrder &Order,
 
   // Every node starts dirty (so transfer is applied at least once,
   // unreachable nodes included); afterwards a node is requeued only
-  // when a producer's out-state was recomputed.
-  std::set<std::uint32_t> Work;
-  for (std::uint32_t P = 0; P <= Last; ++P)
-    Work.insert(P);
+  // when a producer's out-state was recomputed. The worklist is a
+  // min-heap of sweep positions, and Queued keeps each position in it
+  // at most once, so it pops the sweep-earliest dirty node exactly as
+  // an ordered set would, without a node allocation per insert. The
+  // ascending start is already a valid heap.
+  std::vector<std::uint32_t> Work(Order.Rpo.size());
+  std::iota(Work.begin(), Work.end(), 0u);
+  std::vector<char> Queued(Order.Rpo.size(), 1);
+  auto Requeue = [&](NodeId Node) {
+    std::uint32_t P = SweepPos(Node);
+    if (Queued[P])
+      return;
+    Queued[P] = 1;
+    Work.push_back(P);
+    std::push_heap(Work.begin(), Work.end(), std::greater<>());
+  };
   const std::uint64_t Budget =
       static_cast<std::uint64_t>(Opts.MaxRounds) * Order.Rpo.size();
 
   while (!Work.empty()) {
     if (Sol.NodeVisits >= Budget)
       return Sol; // Budget exhausted: Converged stays false.
-    NodeId Node = Order.Rpo[Fwd ? *Work.begin() : Last - *Work.begin()];
-    Work.erase(Work.begin());
+    std::pop_heap(Work.begin(), Work.end(), std::greater<>());
+    const std::uint32_t Pos = Work.back();
+    Work.pop_back();
+    Queued[Pos] = 0;
+    NodeId Node = Order.Rpo[Fwd ? Pos : Last - Pos];
 
     bool Widening =
         Order.LoopHead[Node] && HeadChanges[Node] >= Opts.WidenAfter;
@@ -231,10 +248,10 @@ solve(const Cfg &G, const Domain &Dom, const CfgOrder &Order,
       // both cases.
       if (Fwd) {
         for (NodeId S : G.successors(Node))
-          Work.insert(SweepPos(S));
+          Requeue(S);
       } else {
         for (NodeId P : Order.Preds[Node])
-          Work.insert(SweepPos(P));
+          Requeue(P);
       }
     }
   }

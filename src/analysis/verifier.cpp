@@ -6,8 +6,10 @@
 
 #include "analysis/verifier.h"
 
+#include <algorithm>
 #include <deque>
-#include <unordered_set>
+#include <initializer_list>
+#include <span>
 
 using namespace rprosa;
 using namespace rprosa::analysis;
@@ -32,31 +34,125 @@ Job canonicalJob() {
   return J;
 }
 
-/// One explored product state plus the edge that produced it.
+/// The visited set. Each distinct product state is encoded once into
+/// Width fixed-width words of one flat store: its CFG node, its
+/// ProtocolSts::abstractKey(), each register's value, then one bit
+/// string of each register's kind (2 bits), HasJob and each buffer's
+/// fill (1 bit each). Two states encode equally exactly when they agree
+/// on all of these, which makes them indistinguishable to the rest of
+/// the search. An open-addressing table of indices into the store
+/// answers a probe with one hash and a few word compares; nothing is
+/// allocated per probe, and a key is stored only when it is new.
+class StateSet {
+public:
+  StateSet(std::uint32_t NumRegs, std::uint32_t NumBufs)
+      : NumRegs(NumRegs),
+        Width(2 + NumRegs + (2 * NumRegs + 1 + NumBufs + 63) / 64),
+        Probe(Width), Slots(std::size_t(1) << LogSlots, Empty) {}
+
+  /// Adds the key of \p S; true iff it was not in the set yet.
+  bool insert(const AbsState &S) {
+    encode(S);
+    const std::size_t Mask = Slots.size() - 1;
+    for (std::size_t At = slotOf(Probe.data());; At = (At + 1) & Mask) {
+      const std::uint32_t Idx = Slots[At];
+      if (Idx == Empty) {
+        Slots[At] = Count++;
+        Keys.insert(Keys.end(), Probe.begin(), Probe.end());
+        if (2 * std::size_t(Count) > Slots.size())
+          grow();
+        return true;
+      }
+      if (std::equal(Probe.begin(), Probe.end(),
+                     Keys.data() + std::size_t(Idx) * Width))
+        return false;
+    }
+  }
+
+private:
+  static constexpr std::uint32_t Empty = ~std::uint32_t(0);
+
+  void encode(const AbsState &S) {
+    std::uint64_t *W = Probe.data();
+    W[0] = S.Node;
+    W[1] = S.Sts.abstractKey();
+    std::uint64_t *Bits = W + 2 + NumRegs;
+    std::fill(Bits, W + Width, 0);
+    // Kinds first, at even offsets, so no 2-bit field straddles a word.
+    std::size_t At = 0;
+    auto Put = [Bits, &At](std::uint64_t V, unsigned Len) {
+      Bits[At / 64] |= V << (At % 64);
+      At += Len;
+    };
+    for (std::uint32_t R = 0; R < NumRegs; ++R) {
+      W[2 + R] = static_cast<std::uint64_t>(S.Regs[R].V);
+      Put(static_cast<std::uint64_t>(S.Regs[R].K), 2);
+    }
+    Put(S.HasJob ? 1 : 0, 1);
+    for (AbsBuf B : S.Bufs)
+      Put(static_cast<std::uint64_t>(B), 1);
+  }
+
+  /// Multiplicative hashing over the words; the top bits index the
+  /// table.
+  std::size_t slotOf(const std::uint64_t *W) const {
+    std::uint64_t H = 0;
+    for (std::size_t I = 0; I < Width; ++I)
+      H = (H ^ W[I]) * 0x9e3779b97f4a7c15ull;
+    return static_cast<std::size_t>(H >> (64 - LogSlots));
+  }
+
+  void grow() {
+    ++LogSlots;
+    Slots.assign(std::size_t(1) << LogSlots, Empty);
+    const std::size_t Mask = Slots.size() - 1;
+    for (std::uint32_t Idx = 0; Idx < Count; ++Idx) {
+      std::size_t At = slotOf(Keys.data() + std::size_t(Idx) * Width);
+      while (Slots[At] != Empty)
+        At = (At + 1) & Mask;
+      Slots[At] = Idx;
+    }
+  }
+
+  std::uint32_t NumRegs;
+  std::size_t Width;
+  std::vector<std::uint64_t> Probe; ///< The key being looked up.
+  std::vector<std::uint64_t> Keys;  ///< Width words per stored state.
+  unsigned LogSlots = 10;
+  std::vector<std::uint32_t> Slots; ///< Indices into Keys, or Empty.
+  std::uint32_t Count = 0;
+};
+
+/// One explored product state plus the edge that first reached it.
 struct SearchNode {
   AbsState State;
   std::int64_t Parent; ///< Index into the node arena; -1 for the root.
-  /// Markers emitted (and accepted) on the incoming edge.
-  std::vector<MarkerEvent> EdgeMarkers;
-  /// Label of the CFG node executed on the incoming edge.
-  std::string EdgeLabel;
+  /// Markers emitted (and accepted) on the incoming edge: the span
+  /// [MarkersBegin, MarkersEnd) of the search's flat marker store.
+  std::uint32_t MarkersBegin;
+  std::uint32_t MarkersEnd;
 };
 
+/// Breadth-first search over the product. The arena doubles as the
+/// queue: states are expanded in the order they were first reached.
+/// Each successor is built in one scratch state and copied into the
+/// arena, with its edge's markers, only when its key is new; the label
+/// of an executed node is rendered only into a counterexample trail.
 class Search {
 public:
   Search(const Cfg &G, std::uint32_t NumSockets)
-      : G(G), NumSockets(NumSockets), RegBound(registerBound(NumSockets)) {
+      : G(G), NumSockets(NumSockets), RegBound(registerBound(NumSockets)),
+        Visited(G.numRegs(), G.numBufs()),
+        Next(G.numRegs(), G.numBufs(), NumSockets) {
     V.EdgeCover.assign(G.size(), 0);
     V.NodeVisited.assign(G.size(), false);
   }
 
   Verdict run() {
-    AbsState Init(G.numRegs(), G.numBufs(), NumSockets);
-    Init.Node = G.Entry;
-    enqueue(std::move(Init), -1, {}, "");
-    while (!Queue.empty() && V.Kind == VerdictKind::Verified) {
-      std::size_t I = Queue.front();
-      Queue.pop_front();
+    Next.Node = G.Entry;
+    enqueue(-1, {});
+    for (std::size_t I = 0;
+         I < Arena.size() && V.Kind == VerdictKind::Verified; ++I) {
       ++V.StatesExplored;
       expand(I);
       if (Arena.size() > MaxStates) {
@@ -69,41 +165,49 @@ public:
   }
 
 private:
-  /// Adds the successor state if its key is new.
-  void enqueue(AbsState S, std::int64_t Parent,
-               std::vector<MarkerEvent> Markers, std::string Label) {
-    V.NodeVisited[S.Node] = true;
-    if (!Visited.insert(S.key()).second)
+  /// Starts a successor of \p S at \p To in the scratch state.
+  AbsState &successor(const AbsState &S, NodeId To) {
+    Next = S;
+    Next.Node = To;
+    return Next;
+  }
+
+  /// Adds the scratch successor, reached from \p Parent over an edge
+  /// emitting \p Markers, if its key is new.
+  void enqueue(std::int64_t Parent,
+               std::initializer_list<MarkerEvent> Markers) {
+    V.NodeVisited[Next.Node] = true;
+    if (!Visited.insert(Next))
       return;
-    Arena.push_back(
-        {std::move(S), Parent, std::move(Markers), std::move(Label)});
-    Queue.push_back(Arena.size() - 1);
+    const auto Begin = static_cast<std::uint32_t>(EdgeMarkers.size());
+    EdgeMarkers.insert(EdgeMarkers.end(), Markers);
+    Arena.push_back({Next, Parent, Begin,
+                     static_cast<std::uint32_t>(EdgeMarkers.size())});
   }
 
   /// Walks the parent chain of \p I, filling the counterexample trail
   /// and accepted-marker prefix, then appends the failing step.
   void reportViolation(std::size_t I, const CfgNode &N,
-                       std::vector<MarkerEvent> AcceptedHere,
-                       MarkerEvent Rejected, std::string Why) {
+                       std::span<const MarkerEvent> AcceptedHere,
+                       const MarkerEvent &Rejected, std::string Why) {
     V.Kind = VerdictKind::ProtocolViolation;
     V.Diagnostic = std::move(Why);
     fillPath(I);
-    for (MarkerEvent &M : AcceptedHere)
-      V.MarkerPrefix.push_back(std::move(M));
-    V.MarkerPrefix.push_back(std::move(Rejected));
+    V.MarkerPrefix.insert(V.MarkerPrefix.end(), AcceptedHere.begin(),
+                          AcceptedHere.end());
+    V.MarkerPrefix.push_back(Rejected);
     V.Trail.push_back(N.label());
   }
 
-  void reportDefect(std::size_t I, const CfgNode &N,
-                    std::vector<MarkerEvent> AcceptedHere, std::string Why) {
+  void reportDefect(std::size_t I, const CfgNode &N, std::string Why) {
     V.Kind = VerdictKind::Defect;
     V.Diagnostic = std::move(Why);
     fillPath(I);
-    for (MarkerEvent &M : AcceptedHere)
-      V.MarkerPrefix.push_back(std::move(M));
     V.Trail.push_back(N.label());
   }
 
+  /// The edge into a state executed its parent's CFG node, so the trail
+  /// labels the parent's node; the root has no incoming edge.
   void fillPath(std::size_t I) {
     std::vector<std::size_t> Chain;
     for (std::int64_t At = static_cast<std::int64_t>(I); At >= 0;
@@ -111,80 +215,70 @@ private:
       Chain.push_back(static_cast<std::size_t>(At));
     for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
       const SearchNode &SN = Arena[*It];
-      if (!SN.EdgeLabel.empty())
-        V.Trail.push_back(SN.EdgeLabel);
-      V.MarkerPrefix.insert(V.MarkerPrefix.end(), SN.EdgeMarkers.begin(),
-                            SN.EdgeMarkers.end());
+      if (SN.Parent >= 0)
+        V.Trail.push_back(G[Arena[SN.Parent].State.Node].label());
+      V.MarkerPrefix.insert(V.MarkerPrefix.end(),
+                            EdgeMarkers.begin() + SN.MarkersBegin,
+                            EdgeMarkers.begin() + SN.MarkersEnd);
     }
   }
 
-  /// Feeds \p Markers to the acceptor of \p Next. On rejection reports
-  /// a violation and returns false; the accepted prefix up to the
-  /// rejection is preserved.
-  bool advanceSts(std::size_t I, const CfgNode &N, AbsState Next,
-                  std::vector<MarkerEvent> Markers) {
-    std::vector<MarkerEvent> Accepted;
-    for (std::size_t M = 0; M < Markers.size(); ++M) {
+  /// Feeds \p Markers to the acceptor of the scratch successor. On
+  /// rejection reports a violation and returns false; the accepted
+  /// prefix up to the rejection is preserved.
+  bool advanceSts(std::size_t I, const CfgNode &N,
+                  std::initializer_list<MarkerEvent> Markers) {
+    for (const MarkerEvent *M = Markers.begin(); M != Markers.end(); ++M) {
       std::string Why;
-      if (!Next.Sts.step(Markers[M], &Why)) {
-        reportViolation(I, N, std::move(Accepted), std::move(Markers[M]),
-                        std::move(Why));
+      if (!Next.Sts.step(*M, &Why)) {
+        reportViolation(I, N, {Markers.begin(), M}, *M, std::move(Why));
         return false;
       }
-      Accepted.push_back(std::move(Markers[M]));
     }
-    Markers = std::move(Accepted);
     ++V.TransitionsExplored;
-    enqueue(std::move(Next), static_cast<std::int64_t>(I), std::move(Markers),
-            N.label());
+    enqueue(static_cast<std::int64_t>(I), Markers);
     return true;
   }
 
   /// Successor without markers.
-  void step(std::size_t I, const CfgNode &N, AbsState Next) {
+  void step(std::size_t I) {
     ++V.TransitionsExplored;
-    enqueue(std::move(Next), static_cast<std::int64_t>(I), {}, N.label());
+    enqueue(static_cast<std::int64_t>(I), {});
   }
 
   void expand(std::size_t I) {
-    // Arena may reallocate while enqueuing successors; copy the state.
-    const AbsState S = Arena[I].State;
+    // Arena nodes never move (a deque only appends), so the expanded
+    // state is read in place while its successors are enqueued.
+    const AbsState &S = Arena[I].State;
     const NodeId NId = S.Node;
     const CfgNode &N = G[NId];
 
     switch (N.K) {
-    case CfgNode::Kind::Entry: {
-      AbsState Next = S;
-      Next.Node = N.Succ;
-      step(I, N, std::move(Next));
+    case CfgNode::Kind::Entry:
+      successor(S, N.Succ);
+      step(I);
       break;
-    }
 
     case CfgNode::Kind::Exit:
       // A finished path: every emitted marker was accepted.
       break;
 
-    case CfgNode::Kind::Assign: {
-      AbsState Next = S;
-      Next.Regs[N.Dst] = evalAbstract(*N.E, S.Regs, RegBound);
-      Next.Node = N.Succ;
-      step(I, N, std::move(Next));
+    case CfgNode::Kind::Assign:
+      successor(S, N.Succ).Regs[N.Dst] = evalAbstract(*N.E, S.Regs, RegBound);
+      step(I);
       break;
-    }
 
     case CfgNode::Kind::Branch: {
       AbsBool T = truth(evalAbstract(*N.E, S.Regs, RegBound));
       if (T != AbsBool::False) {
         V.EdgeCover[NId] |= 1;
-        AbsState Next = S;
-        Next.Node = N.Succ;
-        step(I, N, std::move(Next));
+        successor(S, N.Succ);
+        step(I);
       }
       if (T != AbsBool::True) {
         V.EdgeCover[NId] |= 2;
-        AbsState Next = S;
-        Next.Node = N.FalseSucc;
-        step(I, N, std::move(Next));
+        successor(S, N.FalseSucc);
+        step(I);
       }
       break;
     }
@@ -194,41 +288,33 @@ private:
       // in-range socket plus one out-of-range representative (all
       // out-of-range values are indistinguishable to the STS: any
       // socket other than its round-robin cursor rejects identically).
-      std::vector<SocketId> Socks;
       const AbsValue &SV = S.Regs[N.Reg];
+      SocketId First = 0, Last = NumSockets;
       if (SV.K == AbsValue::Kind::Known)
-        Socks.push_back(static_cast<SocketId>(SV.V));
-      else
-        for (SocketId Sock = 0; Sock <= NumSockets; ++Sock)
-          Socks.push_back(Sock);
-
-      for (SocketId Sock : Socks) {
-        { // READ-STEP-FAILURE: result -1, M_ReadE sock ⊥.
-          AbsState Next = S;
-          Next.Regs[N.Dst] = AbsValue::known(-1, RegBound);
-          Next.Node = N.Succ;
-          if (!advanceSts(I, N, std::move(Next),
-                          {MarkerEvent::readS(),
-                           MarkerEvent::readE(Sock, std::nullopt)}))
-            return;
-        }
-        { // READ-STEP-SUCCESS: payload length unknown but ≥ 0.
-          AbsState Next = S;
-          Next.Regs[N.Dst] = AbsValue::nonNeg();
-          Next.Bufs[N.Buf] = AbsBuf::Full;
-          Next.Node = N.Succ;
-          if (!advanceSts(I, N, std::move(Next),
-                          {MarkerEvent::readS(),
-                           MarkerEvent::readE(Sock, canonicalJob())}))
-            return;
-        }
+        First = Last = static_cast<SocketId>(SV.V);
+      for (SocketId Sock = First;; ++Sock) {
+        // READ-STEP-FAILURE: result -1, M_ReadE sock ⊥.
+        successor(S, N.Succ).Regs[N.Dst] = AbsValue::known(-1, RegBound);
+        if (!advanceSts(I, N,
+                        {MarkerEvent::readS(),
+                         MarkerEvent::readE(Sock, std::nullopt)}))
+          return;
+        // READ-STEP-SUCCESS: payload length unknown but ≥ 0.
+        AbsState &Ok = successor(S, N.Succ);
+        Ok.Regs[N.Dst] = AbsValue::nonNeg();
+        Ok.Bufs[N.Buf] = AbsBuf::Full;
+        if (!advanceSts(I, N,
+                        {MarkerEvent::readS(),
+                         MarkerEvent::readE(Sock, canonicalJob())}))
+          return;
+        if (Sock == Last)
+          break;
       }
       break;
     }
 
     case CfgNode::Kind::Trace: {
-      AbsState Next = S;
-      Next.Node = N.Succ;
+      AbsState &Out = successor(S, N.Succ);
       MarkerEvent M = MarkerEvent::idling();
       switch (N.Fn) {
       case TraceFn::TrSelection:
@@ -239,7 +325,7 @@ private:
         break;
       case TraceFn::TrDisp:
         if (S.Bufs[N.Buf] == AbsBuf::Empty) {
-          reportDefect(I, N, {},
+          reportDefect(I, N,
                        "dispatch of an empty buffer buf" +
                            std::to_string(N.Buf) +
                            " (the Fig. 6 machine has no datagram to "
@@ -247,25 +333,24 @@ private:
           return;
         }
         M = MarkerEvent::dispatch(canonicalJob());
-        Next.HasJob = true;
+        Out.HasJob = true;
         break;
       case TraceFn::TrExec:
         M = MarkerEvent::execution(canonicalJob());
         break;
       case TraceFn::TrCompl:
         M = MarkerEvent::completion(canonicalJob());
-        Next.HasJob = false;
+        Out.HasJob = false;
         break;
       }
       bool NeedsJob = N.Fn == TraceFn::TrExec || N.Fn == TraceFn::TrCompl;
-      bool HadJob = S.HasJob;
-      if (!advanceSts(I, N, std::move(Next), {std::move(M)}))
+      if (!advanceSts(I, N, {M}))
         return;
       // Invariant: the STS sits in its execution/completion phases only
       // while the machine holds a dispatched job, so a job-less marker
       // is always rejected above. Defend against regressions anyway.
-      if (NeedsJob && !HadJob && V.Kind == VerdictKind::Verified) {
-        reportDefect(I, N, {},
+      if (NeedsJob && !S.HasJob && V.Kind == VerdictKind::Verified) {
+        reportDefect(I, N,
                      "execution/completion marker without a dispatched "
                      "job (machine precondition)");
         return;
@@ -273,42 +358,32 @@ private:
       break;
     }
 
-    case CfgNode::Kind::Enqueue: {
+    case CfgNode::Kind::Enqueue:
       if (S.Bufs[N.Buf] == AbsBuf::Empty) {
-        reportDefect(I, N, {},
+        reportDefect(I, N,
                      "enqueue of an empty buffer buf" + std::to_string(N.Buf));
         return;
       }
-      AbsState Next = S;
-      Next.Node = N.Succ;
-      step(I, N, std::move(Next));
+      successor(S, N.Succ);
+      step(I);
       break;
-    }
 
     case CfgNode::Kind::Dequeue: {
-      { // Hit: the policy hands out some pending message.
-        AbsState Next = S;
-        Next.Bufs[N.Buf] = AbsBuf::Full;
-        Next.Regs[N.Dst] = AbsValue::known(1, RegBound);
-        Next.Node = N.Succ;
-        step(I, N, std::move(Next));
-      }
-      { // Miss: the queue is empty.
-        AbsState Next = S;
-        Next.Regs[N.Dst] = AbsValue::known(0, RegBound);
-        Next.Node = N.Succ;
-        step(I, N, std::move(Next));
-      }
+      // Hit: the policy hands out some pending message.
+      AbsState &Hit = successor(S, N.Succ);
+      Hit.Bufs[N.Buf] = AbsBuf::Full;
+      Hit.Regs[N.Dst] = AbsValue::known(1, RegBound);
+      step(I);
+      // Miss: the queue is empty.
+      successor(S, N.Succ).Regs[N.Dst] = AbsValue::known(0, RegBound);
+      step(I);
       break;
     }
 
-    case CfgNode::Kind::Free: {
-      AbsState Next = S;
-      Next.Bufs[N.Buf] = AbsBuf::Empty;
-      Next.Node = N.Succ;
-      step(I, N, std::move(Next));
+    case CfgNode::Kind::Free:
+      successor(S, N.Succ).Bufs[N.Buf] = AbsBuf::Empty;
+      step(I);
       break;
-    }
     }
   }
 
@@ -318,9 +393,12 @@ private:
   caesium::Value RegBound;
   Verdict V;
 
-  std::vector<SearchNode> Arena;
-  std::deque<std::size_t> Queue;
-  std::unordered_set<std::string> Visited;
+  StateSet Visited;
+  std::deque<SearchNode> Arena;
+  /// The edge markers of every arena node, back to back.
+  std::vector<MarkerEvent> EdgeMarkers;
+  /// The successor under construction.
+  AbsState Next;
 };
 
 } // namespace

@@ -257,6 +257,50 @@ TEST(Engine, EmptyProgramSolvesToBoundaryAtExit) {
   EXPECT_TRUE(Sol.Converged);
 }
 
+TEST(Engine, VisitCountsArePinned) {
+  // The worklist's extraction order decides how often each node's
+  // transfer runs. These counts were recorded with the ordered-set
+  // worklist; any other worklist must pop in the same order and so
+  // reproduce them exactly. Live is the backward liveness instance
+  // above, the one backward solve.
+  struct Pinned {
+    const char *Program;
+    Cfg G;
+    std::uint64_t Range, Zone, Init, Marker, Live;
+  };
+  const Pinned Want[] = {
+      {"rossl-2", buildCfg(buildRosslProgram(2)), 57, 68, 22, 22, 30},
+      {"fds_run.rossl",
+       buildCfg(parseOrDie(
+           testutil::readTextFile(RPROSA_EXAMPLES_DIR "/fds_run.rossl"))),
+       57, 68, 22, 22, 30},
+      {"loops-100", buildCfg(parseOrDie(testutil::loopLadderSource(100))),
+       1261, 1574, 322, 322, 430},
+  };
+  for (const Pinned &P : Want) {
+    SCOPED_TRACE(P.Program);
+    const Cfg &G = P.G;
+    CfgOrder Order = CfgOrder::compute(G);
+    Solution<RangeState> Range = solve(G, RangeDomain(G.numRegs()), Order);
+    Solution<ZoneState> Zone = solve(G, ZoneDomain(G.numRegs(), 2), Order);
+    Solution<InitState> Init =
+        solve(G, InitDomain(G.numRegs(), G.numBufs()), Order);
+    Solution<MarkerState> Marker = solve(G, MarkerDomain{}, Order);
+    Solution<std::vector<bool>> Live =
+        solve(G, LiveDomain(G.numRegs()), Order, Direction::Backward);
+    EXPECT_TRUE(Range.Converged);
+    EXPECT_TRUE(Zone.Converged);
+    EXPECT_TRUE(Init.Converged);
+    EXPECT_TRUE(Marker.Converged);
+    EXPECT_TRUE(Live.Converged);
+    EXPECT_EQ(Range.NodeVisits, P.Range);
+    EXPECT_EQ(Zone.NodeVisits, P.Zone);
+    EXPECT_EQ(Init.NodeVisits, P.Init);
+    EXPECT_EQ(Marker.NodeVisits, P.Marker);
+    EXPECT_EQ(Live.NodeVisits, P.Live);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Interval arithmetic and refinement
 //===----------------------------------------------------------------------===//

@@ -20,7 +20,6 @@
 
 #include "caesium/parser.h"
 #include "caesium/print.h"
-#include "caesium/rossl_program.h"
 #include "support/rng.h"
 
 #include "test_util.h"
@@ -385,20 +384,9 @@ TEST(LoopClassification, RandomProgramsMatchReachabilityReference) {
 // The benchmark's loop ladder and the nested E20 shape
 //===----------------------------------------------------------------------===//
 
-/// The printed 2-socket program with \p Loops counted loops spliced
-/// after the dispatch marker, inside the fuel-governed scheduler loop.
+/// The benchmark's loop ladder (test_util.h), lowered.
 Cfg ladderCfg(std::uint32_t Loops) {
-  std::string Base = cs::printStmt(*cs::buildRosslProgram(2));
-  std::size_t At = Base.find("dispatch_start(");
-  std::size_t LineStart = Base.rfind('\n', At) + 1;
-  std::string Indent = Base.substr(LineStart, At - LineStart);
-  std::size_t LineEnd = Base.find('\n', At) + 1;
-  std::string Splice;
-  for (std::uint32_t I = 0; I < Loops; ++I)
-    Splice += Indent + "r5 = 0;\n" + Indent + "while ((r5 < 4)) {\n" +
-              Indent + "  r5 = (r5 + 1);\n" + Indent + "}\n";
-  std::optional<cs::StmtPtr> P = cs::parseProgram(
-      TA, Base.substr(0, LineEnd) + Splice + Base.substr(LineEnd));
+  std::optional<cs::StmtPtr> P = cs::parseProgram(TA, loopLadderSource(Loops));
   EXPECT_TRUE(P.has_value());
   return buildCfg(*P);
 }

@@ -16,6 +16,8 @@
 #define RPROSA_TESTS_TEST_UTIL_H
 
 #include "caesium/ast.h"
+#include "caesium/print.h"
+#include "caesium/rossl_program.h"
 #include "rossl/scheduler.h"
 #include "rta/sweep.h"
 #include "sim/environment.h"
@@ -24,8 +26,10 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <random>
+#include <sstream>
 #include <streambuf>
 #include <string>
 #include <utility>
@@ -53,6 +57,31 @@ inline std::uint64_t fuzzSeed(std::uint64_t Default) {
   char *End = nullptr;
   std::uint64_t S = std::strtoull(Env, &End, 10);
   return End && *End == '\0' ? S : Default;
+}
+
+/// The whole text of the file at \p Path; empty if it cannot be read.
+inline std::string readTextFile(const std::string &Path) {
+  std::ifstream In(Path);
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+/// The printed 2-socket Rössl program with \p Loops counted loops
+/// spliced after the dispatch marker, inside the fuel-governed scheduler
+/// loop: the loop-ladder shape of the end-to-end benchmark's static
+/// workload. Protocol-clean; a longer dispatch segment per loop.
+inline std::string loopLadderSource(std::uint32_t Loops) {
+  std::string Base = caesium::printStmt(*caesium::buildRosslProgram(2));
+  std::size_t At = Base.find("dispatch_start(");
+  std::size_t LineStart = Base.rfind('\n', At) + 1;
+  std::string Indent = Base.substr(LineStart, At - LineStart);
+  std::size_t LineEnd = Base.find('\n', At) + 1;
+  std::string Splice;
+  for (std::uint32_t I = 0; I < Loops; ++I)
+    Splice += Indent + "r5 = 0;\n" + Indent + "while ((r5 < 4)) {\n" +
+              Indent + "  r5 = (r5 + 1);\n" + Indent + "}\n";
+  return Base.substr(0, LineEnd) + Splice + Base.substr(LineEnd);
 }
 
 /// Small, round WCETs that keep hand computations easy: FR=4, SR=10,
