@@ -7,15 +7,21 @@
 /// \file
 /// google-benchmark microbenchmarks for every stage of the pipeline:
 /// simulation (markers/second), the trace checkers, the conversion, SBF
-/// evaluation, the RTA solver as the task count grows, and the static
-/// protocol model check as the socket count grows. These document that
-/// the executable verification scales to long traces.
+/// evaluation, the RTA solver as the task count grows, the static
+/// protocol model check as the socket count grows, and the static lint
+/// with its witness refinement. These document that the executable
+/// verification scales to long traces.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "adequacy/pipeline.h"
 #include "analysis/cfg.h"
+#include "analysis/dataflow/analyses.h"
+#include "analysis/dataflow/witness.h"
+#include "analysis/mutants.h"
 #include "analysis/verifier.h"
+#include "caesium/parser.h"
+#include "caesium/print.h"
 #include "caesium/rossl_program.h"
 #include "convert/trace_to_schedule.h"
 #include "rossl/scheduler.h"
@@ -38,8 +44,11 @@
 #include <cmath>
 #include <istream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <streambuf>
+#include <string>
+#include <vector>
 
 using namespace rprosa;
 
@@ -318,6 +327,95 @@ void BM_VerifyProtocol(benchmark::State &State) {
 }
 BENCHMARK(BM_VerifyProtocol)->Arg(8)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond);
+
+/// One program of BM_StaticLint: its CFG, the socket count it is linted
+/// at, and the finding the witness layer must refine to a given status
+/// (empty for a program the lint must find clean).
+struct LintProgram {
+  analysis::Cfg G;
+  std::uint32_t Sockets = 2;
+  std::string CheckId, Refinement;
+};
+
+/// The 2-socket Rössl program with \p Loops counted loops spliced after
+/// its dispatch marker: the loop-ladder shape of the end-to-end
+/// benchmark's static workload.
+analysis::Cfg loopLadder(std::uint32_t Loops) {
+  static caesium::AstArena Arena;
+  std::string Src = caesium::printStmt(*caesium::buildRosslProgram(2));
+  std::size_t At = Src.find('\n', Src.find("dispatch_start(")) + 1;
+  std::string Splice;
+  for (std::uint32_t I = 0; I < Loops; ++I)
+    Splice += "r5 = 0;\nwhile ((r5 < 4)) { r5 = (r5 + 1); }\n";
+  std::optional<caesium::StmtPtr> P =
+      caesium::parseProgram(Arena, Src.insert(At, Splice));
+  RPROSA_CHECK(P.has_value(), "the loop ladder must parse");
+  return analysis::buildCfg(*P);
+}
+
+/// Fixture \p Which of BM_StaticLint: the Rössl program at 2 or 64
+/// sockets, the 1,000-loop ladder, or the 2-socket witness corpus.
+std::vector<LintProgram> lintPrograms(std::int64_t Which) {
+  std::vector<LintProgram> Out;
+  if (Which == 0 || Which == 1) {
+    const std::uint32_t N = Which == 0 ? 2 : 64;
+    Out.push_back({analysis::buildCfg(caesium::buildRosslProgram(N)), N, {},
+                   {}});
+  } else if (Which == 2) {
+    Out.push_back({loopLadder(1000), 2, {}, {}});
+  } else {
+    for (const analysis::Mutant &M : analysis::witnessMutantCorpus(2))
+      Out.push_back({analysis::buildCfg(M.Program), 2, M.ExpectedCheckId,
+                     M.ExpectedRefinement});
+  }
+  return Out;
+}
+
+void BM_StaticLint(benchmark::State &State) {
+  // runUnifiedAnalyses, then refineFindings with replay, on every
+  // program of the fixture; items are programs.
+  namespace df = analysis::dataflow;
+  const std::vector<LintProgram> Programs = lintPrograms(State.range(0));
+  auto Lint = [](const LintProgram &P) {
+    df::AnalysisOptions Opts;
+    Opts.NumSockets = P.Sockets;
+    df::WitnessOptions WOpts;
+    WOpts.NumSockets = P.Sockets;
+    std::vector<df::Finding> Fs = df::runUnifiedAnalyses(P.G, Opts);
+    df::refineFindings(P.G, Fs, WOpts);
+    return Fs;
+  };
+  std::size_t Findings = 0, Refined = 0;
+  for (const LintProgram &P : Programs) {
+    const std::vector<df::Finding> Fs = Lint(P);
+    Findings += Fs.size();
+    Refined += std::count_if(Fs.begin(), Fs.end(), [](const df::Finding &F) {
+      return F.Refined.has_value();
+    });
+    const bool Reached = std::any_of(
+        Fs.begin(), Fs.end(), [&P](const df::Finding &F) {
+          return F.CheckId == P.CheckId && F.Refined &&
+                 toString(F.Refined->St) == P.Refinement;
+        });
+    RPROSA_CHECK(P.CheckId.empty() ? Fs.empty() : Reached,
+                 "every clean program must lint clean, and every witness "
+                 "mutant must reach its declared refinement");
+  }
+  static constexpr std::size_t ExpectedFindings[] = {0, 0, 0, 4};
+  RPROSA_CHECK(Findings == ExpectedFindings[State.range(0)],
+               "the fixture's finding count must stay pinned");
+  for (auto _ : State)
+    for (const LintProgram &P : Programs)
+      benchmark::DoNotOptimize(Lint(P).size());
+  static const char *const Names[] = {"rossl(2)", "rossl(64)", "loops-1000",
+                                      "witness corpus"};
+  State.SetLabel(Names[State.range(0)]);
+  State.SetItemsProcessed(static_cast<std::int64_t>(State.iterations()) *
+                          static_cast<std::int64_t>(Programs.size()));
+  State.counters["findings"] = double(Findings);
+  State.counters["refined"] = double(Refined);
+}
+BENCHMARK(BM_StaticLint)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
 
 void BM_WorkloadGeneration(benchmark::State &State) {
   const Fixture &F = sharedFixture();

@@ -55,6 +55,29 @@ std::string CfgNode::label() const {
   return "?";
 }
 
+std::string rprosa::analysis::nodeRef(const Cfg &G, NodeId N) {
+  return "n" + std::to_string(N) + " (" + G[N].label() + ")";
+}
+
+std::string rprosa::analysis::nodeLabel(const Cfg &G, NodeId N) {
+  return "n" + std::to_string(N) + ": " + G[N].label();
+}
+
+void rprosa::analysis::collectRegs(const Expr &E, std::vector<RegId> &Out) {
+  if (E.K == Expr::Kind::Reg)
+    Out.push_back(E.Reg);
+  if (E.L)
+    collectRegs(*E.L, Out);
+  if (E.R)
+    collectRegs(*E.R, Out);
+}
+
+bool rprosa::analysis::mentionsFuel(const Expr &E) {
+  if (E.K == Expr::Kind::Fuel)
+    return true;
+  return (E.L && mentionsFuel(*E.L)) || (E.R && mentionsFuel(*E.R));
+}
+
 namespace {
 
 /// Backwards lowering: lower(S, Succ) returns the entry node of the
@@ -161,15 +184,6 @@ public:
   }
 };
 
-void scanExprRegs(const Expr &E, std::uint32_t &MaxReg) {
-  if (E.K == Expr::Kind::Reg)
-    MaxReg = std::max(MaxReg, E.Reg + 1);
-  if (E.L)
-    scanExprRegs(*E.L, MaxReg);
-  if (E.R)
-    scanExprRegs(*E.R, MaxReg);
-}
-
 } // namespace
 
 Cfg &rprosa::analysis::buildCfg(const StmtPtr &Program, Cfg &Out) {
@@ -202,9 +216,13 @@ Cfg rprosa::analysis::buildCfg(const StmtPtr &Program) {
 
 std::uint32_t Cfg::numRegs() const {
   std::uint32_t Max = 0;
+  std::vector<RegId> Used;
   for (const CfgNode &N : Nodes) {
+    Used.clear();
     if (N.E)
-      scanExprRegs(*N.E, Max);
+      collectRegs(*N.E, Used);
+    for (RegId R : Used)
+      Max = std::max(Max, R + 1);
     switch (N.K) {
     case CfgNode::Kind::Assign:
     case CfgNode::Kind::Dequeue:
@@ -320,7 +338,7 @@ std::string Cfg::dump() const {
   std::string Out;
   for (NodeId I = 0; I < Nodes.size(); ++I) {
     const CfgNode &N = Nodes[I];
-    Out += "n" + std::to_string(I) + ": " + N.label();
+    Out += nodeLabel(*this, I);
     if (N.K == CfgNode::Kind::Branch)
       Out += " -> n" + std::to_string(N.Succ) + " / n" +
              std::to_string(N.FalseSucc);

@@ -98,6 +98,15 @@ struct Cfg {
   std::string dump() const;
 };
 
+/// "n<id> (<label>)": node \p N as a finding's message names it.
+std::string nodeRef(const Cfg &G, NodeId N);
+/// "n<id>: <label>": node \p N as one line of a path or trail.
+std::string nodeLabel(const Cfg &G, NodeId N);
+/// Appends the register of every Reg leaf of \p E, in pre-order.
+void collectRegs(const caesium::Expr &E, std::vector<caesium::RegId> &Out);
+/// True iff \p E calls fuel() anywhere.
+bool mentionsFuel(const caesium::Expr &E);
+
 /// The strongly connected components of a Cfg's edge relation. Nodes
 /// unreachable from Entry get components too.
 struct CycleComponents {

@@ -11,23 +11,96 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 
 using namespace rprosa;
 using namespace rprosa::analysis;
 using namespace rprosa::analysis::dataflow;
 using namespace rprosa::caesium;
 
-namespace {
-
-std::string nodeRef(const Cfg &G, NodeId N) {
-  return "n" + std::to_string(N) + " (" + G[N].label() + ")";
+InitState InitDomain::boundary(const Cfg &) const {
+  State S;
+  S.Reachable = true;
+  S.RegUnset.assign(NumRegs, true);
+  S.BufUnset.assign(NumBufs, true);
+  return S;
 }
 
-/// Shortest entry-to-target path through nodes \p Live admits (BFS in
+bool InitDomain::join(State &Into, const State &From) const {
+  if (!From.Reachable)
+    return false;
+  if (!Into.Reachable) {
+    Into = From;
+    return true;
+  }
+  bool Changed = false;
+  for (std::size_t I = 0; I < Into.RegUnset.size(); ++I)
+    if (From.RegUnset[I] && !Into.RegUnset[I]) {
+      Into.RegUnset[I] = true;
+      Changed = true;
+    }
+  for (std::size_t I = 0; I < Into.BufUnset.size(); ++I)
+    if (From.BufUnset[I] && !Into.BufUnset[I]) {
+      Into.BufUnset[I] = true;
+      Changed = true;
+    }
+  return Changed;
+}
+
+InitState InitDomain::transfer(const Cfg &G, NodeId N,
+                               const State &In) const {
+  if (!In.Reachable)
+    return In;
+  State Out = In;
+  const CfgNode &Node = G[N];
+  switch (Node.K) {
+  case CfgNode::Kind::Assign:
+    if (Node.Dst < Out.RegUnset.size())
+      Out.RegUnset[Node.Dst] = false;
+    break;
+  case CfgNode::Kind::Read:
+  case CfgNode::Kind::Dequeue:
+    if (Node.Dst < Out.RegUnset.size())
+      Out.RegUnset[Node.Dst] = false;
+    if (Node.Buf < Out.BufUnset.size())
+      Out.BufUnset[Node.Buf] = false;
+    break;
+  default:
+    break;
+  }
+  return Out;
+}
+
+bool MarkerDomain::join(State &Into, const State &From) const {
+  if (!From.Reachable)
+    return false;
+  bool Changed = !Into.Reachable || (From.MayOpen && !Into.MayOpen) ||
+                 (From.MayClosed && !Into.MayClosed);
+  Into.Reachable = true;
+  Into.MayOpen |= From.MayOpen;
+  Into.MayClosed |= From.MayClosed;
+  return Changed;
+}
+
+MarkerState MarkerDomain::transfer(const Cfg &G, NodeId N,
+                                   const State &In) const {
+  if (!In.Reachable)
+    return In;
+  const CfgNode &Node = G[N];
+  if (Node.K != CfgNode::Kind::Trace)
+    return In;
+  if (Node.Fn == TraceFn::TrDisp)
+    return {true, true, false};
+  if (Node.Fn == TraceFn::TrCompl)
+    return {true, false, true};
+  return In;
+}
+
+namespace {
+
+/// Shortest entry-to-target path through the nodes \p In reaches (BFS in
 /// fixed successor order — deterministic), rendered as labels.
 std::vector<std::string> witnessPath(const Cfg &G, NodeId Target,
-                                     const std::function<bool(NodeId)> &Live) {
+                                     const std::vector<RangeState> &In) {
   std::vector<NodeId> Parent(G.size(), InvalidNode);
   std::vector<bool> Seen(G.size(), false);
   std::deque<NodeId> Queue;
@@ -39,7 +112,7 @@ std::vector<std::string> witnessPath(const Cfg &G, NodeId Target,
     if (N == Target)
       break;
     for (NodeId S : G.successors(N))
-      if (!Seen[S] && Live(S)) {
+      if (!Seen[S] && In[S].Reachable) {
         Seen[S] = true;
         Parent[S] = N;
         Queue.push_back(S);
@@ -56,7 +129,7 @@ std::vector<std::string> witnessPath(const Cfg &G, NodeId Target,
   std::vector<std::string> Out;
   Out.reserve(Rev.size());
   for (auto It = Rev.rbegin(); It != Rev.rend(); ++It)
-    Out.push_back("n" + std::to_string(*It) + ": " + G[*It].label());
+    Out.push_back(nodeLabel(G, *It));
   return Out;
 }
 
@@ -117,12 +190,8 @@ void checkExprRanges(const Cfg &G, NodeId N, const Expr &E,
   }
 }
 
-} // namespace
-
-ValueRangeResult
-rprosa::analysis::dataflow::analyzeValueRanges(const Cfg &G,
-                                               const AnalysisOptions &Opts) {
-  CfgOrder Order = CfgOrder::compute(G);
+ValueRangeResult valueRanges(const Cfg &G, const CfgOrder &Order,
+                             const AnalysisOptions &Opts) {
   RangeDomain Dom(G.numRegs());
   Solution<RangeState> Sol =
       solve(G, Dom, Order, Direction::Forward, Opts.Solve);
@@ -132,7 +201,6 @@ rprosa::analysis::dataflow::analyzeValueRanges(const Cfg &G,
   R.NodeVisits = Sol.NodeVisits;
   R.In = std::move(Sol.In);
 
-  auto Live = [&](NodeId N) { return R.In[N].Reachable; };
   for (NodeId N = 0; N < G.size(); ++N) {
     const RangeState &In = R.In[N];
     if (!In.Reachable)
@@ -160,81 +228,62 @@ rprosa::analysis::dataflow::analyzeValueRanges(const Cfg &G,
       }
     }
     for (std::size_t I = Before; I < R.Findings.size(); ++I)
-      R.Findings[I].Witness = witnessPath(G, N, Live);
+      R.Findings[I].Witness = witnessPath(G, N, R.In);
   }
   sortFindings(R.Findings);
   return R;
 }
 
-namespace {
-
-void collectRegs(const Expr &E, std::vector<RegId> &Out) {
-  if (E.K == Expr::Kind::Reg)
-    Out.push_back(E.Reg);
-  if (E.L)
-    collectRegs(*E.L, Out);
-  if (E.R)
-    collectRegs(*E.R, Out);
-}
-
-} // namespace
-
-InitState InitDomain::boundary(const Cfg &) const {
-  State S;
-  S.Reachable = true;
-  S.RegUnset.assign(NumRegs, true);
-  S.BufUnset.assign(NumBufs, true);
-  return S;
-}
-
-bool InitDomain::join(State &Into, const State &From) const {
-  if (!From.Reachable)
-    return false;
-  if (!Into.Reachable) {
-    Into = From;
-    return true;
-  }
-  bool Changed = false;
-  for (std::size_t I = 0; I < Into.RegUnset.size(); ++I)
-    if (From.RegUnset[I] && !Into.RegUnset[I]) {
-      Into.RegUnset[I] = true;
-      Changed = true;
+std::vector<Finding> deadCode(const Cfg &G, const CfgOrder &Order,
+                              const std::vector<RangeState> &In) {
+  std::vector<Finding> Out;
+  for (NodeId N = 0; N < G.size(); ++N) {
+    if (N == G.Entry)
+      continue;
+    const CfgNode &Node = G[N];
+    if (!In[N].Reachable) {
+      bool GraphDead = !Order.Reachable[N];
+      if (Node.K == CfgNode::Kind::Exit)
+        Out.push_back({"dead-code.unreachable", Severity::Note, N,
+                       Node.Line,
+                       "the exit is unreachable: the program never "
+                       "terminates",
+                       {}, std::nullopt});
+      else
+        Out.push_back({"dead-code.unreachable", Severity::Warning, N,
+                       Node.Line,
+                       "statement " + nodeRef(G, N) +
+                           (GraphDead
+                                ? " is unreachable from entry"
+                                : " is unreachable: no feasible path "
+                                  "(value ranges)"),
+                       {}, std::nullopt});
+      continue;
     }
-  for (std::size_t I = 0; I < Into.BufUnset.size(); ++I)
-    if (From.BufUnset[I] && !Into.BufUnset[I]) {
-      Into.BufUnset[I] = true;
-      Changed = true;
-    }
-  return Changed;
-}
-
-InitState InitDomain::transfer(const Cfg &G, NodeId N,
-                               const State &In) const {
-  if (!In.Reachable)
-    return In;
-  State Out = In;
-  const CfgNode &Node = G[N];
-  switch (Node.K) {
-  case CfgNode::Kind::Assign:
-    if (Node.Dst < Out.RegUnset.size())
-      Out.RegUnset[Node.Dst] = false;
-    break;
-  case CfgNode::Kind::Read:
-  case CfgNode::Kind::Dequeue:
-    if (Node.Dst < Out.RegUnset.size())
-      Out.RegUnset[Node.Dst] = false;
-    if (Node.Buf < Out.BufUnset.size())
-      Out.BufUnset[Node.Buf] = false;
-    break;
-  default:
-    break;
+    if (Node.K != CfgNode::Kind::Branch || !Node.E ||
+        Node.Succ == Node.FalseSucc)
+      continue;
+    RangeFlags F;
+    ValueInterval C = evalInterval(*Node.E, In[N], F);
+    if (!C.contains(0))
+      Out.push_back({"dead-code.constant-branch", Severity::Warning, N,
+                     Node.Line,
+                     "branch " + nodeRef(G, N) +
+                         " never takes its false edge (condition in " +
+                         C.str() + " is always true)",
+                     {}, std::nullopt});
+    else if (C.isConstant())
+      Out.push_back({"dead-code.constant-branch", Severity::Warning, N,
+                     Node.Line,
+                     "branch " + nodeRef(G, N) +
+                         " never takes its true edge (condition is "
+                         "always 0)",
+                     {}, std::nullopt});
   }
   return Out;
 }
 
-std::vector<Finding>
-rprosa::analysis::dataflow::analyzeDefiniteInit(const Cfg &G) {
-  CfgOrder Order = CfgOrder::compute(G);
+std::vector<Finding> definiteInit(const Cfg &G, const CfgOrder &Order) {
   InitDomain Dom(G.numRegs(), G.numBufs());
   Solution<InitState> Sol = solve(G, Dom, Order);
 
@@ -275,87 +324,7 @@ rprosa::analysis::dataflow::analyzeDefiniteInit(const Cfg &G) {
   return Out;
 }
 
-std::vector<Finding>
-rprosa::analysis::dataflow::analyzeDeadCode(const Cfg &G,
-                                            const AnalysisOptions &Opts) {
-  CfgOrder Order = CfgOrder::compute(G);
-  ValueRangeResult VR = analyzeValueRanges(G, Opts);
-
-  std::vector<Finding> Out;
-  for (NodeId N = 0; N < G.size(); ++N) {
-    if (N == G.Entry)
-      continue;
-    const CfgNode &Node = G[N];
-    if (!VR.In[N].Reachable) {
-      bool GraphDead = !Order.Reachable[N];
-      if (Node.K == CfgNode::Kind::Exit)
-        Out.push_back({"dead-code.unreachable", Severity::Note, N,
-                       Node.Line,
-                       "the exit is unreachable: the program never "
-                       "terminates",
-                       {}, std::nullopt});
-      else
-        Out.push_back({"dead-code.unreachable", Severity::Warning, N,
-                       Node.Line,
-                       "statement " + nodeRef(G, N) +
-                           (GraphDead
-                                ? " is unreachable from entry"
-                                : " is unreachable: no feasible path "
-                                  "(value ranges)"),
-                       {}, std::nullopt});
-      continue;
-    }
-    if (Node.K != CfgNode::Kind::Branch || !Node.E ||
-        Node.Succ == Node.FalseSucc)
-      continue;
-    RangeFlags F;
-    ValueInterval C = evalInterval(*Node.E, VR.In[N], F);
-    if (!C.contains(0))
-      Out.push_back({"dead-code.constant-branch", Severity::Warning, N,
-                     Node.Line,
-                     "branch " + nodeRef(G, N) +
-                         " never takes its false edge (condition in " +
-                         C.str() + " is always true)",
-                     {}, std::nullopt});
-    else if (C.isConstant())
-      Out.push_back({"dead-code.constant-branch", Severity::Warning, N,
-                     Node.Line,
-                     "branch " + nodeRef(G, N) +
-                         " never takes its true edge (condition is "
-                         "always 0)",
-                     {}, std::nullopt});
-  }
-  return Out;
-}
-
-bool MarkerDomain::join(State &Into, const State &From) const {
-  if (!From.Reachable)
-    return false;
-  bool Changed = !Into.Reachable || (From.MayOpen && !Into.MayOpen) ||
-                 (From.MayClosed && !Into.MayClosed);
-  Into.Reachable = true;
-  Into.MayOpen |= From.MayOpen;
-  Into.MayClosed |= From.MayClosed;
-  return Changed;
-}
-
-MarkerState MarkerDomain::transfer(const Cfg &G, NodeId N,
-                                   const State &In) const {
-  if (!In.Reachable)
-    return In;
-  const CfgNode &Node = G[N];
-  if (Node.K != CfgNode::Kind::Trace)
-    return In;
-  if (Node.Fn == TraceFn::TrDisp)
-    return {true, true, false};
-  if (Node.Fn == TraceFn::TrCompl)
-    return {true, false, true};
-  return In;
-}
-
-std::vector<Finding>
-rprosa::analysis::dataflow::analyzeMarkerDiscipline(const Cfg &G) {
-  CfgOrder Order = CfgOrder::compute(G);
+std::vector<Finding> markerDiscipline(const Cfg &G, const CfgOrder &Order) {
   MarkerDomain Dom;
   Solution<MarkerState> Sol = solve(G, Dom, Order);
 
@@ -390,17 +359,45 @@ rprosa::analysis::dataflow::analyzeMarkerDiscipline(const Cfg &G) {
   return Out;
 }
 
+} // namespace
+
+ValueRangeResult
+rprosa::analysis::dataflow::analyzeValueRanges(const Cfg &G,
+                                               const AnalysisOptions &Opts) {
+  return valueRanges(G, CfgOrder::compute(G), Opts);
+}
+
+std::vector<Finding>
+rprosa::analysis::dataflow::analyzeDefiniteInit(const Cfg &G) {
+  return definiteInit(G, CfgOrder::compute(G));
+}
+
+std::vector<Finding>
+rprosa::analysis::dataflow::analyzeDeadCode(const Cfg &G,
+                                            const AnalysisOptions &Opts) {
+  CfgOrder Order = CfgOrder::compute(G);
+  return deadCode(G, Order, valueRanges(G, Order, Opts).In);
+}
+
+std::vector<Finding>
+rprosa::analysis::dataflow::analyzeMarkerDiscipline(const Cfg &G) {
+  return markerDiscipline(G, CfgOrder::compute(G));
+}
+
 std::vector<Finding>
 rprosa::analysis::dataflow::runUnifiedAnalyses(const Cfg &G,
                                                const AnalysisOptions &Opts) {
-  std::vector<Finding> Out = analyzeValueRanges(G, Opts).Findings;
+  // One order for every instance; dead code reads the interval states.
+  const CfgOrder Order = CfgOrder::compute(G);
+  ValueRangeResult VR = valueRanges(G, Order, Opts);
+  std::vector<Finding> Out = std::move(VR.Findings);
   auto Append = [&Out](std::vector<Finding> More) {
     Out.insert(Out.end(), std::make_move_iterator(More.begin()),
                std::make_move_iterator(More.end()));
   };
-  Append(analyzeDefiniteInit(G));
-  Append(analyzeDeadCode(G, Opts));
-  Append(analyzeMarkerDiscipline(G));
+  Append(definiteInit(G, Order));
+  Append(deadCode(G, Order, VR.In));
+  Append(markerDiscipline(G, Order));
   // The structural lints are graph queries, not fixpoints; their
   // findings join the unified stream.
   for (auto Pass : {lintMarkerBalance, lintFuelTermination,

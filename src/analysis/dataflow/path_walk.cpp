@@ -76,8 +76,7 @@ rprosa::analysis::dataflow::walkSegmentTails(const Cfg &G, NodeId Source,
       O.Aborted = true;
       O.AbortWhy = P.VisitCapDiagnostic
                        ? P.VisitCapDiagnostic(W.N)
-                       : "visit cap exceeded at n" + std::to_string(W.N) +
-                             ": " + G[W.N].label();
+                       : "visit cap exceeded at " + nodeLabel(G, W.N);
       break;
     }
 

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 
 using namespace rprosa;
@@ -523,14 +524,17 @@ rprosa::analysis::dataflow::refineFindings(const Cfg &G,
                                            std::vector<Finding> &Fs,
                                            const WitnessOptions &Opts) {
   WitnessSummary Sum;
-  CfgOrder Order = CfgOrder::compute(G);
-  ZoneDomain Dom(G.numRegs(), Opts.NumSockets);
-  Solution<ZoneState> Fix = solve(G, Dom, Order, Direction::Forward);
-
+  // Solved lazily, once: the zone depends on the program, not the finding.
+  std::optional<CfgOrder> Order;
+  Solution<ZoneState> Fix;
   for (Finding &F : Fs) {
     if (F.Sev != Severity::Warning ||
         F.CheckId.rfind("value-range.", 0) != 0 || F.Node >= G.size())
       continue;
+    if (!Order) {
+      Order = CfgOrder::compute(G);
+      Fix = solve(G, ZoneDomain(G.numRegs(), Opts.NumSockets), *Order);
+    }
     ++Sum.Attempted;
     WitnessRefinement R;
 
@@ -583,7 +587,7 @@ rprosa::analysis::dataflow::refineFindings(const Cfg &G,
     }
 
     // (2) The bounded path search.
-    std::vector<char> Can = canReach(G, Order, F.Node);
+    std::vector<char> Can = canReach(G, *Order, F.Node);
     SearchResult SR = searchTrapPath(G, F, Alts, Can, Opts);
     R.Steps = SR.Steps;
     Sum.Steps += SR.Steps;

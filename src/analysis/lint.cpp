@@ -18,21 +18,6 @@ using namespace rprosa::caesium;
 
 namespace {
 
-void collectRegs(const Expr &E, std::vector<RegId> &Out) {
-  if (E.K == Expr::Kind::Reg)
-    Out.push_back(E.Reg);
-  if (E.L)
-    collectRegs(*E.L, Out);
-  if (E.R)
-    collectRegs(*E.R, Out);
-}
-
-bool exprHasFuel(const Expr &E) {
-  if (E.K == Expr::Kind::Fuel)
-    return true;
-  return (E.L && exprHasFuel(*E.L)) || (E.R && exprHasFuel(*E.R));
-}
-
 /// True for the nodes that write register Dst.
 bool writesReg(const CfgNode &N) {
   switch (N.K) {
@@ -79,28 +64,24 @@ bool searchFrom(const Cfg &G, const std::vector<NodeId> &Start,
   return false;
 }
 
-std::string nodeRef(const Cfg &G, NodeId N) {
-  return "n" + std::to_string(N) + " (" + G[N].label() + ")";
+/// An engine-backed analysis's findings as findings of lint \p Pass.
+std::vector<LintFinding> asLint(const char *Pass,
+                                std::vector<dataflow::Finding> Fs) {
+  std::vector<LintFinding> Out;
+  for (dataflow::Finding &F : Fs)
+    Out.push_back({Pass, F.Node, std::move(F.Message)});
+  return Out;
 }
 
 } // namespace
 
 std::vector<LintFinding> rprosa::analysis::lintDefBeforeUse(const Cfg &G) {
-  // One definite-init fixpoint on the dataflow engine replaces the
-  // per-use avoid-BFS this pass ran before; the analysis emits the
-  // identical messages in the identical order.
-  std::vector<LintFinding> Out;
-  for (dataflow::Finding &F : dataflow::analyzeDefiniteInit(G))
-    Out.push_back({"def-before-use", F.Node, std::move(F.Message)});
-  return Out;
+  return asLint("def-before-use", dataflow::analyzeDefiniteInit(G));
 }
 
 std::vector<LintFinding>
 rprosa::analysis::lintMarkerDiscipline(const Cfg &G) {
-  std::vector<LintFinding> Out;
-  for (dataflow::Finding &F : dataflow::analyzeMarkerDiscipline(G))
-    Out.push_back({"marker-discipline", F.Node, std::move(F.Message)});
-  return Out;
+  return asLint("marker-discipline", dataflow::analyzeMarkerDiscipline(G));
 }
 
 std::vector<LintFinding> rprosa::analysis::lintMarkerBalance(const Cfg &G) {
@@ -165,7 +146,7 @@ rprosa::analysis::lintFuelTermination(const Cfg &G) {
   }
   for (NodeId B = 0; B < G.size(); ++B) {
     const CfgNode &N = G[B];
-    if (N.K != CfgNode::Kind::Branch || exprHasFuel(*N.E))
+    if (N.K != CfgNode::Kind::Branch || mentionsFuel(*N.E))
       continue;
     if (!Comps.onCycle(B))
       continue; // Not a loop.

@@ -16,12 +16,6 @@ using namespace rprosa::caesium;
 
 namespace {
 
-bool mentionsFuel(const Expr &E) {
-  if (E.K == Expr::Kind::Fuel)
-    return true;
-  return (E.L && mentionsFuel(*E.L)) || (E.R && mentionsFuel(*E.R));
-}
-
 /// Matches `reg(R) + c` / `c + reg(R)` with literal c >= 1.
 std::optional<Value> positiveStep(const Expr &E, RegId R) {
   if (E.K != Expr::Kind::Add || !E.L || !E.R)

@@ -83,10 +83,6 @@ SegmentClass classOfTrace(TraceFn Fn) {
   return SegmentClass::Idling;
 }
 
-std::string nodeLabel(const Cfg &G, NodeId N) {
-  return "n" + std::to_string(N) + ": " + G[N].label();
-}
-
 std::vector<std::string> renderTrail(const Cfg &G,
                                      const std::vector<NodeId> &Trail) {
   std::vector<std::string> Out;

@@ -10,7 +10,11 @@
 /// and branch refinement, widening at loop heads (including self-loops
 /// and nested loops), the dead-code / marker-discipline / definite-init
 /// passes, and the byte-pinned text and SARIF renderings that
-/// `rp_verify --lint` emits.
+/// `rp_verify --lint` emits. Two composition tests hold the unified
+/// report equal to its parts and each refinement equal to refining its
+/// finding alone, over the Rössl programs, the example source, the
+/// mutant corpora, two loop ladders and seeded single edits
+/// (RPROSA_FUZZ_SEED picks a fresh set; a failure names it).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -879,6 +883,256 @@ TEST(UnifiedReport, EmbeddedProgramIsCleanForSocketSweep) {
     EXPECT_TRUE(Fs.empty())
         << "N=" << N << ":\n" << renderText("<embedded>", Fs);
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Composition: the unified report and the refinement against their parts
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One lint input: a program and the socket count it is analyzed at.
+struct LintCase {
+  std::string Name;
+  Cfg G;
+  std::uint32_t Sockets = 2;
+};
+
+constexpr int EditsPerSeed = 300;
+
+/// The inputs of the composition tests: the Rössl program at 1..64
+/// sockets, the example source at 1..4, the four mutant corpora at 2 and
+/// 3, the 100- and 200-loop ladders, a program whose zone-suppressed May
+/// finding follows a confirmed one, and EditsPerSeed seeded single edits
+/// (test_util.h's Editor) each of the 2- and 3-socket Rössl programs.
+/// \p Seed picks the edits, and each edit's name carries it.
+std::vector<LintCase> compositionCases(std::uint64_t Seed) {
+  std::vector<LintCase> Cases;
+  for (std::uint32_t N = 1; N <= 64; ++N)
+    Cases.push_back({"rossl", buildCfg(buildRosslProgram(N)), N});
+  std::string Src =
+      testutil::readTextFile(RPROSA_EXAMPLES_DIR "/fds_run.rossl");
+  EXPECT_FALSE(Src.empty());
+  Cfg Example = buildCfg(parseOrDie(Src));
+  for (std::uint32_t N = 1; N <= 4; ++N)
+    Cases.push_back({"fds_run.rossl", Example, N});
+  for (std::uint32_t N : {2u, 3u})
+    for (const std::vector<Mutant> &Corpus :
+         {protocolMutantCorpus(N), timingMutantCorpus(N),
+          valueRangeMutantCorpus(N), witnessMutantCorpus(N)})
+      for (const Mutant &M : Corpus)
+        Cases.push_back({M.Name, buildCfg(M.Program), N});
+  for (std::uint32_t Loops : {100u, 200u})
+    Cases.push_back({"loops-" + std::to_string(Loops),
+                     buildCfg(parseOrDie(testutil::loopLadderSource(Loops))),
+                     2});
+  Cases.push_back({"confirmed-then-infeasible",
+                   buildCfg(parseOrDie("r0 = 0;\n"
+                                       "r1 = read(r0, buf0);\n"
+                                       "r2 = (1000 / (r1 + 1));\n"
+                                       "r7 = (r1 + 1);\n"
+                                       "r6 = (1000 / (r7 - r1));\n")),
+                   2});
+  SplitMix64 Rng(Seed);
+  for (std::uint32_t N : {2u, 3u}) {
+    StmtPtr Base = buildRosslProgram(N);
+    for (int Round = 0; Round < EditsPerSeed; ++Round) {
+      const auto K = static_cast<testutil::EditKind>(Rng.nextInRange(0, 3));
+      testutil::Editor Count(K, SIZE_MAX, 0);
+      Count.stmt(Base);
+      const std::size_t Sites =
+          K == testutil::EditKind::Perturb ? Count.Lits : Count.Slots;
+      const std::size_t Target = Rng.nextInRange(0, Sites - 1);
+      const auto Delta = static_cast<Value>(Rng.nextInRange(1, 2)) *
+                         (Rng.nextBernoulli(1, 2) ? 1 : -1);
+      testutil::Editor Edit(K, Target, Delta);
+      Cases.push_back({"edit " + std::to_string(Round) + " of rossl(" +
+                           std::to_string(N) + ") (kind " +
+                           std::to_string(int(K)) + ", site " +
+                           std::to_string(Target) +
+                           "); replay: RPROSA_FUZZ_SEED=" +
+                           std::to_string(Seed),
+                       buildCfg(Edit.stmt(Base)), N});
+    }
+  }
+  return Cases;
+}
+
+/// runUnifiedAnalyses rebuilt from its public parts, the way a caller
+/// that times each part composes it.
+std::vector<Finding> unifiedFromParts(const Cfg &G,
+                                      const AnalysisOptions &Opts) {
+  std::vector<Finding> Out = analyzeValueRanges(G, Opts).Findings;
+  for (const std::vector<Finding> &Part :
+       {analyzeDefiniteInit(G), analyzeDeadCode(G, Opts),
+        analyzeMarkerDiscipline(G)})
+    Out.insert(Out.end(), Part.begin(), Part.end());
+  for (auto Pass : {lintMarkerBalance, lintFuelTermination,
+                    lintMachineRange})
+    for (LintFinding &F : Pass(G))
+      Out.push_back({F.Pass, Severity::Warning, F.Node, G[F.Node].Line,
+                     std::move(F.Message), {}, std::nullopt});
+  sortFindings(Out);
+  return Out;
+}
+
+/// The fields in which two findings differ, refinement record included
+/// ("" when they agree on every one).
+std::string differingFields(const Finding &A, const Finding &B) {
+  std::string Out;
+  auto Field = [&Out](bool Same, const char *Name) {
+    if (!Same)
+      Out += (Out.empty() ? "" : ", ") + std::string(Name);
+  };
+  Field(A.CheckId == B.CheckId, "check-id");
+  Field(A.Sev == B.Sev, "severity");
+  Field(A.Node == B.Node, "node");
+  Field(A.Line == B.Line, "line");
+  Field(A.Message == B.Message, "message");
+  Field(A.Witness == B.Witness, "witness path");
+  Field(A.Refined.has_value() == B.Refined.has_value(), "refinement");
+  if (!A.Refined || !B.Refined)
+    return Out;
+  const WitnessRefinement &RA = *A.Refined, &RB = *B.Refined;
+  bool SamePath = RA.Path.size() == RB.Path.size();
+  for (std::size_t I = 0; SamePath && I < RA.Path.size(); ++I)
+    SamePath = RA.Path[I].Node == RB.Path[I].Node &&
+               RA.Path[I].Line == RB.Path[I].Line &&
+               RA.Path[I].Label == RB.Path[I].Label;
+  Field(RA.St == RB.St, "refinement status");
+  Field(RA.Detail == RB.Detail, "refinement detail");
+  Field(SamePath, "trap path");
+  Field(RA.Inputs == RB.Inputs, "replay inputs");
+  Field(RA.TrapCheckId == RB.TrapCheckId, "trap check-id");
+  Field(RA.Steps == RB.Steps, "search steps");
+  return Out;
+}
+
+/// Compares two finding lists field by field; returns false and names
+/// the first difference on a mismatch.
+bool sameFindings(const std::vector<Finding> &Got,
+                  const std::vector<Finding> &Want, const std::string &What) {
+  std::string Diff =
+      Got.size() == Want.size()
+          ? ""
+          : std::to_string(Got.size()) + " vs " +
+                std::to_string(Want.size()) + " findings";
+  for (std::size_t I = 0; Diff.empty() && I < Got.size(); ++I)
+    if (std::string F = differingFields(Got[I], Want[I]); !F.empty())
+      Diff = "finding " + std::to_string(I) + ": " + F + " differ";
+  if (Diff.empty())
+    return true;
+  ADD_FAILURE() << What << ": " << Diff << "\ngot:\n"
+                << renderText("<got>", Got) << "want:\n"
+                << renderText("<want>", Want);
+  return false;
+}
+
+void addSummary(WitnessSummary &Into, const WitnessSummary &S) {
+  Into.Attempted += S.Attempted;
+  Into.Confirmed += S.Confirmed;
+  Into.WitnessOnly += S.WitnessOnly;
+  Into.Suppressed += S.Suppressed;
+  Into.Unknown += S.Unknown;
+  Into.Steps += S.Steps;
+}
+
+void expectSameSummary(const WitnessSummary &Got, const WitnessSummary &Want,
+                       const std::string &What) {
+  EXPECT_EQ(Got.Attempted, Want.Attempted) << What;
+  EXPECT_EQ(Got.Confirmed, Want.Confirmed) << What;
+  EXPECT_EQ(Got.WitnessOnly, Want.WitnessOnly) << What;
+  EXPECT_EQ(Got.Suppressed, Want.Suppressed) << What;
+  EXPECT_EQ(Got.Unknown, Want.Unknown) << What;
+  EXPECT_EQ(Got.Steps, Want.Steps) << What;
+}
+
+} // namespace
+
+TEST(UnifiedReport, EqualsItsParts) {
+  const std::uint64_t Seed = testutil::fuzzSeed(25);
+  std::size_t EditRanges = 0, EditDeadCode = 0, Failures = 0;
+  for (const LintCase &C : compositionCases(Seed)) {
+    AnalysisOptions Opts;
+    Opts.NumSockets = C.Sockets;
+    std::vector<Finding> Unified = runUnifiedAnalyses(C.G, Opts);
+    if (!sameFindings(Unified, unifiedFromParts(C.G, Opts),
+                      C.Name + " (N=" + std::to_string(C.Sockets) + ")") &&
+        ++Failures == 3)
+      break;
+    if (C.Name.rfind("edit ", 0) != 0)
+      continue;
+    for (const Finding &F : Unified) {
+      EditRanges += F.CheckId.rfind("value-range.", 0) == 0;
+      EditDeadCode += F.CheckId.rfind("dead-code.", 0) == 0;
+    }
+  }
+  // The edits must reach both analyses the unified run shares one
+  // interval solve between, or the comparison says little about it.
+  EXPECT_GT(EditRanges, 0u) << "replay: RPROSA_FUZZ_SEED=" << Seed;
+  EXPECT_GT(EditDeadCode, 0u) << "replay: RPROSA_FUZZ_SEED=" << Seed;
+}
+
+TEST(Witness, RefinesEachFindingAsIfAlone) {
+  const std::uint64_t Seed = testutil::fuzzSeed(25);
+  std::size_t Confirmed = 0, Infeasible = 0, Failures = 0;
+  for (const LintCase &C : compositionCases(Seed)) {
+    const std::string What =
+        C.Name + " (N=" + std::to_string(C.Sockets) + ")";
+    AnalysisOptions Opts;
+    Opts.NumSockets = C.Sockets;
+    WitnessOptions WOpts;
+    WOpts.NumSockets = C.Sockets;
+    const std::vector<Finding> Fs = runUnifiedAnalyses(C.G, Opts);
+    std::vector<Finding> Whole = Fs, Alone;
+    const WitnessSummary Sum = refineFindings(C.G, Whole, WOpts);
+    WitnessSummary Parts;
+    for (const Finding &F : Fs) {
+      std::vector<Finding> One{F};
+      addSummary(Parts, refineFindings(C.G, One, WOpts));
+      Alone.push_back(std::move(One.front()));
+    }
+    expectSameSummary(Sum, Parts, What);
+    if (!sameFindings(Whole, Alone, What) && ++Failures == 3)
+      break;
+    for (const Finding &F : Whole) {
+      if (!F.Refined)
+        continue;
+      Confirmed += F.Refined->St == WitnessRefinement::Status::Confirmed;
+      Infeasible += F.Refined->St == WitnessRefinement::Status::Infeasible;
+    }
+  }
+  EXPECT_GT(Confirmed, 0u) << "replay: RPROSA_FUZZ_SEED=" << Seed;
+  EXPECT_GT(Infeasible, 0u) << "replay: RPROSA_FUZZ_SEED=" << Seed;
+}
+
+TEST(Witness, ListWithoutMayRangeFindingComesBackUnchanged) {
+  // Definite-init and marker warnings, a definite division by zero (an
+  // Error) and a May division by zero turned into a Note: nothing here
+  // is a May value-range finding, so nothing may change.
+  Cfg G = buildCfg(parseOrDie("dispatch_start(buf0);\n"
+                              "execution_start(buf1);\n"
+                              "r1 = read(r0, buf0);\n"
+                              "r2 = (1000 / (r1 + 1));\n"
+                              "r3 = (r4 / 0);\n"));
+  std::vector<Finding> Fs = runUnifiedAnalyses(G);
+  std::size_t Init = 0, Marker = 0, Errors = 0, Notes = 0;
+  for (Finding &F : Fs) {
+    if (F.Sev == Severity::Warning && F.CheckId.rfind("value-range.", 0) == 0)
+      F.Sev = Severity::Note;
+    Init += F.CheckId.rfind("definite-init.", 0) == 0;
+    Marker += F.CheckId.rfind("marker-", 0) == 0;
+    Errors += F.Sev == Severity::Error &&
+              F.CheckId.rfind("value-range.", 0) == 0;
+    Notes += F.Sev == Severity::Note;
+  }
+  ASSERT_GT(Init, 0u) << renderText("<list>", Fs);
+  ASSERT_GT(Marker, 0u) << renderText("<list>", Fs);
+  ASSERT_GT(Errors, 0u) << renderText("<list>", Fs);
+  ASSERT_GT(Notes, 0u) << renderText("<list>", Fs);
+  std::vector<Finding> Refined = Fs;
+  expectSameSummary(refineFindings(G, Refined), WitnessSummary{}, "summary");
+  sameFindings(Refined, Fs, "the list");
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,8 +7,8 @@
 /// \file
 /// Builders for the scenarios the tests exercise over and over: small
 /// WCET tables, task sets of varying shapes, a one-call "run Rössl and
-/// hand me the trace" helper, and a stream that reads a few bytes at a
-/// time.
+/// hand me the trace" helper, a stream that reads a few bytes at a
+/// time, and seeded single edits of a Caesium program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,6 +83,98 @@ inline std::string loopLadderSource(std::uint32_t Loops) {
               Indent + "  r5 = (r5 + 1);\n" + Indent + "}\n";
   return Base.substr(0, LineEnd) + Splice + Base.substr(LineEnd);
 }
+
+/// The one edit an Editor applies.
+enum class EditKind : std::uint8_t { Delete, Duplicate, Swap, Perturb };
+
+/// Rebuilds a program with one edit: the Target-th statement that sits
+/// in a block (pre-order) deleted, duplicated, or swapped with its next
+/// sibling (its previous one when it is last), or the Target-th literal
+/// moved by Delta. Every rebuild also counts the program's block
+/// statements and literals, so a first pass with no target in range
+/// sizes the choice. Rebuilt nodes live in testArena(). Seeded single
+/// edits of the Rössl program reach protocol violations, defects and
+/// lint findings at many depths.
+class Editor {
+public:
+  Editor(EditKind K, std::size_t Target, caesium::Value Delta)
+      : K(K), Target(Target), Delta(Delta) {}
+
+  std::size_t Slots = 0;
+  std::size_t Lits = 0;
+
+  caesium::StmtPtr stmt(caesium::StmtPtr S) {
+    switch (S->K) {
+    case caesium::Stmt::Kind::Seq: {
+      std::vector<caesium::StmtPtr> Out;
+      const caesium::StmtList &C = S->Children;
+      for (std::size_t I = 0; I < C.size(); ++I) {
+        const bool Hit = Slots++ == Target && K != EditKind::Perturb;
+        if (Hit && K == EditKind::Delete)
+          continue;
+        caesium::StmtPtr Here = stmt(C[I]);
+        if (Hit && K == EditKind::Duplicate) {
+          Out.push_back(Here);
+        } else if (Hit && K == EditKind::Swap && I + 1 < C.size()) {
+          Out.push_back(stmt(C[++I]));
+        } else if (Hit && K == EditKind::Swap && !Out.empty()) {
+          std::swap(Here, Out.back());
+        }
+        Out.push_back(Here);
+      }
+      return TA.seq(Out);
+    }
+    case caesium::Stmt::Kind::SetReg:
+      return TA.setReg(S->Dst, expr(S->E));
+    case caesium::Stmt::Kind::If: {
+      caesium::ExprPtr Cond = expr(S->E);
+      caesium::StmtPtr Then = stmt(S->Children[0]);
+      caesium::StmtPtr Else =
+          S->Children.size() > 1 ? stmt(S->Children[1]) : nullptr;
+      return TA.ifThen(Cond, Then, Else);
+    }
+    case caesium::Stmt::Kind::While: {
+      caesium::ExprPtr Cond = expr(S->E);
+      return TA.whileLoop(Cond, stmt(S->Children[0]));
+    }
+    default:
+      return S; // The other statements carry no expression.
+    }
+  }
+
+private:
+  caesium::ExprPtr expr(caesium::ExprPtr E) {
+    if (E->K == caesium::Expr::Kind::Lit)
+      return Lits++ == Target && K == EditKind::Perturb
+                 ? TA.lit(E->Lit + Delta)
+                 : E;
+    caesium::ExprPtr L = E->L ? expr(E->L) : nullptr;
+    caesium::ExprPtr R = E->R ? expr(E->R) : nullptr;
+    switch (E->K) {
+    case caesium::Expr::Kind::Add:
+      return TA.add(L, R);
+    case caesium::Expr::Kind::Sub:
+      return TA.sub(L, R);
+    case caesium::Expr::Kind::Div:
+      return TA.divE(L, R);
+    case caesium::Expr::Kind::Mod:
+      return TA.modE(L, R);
+    case caesium::Expr::Kind::Less:
+      return TA.less(L, R);
+    case caesium::Expr::Kind::Eq:
+      return TA.eq(L, R);
+    case caesium::Expr::Kind::Not:
+      return TA.notE(L);
+    default:
+      return E; // Reg and Fuel have no operands.
+    }
+  }
+
+  caesium::AstArena &TA = testArena();
+  EditKind K;
+  std::size_t Target;
+  caesium::Value Delta;
+};
 
 /// Small, round WCETs that keep hand computations easy: FR=4, SR=10,
 /// Sel=3, Disp=2, Compl=5, Idling=8.

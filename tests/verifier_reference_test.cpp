@@ -36,6 +36,8 @@
 
 using namespace rprosa;
 using namespace rprosa::analysis;
+using rprosa::testutil::EditKind;
+using rprosa::testutil::Editor;
 using rprosa::testutil::fuzzSeed;
 namespace cs = rprosa::caesium;
 
@@ -90,94 +92,6 @@ cs::StmtPtr parseOrDie(const std::string &Src) {
   EXPECT_TRUE(P.has_value());
   return P ? *P : TA.seq({});
 }
-
-enum class EditKind : std::uint8_t { Delete, Duplicate, Swap, Perturb };
-
-/// Rebuilds a program with one edit: the Target-th statement that sits
-/// in a block (pre-order) deleted, duplicated, or swapped with its next
-/// sibling (its previous one when it is last), or the Target-th literal
-/// moved by Delta. Every rebuild also counts the program's block
-/// statements and literals, so a first pass with no target in range
-/// sizes the choice.
-class Editor {
-public:
-  Editor(EditKind K, std::size_t Target, cs::Value Delta)
-      : K(K), Target(Target), Delta(Delta) {}
-
-  std::size_t Slots = 0;
-  std::size_t Lits = 0;
-
-  cs::StmtPtr stmt(cs::StmtPtr S) {
-    switch (S->K) {
-    case cs::Stmt::Kind::Seq: {
-      std::vector<cs::StmtPtr> Out;
-      const cs::StmtList &C = S->Children;
-      for (std::size_t I = 0; I < C.size(); ++I) {
-        const bool Hit = Slots++ == Target && K != EditKind::Perturb;
-        if (Hit && K == EditKind::Delete)
-          continue;
-        cs::StmtPtr Here = stmt(C[I]);
-        if (Hit && K == EditKind::Duplicate) {
-          Out.push_back(Here);
-        } else if (Hit && K == EditKind::Swap && I + 1 < C.size()) {
-          Out.push_back(stmt(C[++I]));
-        } else if (Hit && K == EditKind::Swap && !Out.empty()) {
-          std::swap(Here, Out.back());
-        }
-        Out.push_back(Here);
-      }
-      return TA.seq(Out);
-    }
-    case cs::Stmt::Kind::SetReg:
-      return TA.setReg(S->Dst, expr(S->E));
-    case cs::Stmt::Kind::If: {
-      cs::ExprPtr Cond = expr(S->E);
-      cs::StmtPtr Then = stmt(S->Children[0]);
-      cs::StmtPtr Else =
-          S->Children.size() > 1 ? stmt(S->Children[1]) : nullptr;
-      return TA.ifThen(Cond, Then, Else);
-    }
-    case cs::Stmt::Kind::While: {
-      cs::ExprPtr Cond = expr(S->E);
-      return TA.whileLoop(Cond, stmt(S->Children[0]));
-    }
-    default:
-      return S; // The other statements carry no expression.
-    }
-  }
-
-private:
-  cs::ExprPtr expr(cs::ExprPtr E) {
-    if (E->K == cs::Expr::Kind::Lit)
-      return Lits++ == Target && K == EditKind::Perturb
-                 ? TA.lit(E->Lit + Delta)
-                 : E;
-    cs::ExprPtr L = E->L ? expr(E->L) : nullptr;
-    cs::ExprPtr R = E->R ? expr(E->R) : nullptr;
-    switch (E->K) {
-    case cs::Expr::Kind::Add:
-      return TA.add(L, R);
-    case cs::Expr::Kind::Sub:
-      return TA.sub(L, R);
-    case cs::Expr::Kind::Div:
-      return TA.divE(L, R);
-    case cs::Expr::Kind::Mod:
-      return TA.modE(L, R);
-    case cs::Expr::Kind::Less:
-      return TA.less(L, R);
-    case cs::Expr::Kind::Eq:
-      return TA.eq(L, R);
-    case cs::Expr::Kind::Not:
-      return TA.notE(L);
-    default:
-      return E; // Reg and Fuel have no operands.
-    }
-  }
-
-  EditKind K;
-  std::size_t Target;
-  cs::Value Delta;
-};
 
 } // namespace
 
