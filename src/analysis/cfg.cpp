@@ -259,26 +259,9 @@ std::uint32_t Cfg::numBufs() const {
   return Max;
 }
 
-std::vector<NodeId> Cfg::successors(NodeId N) const {
-  const CfgNode &Node = Nodes[N];
-  std::vector<NodeId> Out;
-  if (Node.Succ != InvalidNode)
-    Out.push_back(Node.Succ);
-  if (Node.K == CfgNode::Kind::Branch && Node.FalseSucc != InvalidNode)
-    Out.push_back(Node.FalseSucc);
-  return Out;
-}
-
 CycleComponents rprosa::analysis::cycleComponents(const Cfg &G) {
   const std::size_t N = G.size();
   constexpr std::uint32_t Unvisited = static_cast<std::uint32_t>(-1);
-  // The I-th successor of a node, or InvalidNode; no per-node vectors.
-  auto SuccAt = [&G](NodeId V, std::uint8_t I) {
-    const CfgNode &Node = G[V];
-    if (I == 0)
-      return Node.Succ;
-    return Node.K == CfgNode::Kind::Branch ? Node.FalseSucc : InvalidNode;
-  };
 
   CycleComponents C;
   C.Of.assign(N, Unvisited);
@@ -302,10 +285,9 @@ CycleComponents rprosa::analysis::cycleComponents(const Cfg &G) {
     Visit(Root);
     while (!Dfs.empty()) {
       const NodeId V = Dfs.back().Node;
-      if (Dfs.back().Next < 2) {
-        NodeId S = SuccAt(V, Dfs.back().Next++);
-        if (S == InvalidNode)
-          continue;
+      const Cfg::Successors Succs = G.successors(V);
+      if (Dfs.back().Next < Succs.size()) {
+        NodeId S = Succs[Dfs.back().Next++];
         if (Index[S] == Unvisited)
           Visit(S);
         else if (C.Of[S] == Unvisited) // Still open: a back or cross edge.
@@ -327,8 +309,9 @@ CycleComponents rprosa::analysis::cycleComponents(const Cfg &G) {
         C.Of[M] = Id;
         ++Members;
       } while (M != V);
-      C.Cyclic.push_back(Members > 1 || SuccAt(V, 0) == V ||
-                         SuccAt(V, 1) == V);
+      C.Cyclic.push_back(Members > 1 ||
+                         std::find(Succs.begin(), Succs.end(), V) !=
+                             Succs.end());
     }
   }
   return C;

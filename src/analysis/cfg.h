@@ -90,8 +90,32 @@ struct Cfg {
   /// 1 + the highest buffer id mentioned anywhere in the program.
   std::uint32_t numBufs() const;
 
+  /// The successors of one node, in fixed order (Succ, then a Branch's
+  /// FalseSucc): an inline view of at most two ids, so iterating them
+  /// allocates nothing.
+  class Successors {
+  public:
+    const NodeId *begin() const { return Ids; }
+    const NodeId *end() const { return Ids + Count; }
+    std::size_t size() const { return Count; }
+    NodeId operator[](std::size_t I) const { return Ids[I]; }
+
+  private:
+    friend struct Cfg;
+    NodeId Ids[2] = {InvalidNode, InvalidNode};
+    std::uint8_t Count = 0;
+  };
+
   /// The successors of \p N (0, 1, or 2 of them).
-  std::vector<NodeId> successors(NodeId N) const;
+  Successors successors(NodeId N) const {
+    const CfgNode &Node = Nodes[N];
+    Successors Out;
+    if (Node.Succ != InvalidNode)
+      Out.Ids[Out.Count++] = Node.Succ;
+    if (Node.K == CfgNode::Kind::Branch && Node.FalseSucc != InvalidNode)
+      Out.Ids[Out.Count++] = Node.FalseSucc;
+    return Out;
+  }
 
   /// Multi-line text dump (one node per line, with edges) for tests and
   /// debugging.

@@ -20,8 +20,10 @@ using namespace rprosa::caesium;
 InitState InitDomain::boundary(const Cfg &) const {
   State S;
   S.Reachable = true;
-  S.RegUnset.assign(NumRegs, true);
-  S.BufUnset.assign(NumBufs, true);
+  const std::uint32_t Bits = NumRegs + NumBufs;
+  S.Unset.assign((Bits + 63) / 64, ~std::uint64_t{0});
+  if (Bits % 64 != 0)
+    S.Unset.back() >>= 64 - Bits % 64;
   return S;
 }
 
@@ -32,42 +34,36 @@ bool InitDomain::join(State &Into, const State &From) const {
     Into = From;
     return true;
   }
-  bool Changed = false;
-  for (std::size_t I = 0; I < Into.RegUnset.size(); ++I)
-    if (From.RegUnset[I] && !Into.RegUnset[I]) {
-      Into.RegUnset[I] = true;
-      Changed = true;
-    }
-  for (std::size_t I = 0; I < Into.BufUnset.size(); ++I)
-    if (From.BufUnset[I] && !Into.BufUnset[I]) {
-      Into.BufUnset[I] = true;
-      Changed = true;
-    }
-  return Changed;
+  std::uint64_t Grew = 0;
+  for (std::size_t W = 0; W < Into.Unset.size(); ++W) {
+    Grew |= From.Unset[W] & ~Into.Unset[W];
+    Into.Unset[W] |= From.Unset[W];
+  }
+  return Grew != 0;
 }
 
-InitState InitDomain::transfer(const Cfg &G, NodeId N,
-                               const State &In) const {
+void InitDomain::transfer(const Cfg &G, NodeId N, const State &In,
+                          State &Out) const {
+  Out.Reachable = In.Reachable;
   if (!In.Reachable)
-    return In;
-  State Out = In;
+    return;
+  Out.Unset = In.Unset;
   const CfgNode &Node = G[N];
   switch (Node.K) {
   case CfgNode::Kind::Assign:
-    if (Node.Dst < Out.RegUnset.size())
-      Out.RegUnset[Node.Dst] = false;
+    if (Node.Dst < NumRegs)
+      clear(Out, Node.Dst);
     break;
   case CfgNode::Kind::Read:
   case CfgNode::Kind::Dequeue:
-    if (Node.Dst < Out.RegUnset.size())
-      Out.RegUnset[Node.Dst] = false;
-    if (Node.Buf < Out.BufUnset.size())
-      Out.BufUnset[Node.Buf] = false;
+    if (Node.Dst < NumRegs)
+      clear(Out, Node.Dst);
+    if (Node.Buf < NumBufs)
+      clear(Out, NumRegs + Node.Buf);
     break;
   default:
     break;
   }
-  return Out;
 }
 
 bool MarkerDomain::join(State &Into, const State &From) const {
@@ -81,18 +77,18 @@ bool MarkerDomain::join(State &Into, const State &From) const {
   return Changed;
 }
 
-MarkerState MarkerDomain::transfer(const Cfg &G, NodeId N,
-                                   const State &In) const {
+void MarkerDomain::transfer(const Cfg &G, NodeId N, const State &In,
+                            State &Out) const {
+  Out = In;
   if (!In.Reachable)
-    return In;
+    return;
   const CfgNode &Node = G[N];
   if (Node.K != CfgNode::Kind::Trace)
-    return In;
+    return;
   if (Node.Fn == TraceFn::TrDisp)
-    return {true, true, false};
-  if (Node.Fn == TraceFn::TrCompl)
-    return {true, false, true};
-  return In;
+    Out = {true, true, false};
+  else if (Node.Fn == TraceFn::TrCompl)
+    Out = {true, false, true};
 }
 
 namespace {
@@ -290,12 +286,13 @@ std::vector<Finding> definiteInit(const Cfg &G, const CfgOrder &Order) {
   // Same sweep order as the def-before-use lint always had: node
   // ascending, that node's used registers ascending, then its buffer.
   std::vector<Finding> Out;
+  std::vector<RegId> Used;
   for (NodeId U = 0; U < G.size(); ++U) {
     const InitState &In = Sol.In[U];
     if (!In.Reachable)
       continue;
     const CfgNode &N = G[U];
-    std::vector<RegId> Used;
+    Used.clear();
     if (N.E)
       collectRegs(*N.E, Used);
     if (N.K == CfgNode::Kind::Read)
@@ -303,7 +300,7 @@ std::vector<Finding> definiteInit(const Cfg &G, const CfgOrder &Order) {
     std::sort(Used.begin(), Used.end());
     Used.erase(std::unique(Used.begin(), Used.end()), Used.end());
     for (RegId R : Used)
-      if (R < In.RegUnset.size() && In.RegUnset[R])
+      if (Dom.regUnset(In, R))
         Out.push_back({"definite-init.register", Severity::Warning, U,
                        N.Line,
                        "register r" + std::to_string(R) + " read at " +
@@ -313,7 +310,7 @@ std::vector<Finding> definiteInit(const Cfg &G, const CfgOrder &Order) {
                        {}, std::nullopt});
     bool UsesBuf = N.K == CfgNode::Kind::Enqueue ||
                    (N.K == CfgNode::Kind::Trace && N.Fn == TraceFn::TrDisp);
-    if (UsesBuf && N.Buf < In.BufUnset.size() && In.BufUnset[N.Buf])
+    if (UsesBuf && Dom.bufUnset(In, N.Buf))
       Out.push_back({"definite-init.buffer", Severity::Warning, U, N.Line,
                      "buffer buf" + std::to_string(N.Buf) + " used at " +
                          nodeRef(G, U) +

@@ -15,7 +15,7 @@
 ///    runtime (caesium/interp.h RuntimeTrap), with matching check-ids
 ///    so the mutant corpus cross-validates static verdict against
 ///    runtime trap literally;
-///  - definite-init: may-uninitialised bitsets over registers and
+///  - definite-init: may-uninitialised bit words over registers and
 ///    buffers; the engine-backed replacement for the per-use BFS the
 ///    def-before-use lint ran before (same findings, same order, one
 ///    fixpoint instead of O(uses) searches);
@@ -65,17 +65,16 @@ ValueRangeResult analyzeValueRanges(const Cfg &G,
 
 /// Definite-init's may-uninitialised state: a set bit means "some path
 /// reaches here with no write to that register / no fill of that buffer
-/// yet".
+/// yet". One bit per register, then one per buffer, 64 to a word.
 struct InitState {
   bool Reachable = false;
-  std::vector<bool> RegUnset;
-  std::vector<bool> BufUnset;
+  std::vector<std::uint64_t> Unset;
 
   bool operator==(const InitState &O) const = default;
 };
 
 /// The engine Domain of analyzeDefiniteInit. Entry boundary: every
-/// register and buffer unset.
+/// register and buffer unset. Joins are word-wise OR.
 class InitDomain {
 public:
   using State = InitState;
@@ -86,9 +85,25 @@ public:
   State bottom(const Cfg &) const { return {}; }
   State boundary(const Cfg &) const;
   bool join(State &Into, const State &From) const;
-  State transfer(const Cfg &G, NodeId N, const State &In) const;
+  void transfer(const Cfg &G, NodeId N, const State &In, State &Out) const;
+
+  /// True iff \p S may reach here with register \p R unwritten.
+  bool regUnset(const State &S, caesium::RegId R) const {
+    return R < NumRegs && bit(S, R);
+  }
+  /// True iff \p S may reach here with buffer \p B unfilled.
+  bool bufUnset(const State &S, caesium::BufId B) const {
+    return B < NumBufs && bit(S, NumRegs + B);
+  }
 
 private:
+  static bool bit(const State &S, std::uint32_t I) {
+    return (S.Unset[I / 64] >> (I % 64)) & 1;
+  }
+  static void clear(State &S, std::uint32_t I) {
+    S.Unset[I / 64] &= ~(std::uint64_t{1} << (I % 64));
+  }
+
   std::uint32_t NumRegs, NumBufs;
 };
 
@@ -112,7 +127,7 @@ public:
   State bottom(const Cfg &) const { return {}; }
   State boundary(const Cfg &) const { return {true, false, true}; }
   bool join(State &Into, const State &From) const;
-  State transfer(const Cfg &G, NodeId N, const State &In) const;
+  void transfer(const Cfg &G, NodeId N, const State &In, State &Out) const;
 };
 
 /// Findings only; check-ids "definite-init.register" / ".buffer".

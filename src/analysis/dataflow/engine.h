@@ -20,17 +20,29 @@
 ///   State boundary(const Cfg &) const;       // state at Entry (forward)
 ///                                            // resp. Exit (backward)
 ///   bool  join(State &Into, const State &S) const;   // true iff changed
-///   State transfer(const Cfg &, NodeId, const State &In) const;
+///   void  transfer(const Cfg &, NodeId, const State &In,
+///                  State &Out) const;
 ///
 /// and optionally (detected via requires-expressions):
 ///
-///   // Per-edge refinement, e.g. branch-condition narrowing. Returning
-///   // bottom marks the edge infeasible.
-///   State transferEdge(const Cfg &, NodeId From, NodeId To,
-///                      const State &Out) const;
+///   // Per-edge refinement, e.g. branch-condition narrowing: writes
+///   // into Edge what the edge From -> To carries when From's
+///   // out-state is Out. An unreached Edge marks the edge infeasible.
+///   void  transferEdge(const Cfg &, NodeId From, NodeId To,
+///                      const State &Out, State &Edge) const;
 ///   // Extrapolation at loop heads; defaults to join (fine for finite
 ///   // lattices, required for infinite ones like intervals).
 ///   bool  widen(State &Into, const State &S) const;
+///
+/// States are written in place. Out and Edge are caller-owned and hold
+/// whatever was last written to them, so transfer and transferEdge
+/// write every field of their result, assigning into its storage
+/// rather than building a fresh state; the solver keeps its scratch
+/// states across iterations and resets them by assigning bottom, so a
+/// visit allocates nothing once the states have their size. The
+/// payload of an unreached state is never read (join and widen skip an
+/// unreached source, and the reporting sweeps skip unreached nodes),
+/// so an unreached result need only say that it is unreached.
 ///
 /// Iteration is a worklist ordered by sweep position (reverse
 /// post-order forward, post-order backward): the sweep-earliest dirty
@@ -60,6 +72,7 @@
 #include <cstdint>
 #include <functional>
 #include <numeric>
+#include <span>
 #include <vector>
 
 namespace rprosa::analysis::dataflow {
@@ -83,12 +96,19 @@ struct CfgOrder {
   std::vector<NodeId> Rpo;
   /// Node -> its position in Rpo.
   std::vector<std::uint32_t> RpoIndex;
-  /// Forward-edge predecessors of each node, ascending.
-  std::vector<std::vector<NodeId>> Preds;
+  /// The forward-edge predecessors of every node, back to back: node
+  /// N's are PredIds[PredStart[N], PredStart[N + 1]), ascending.
+  std::vector<std::uint32_t> PredStart;
+  std::vector<NodeId> PredIds;
   /// True for targets of DFS back edges (loop heads; widening points).
   std::vector<bool> LoopHead;
   /// Reachable from Entry along forward edges.
   std::vector<bool> Reachable;
+
+  /// The forward-edge predecessors of \p N, ascending.
+  std::span<const NodeId> preds(NodeId N) const {
+    return {PredIds.data() + PredStart[N], PredIds.data() + PredStart[N + 1]};
+  }
 
   static CfgOrder compute(const Cfg &G);
 };
@@ -117,8 +137,8 @@ namespace detail {
 
 template <class D, class State>
 concept HasTransferEdge = requires(const D &Dom, const Cfg &G, NodeId N,
-                                   const State &S) {
-  { Dom.transferEdge(G, N, N, S) } -> std::same_as<State>;
+                                   const State &S, State &Edge) {
+  Dom.transferEdge(G, N, N, S, Edge);
 };
 
 template <class D, class State>
@@ -137,9 +157,10 @@ solve(const Cfg &G, const Domain &Dom, const CfgOrder &Order,
   using State = typename Domain::State;
   const std::size_t N = G.size();
 
+  const State Bottom = Dom.bottom(G);
   Solution<State> Sol;
-  Sol.In.assign(N, Dom.bottom(G));
-  Sol.Out.assign(N, Dom.bottom(G));
+  Sol.In.assign(N, Bottom);
+  Sol.Out.assign(N, Bottom);
 
   // The backward solver runs the same loop on the reversed graph: the
   // boundary sits at Exit, "predecessors" are forward successors, and
@@ -183,6 +204,10 @@ solve(const Cfg &G, const Domain &Dom, const CfgOrder &Order,
   };
   const std::uint64_t Budget =
       static_cast<std::uint64_t>(Opts.MaxRounds) * Order.Rpo.size();
+  // Built once; the scratch states live across iterations, so their
+  // storage is reused.
+  const State Boundary = Dom.boundary(G);
+  State NewIn = Bottom, BackIn = Bottom, Edge = Bottom;
 
   while (!Work.empty()) {
     if (Sol.NodeVisits >= Budget)
@@ -202,23 +227,28 @@ solve(const Cfg &G, const Domain &Dom, const CfgOrder &Order,
     // get extrapolated — widening a head against values that grow in
     // an *enclosing* loop would throw away that loop's branch
     // refinement (e.g. an inner spin loop widening the outer socket
-    // counter past its bound).
-    State NewIn = Dom.bottom(G);
-    State BackIn = Dom.bottom(G);
+    // counter past its bound). Away from a widening head BackIn
+    // receives nothing, and joining bottom changes nothing, so it is
+    // only reset and read there.
+    NewIn = Bottom;
+    if (Widening)
+      BackIn = Bottom;
     if (Node == BoundaryNode)
-      Dom.join(NewIn, Dom.boundary(G));
+      Dom.join(NewIn, Boundary);
     auto Flow = [&](NodeId Pred, bool Back) {
       State &Into = Widening && Back ? BackIn : NewIn;
       if constexpr (detail::HasTransferEdge<Domain, State>) {
-        State Edge = Fwd ? Dom.transferEdge(G, Pred, Node, Sol.Out[Pred])
-                         : Dom.transferEdge(G, Node, Pred, Sol.Out[Pred]);
+        if (Fwd)
+          Dom.transferEdge(G, Pred, Node, Sol.Out[Pred], Edge);
+        else
+          Dom.transferEdge(G, Node, Pred, Sol.Out[Pred], Edge);
         Dom.join(Into, Edge);
       } else {
         Dom.join(Into, Sol.Out[Pred]);
       }
     };
     if (Fwd) {
-      for (NodeId P : Order.Preds[Node])
+      for (NodeId P : Order.preds(Node))
         Flow(P, Order.RpoIndex[P] >= Order.RpoIndex[Node]);
     } else {
       for (NodeId S : G.successors(Node))
@@ -230,18 +260,18 @@ solve(const Cfg &G, const Domain &Dom, const CfgOrder &Order,
     // back-edge part at loop heads once they have churned WidenAfter
     // times.
     bool InChanged = Dom.join(Sol.In[Node], NewIn);
-    if constexpr (detail::HasWiden<Domain, State>) {
-      if (Widening)
+    if (Widening) {
+      if constexpr (detail::HasWiden<Domain, State>)
         InChanged |= Dom.widen(Sol.In[Node], BackIn);
-    } else {
-      InChanged |= Dom.join(Sol.In[Node], BackIn);
+      else
+        InChanged |= Dom.join(Sol.In[Node], BackIn);
     }
     if (InChanged && Order.LoopHead[Node])
       ++HeadChanges[Node];
 
     if (InChanged || !Visited[Node]) {
       Visited[Node] = 1;
-      Sol.Out[Node] = Dom.transfer(G, Node, Sol.In[Node]);
+      Dom.transfer(G, Node, Sol.In[Node], Sol.Out[Node]);
       ++Sol.NodeVisits;
       // The recomputed out-state may differ even on a first visit with
       // an unchanged (bottom) in-state, so dependents are requeued in
@@ -250,7 +280,7 @@ solve(const Cfg &G, const Domain &Dom, const CfgOrder &Order,
         for (NodeId S : G.successors(Node))
           Requeue(S);
       } else {
-        for (NodeId P : Order.Preds[Node])
+        for (NodeId P : Order.preds(Node))
           Requeue(P);
       }
     }

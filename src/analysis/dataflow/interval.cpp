@@ -246,11 +246,12 @@ bool RangeDomain::widen(RangeState &Into, const RangeState &From) const {
   return Changed;
 }
 
-RangeState RangeDomain::transfer(const Cfg &G, NodeId N,
-                                 const RangeState &In) const {
+void RangeDomain::transfer(const Cfg &G, NodeId N, const RangeState &In,
+                           RangeState &Out) const {
+  Out.Reachable = In.Reachable;
   if (!In.Reachable)
-    return In;
-  RangeState Out = In;
+    return;
+  Out.Regs = In.Regs;
   const CfgNode &Node = G[N];
   switch (Node.K) {
   case CfgNode::Kind::Assign: {
@@ -272,20 +273,20 @@ RangeState RangeDomain::transfer(const Cfg &G, NodeId N,
   default:
     break;
   }
-  return Out;
 }
 
-RangeState RangeDomain::transferEdge(const Cfg &G, NodeId From, NodeId To,
-                                     const RangeState &Out) const {
+void RangeDomain::transferEdge(const Cfg &G, NodeId From, NodeId To,
+                               const RangeState &Out,
+                               RangeState &Edge) const {
+  Edge.Reachable = Out.Reachable;
   if (!Out.Reachable)
-    return Out;
+    return;
+  Edge.Regs = Out.Regs;
   const CfgNode &B = G[From];
   if (B.K != CfgNode::Kind::Branch || !B.E || B.Succ == B.FalseSucc)
-    return Out;
-  RangeState S = Out;
-  if (!refineByCondition(*B.E, To == B.Succ, S))
-    return {}; // Contradictory: the edge is infeasible.
-  return S;
+    return;
+  if (!refineByCondition(*B.E, To == B.Succ, Edge))
+    Edge.Reachable = false; // Contradictory: the edge is infeasible.
 }
 
 namespace {

@@ -6,6 +6,8 @@
 
 #include "analysis/dataflow/path_walk.h"
 
+#include <algorithm>
+
 using namespace rprosa;
 using namespace rprosa::analysis;
 using namespace rprosa::analysis::dataflow;
@@ -42,13 +44,10 @@ rprosa::analysis::dataflow::walkSegmentTails(const Cfg &G, NodeId Source,
   auto Complete = [&](Walk &&W) {
     W.Trail.push_back(W.N);
     ++O.Paths;
+    O.MinInstr = std::min(O.MinInstr, W.Instr);
     if (O.Paths == 1 || W.Instr > O.MaxInstr) {
       O.MaxInstr = W.Instr;
-      O.TrailMax = W.Trail;
-    }
-    if (W.Instr < O.MinInstr) {
-      O.MinInstr = W.Instr;
-      O.TrailMin = std::move(W.Trail);
+      O.TrailMax = std::move(W.Trail);
     }
   };
 

@@ -18,8 +18,8 @@
 /// (false edge before true edge, dequeue-miss before dequeue-hit), so
 /// path enumeration order, tie-breaking, and therefore every witness
 /// trail are byte-stable. The tie-break is "first path wins at equal
-/// cost" for the maximum and "strictly smaller wins" for the minimum —
-/// exactly the PR 2 behaviour, which BENCH_static_wcet.json pins.
+/// cost" for the maximum, which BENCH_static_wcet.json pins; the
+/// minimum keeps its cost only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -46,7 +46,6 @@ struct PathWalkOutcome {
   Duration MaxInstr = 0;
   Duration MinInstr = TimeInfinity;
   std::vector<NodeId> TrailMax;
-  std::vector<NodeId> TrailMin;
 };
 
 /// Tuning knobs of one walk.

@@ -508,7 +508,7 @@ std::vector<char> canReach(const Cfg &G, const CfgOrder &Order,
   while (!Work.empty()) {
     NodeId N = Work.back();
     Work.pop_back();
-    for (NodeId P : Order.Preds[N])
+    for (NodeId P : Order.preds(N))
       if (!Can[P]) {
         Can[P] = 1;
         Work.push_back(P);

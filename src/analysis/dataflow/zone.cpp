@@ -387,55 +387,55 @@ bool ZoneDomain::widen(State &Into, const State &From) const {
   return Into.Z.widenWith(From.Z);
 }
 
-ZoneDomain::State ZoneDomain::transfer(const Cfg &G, NodeId N,
-                                       const State &In) const {
+void ZoneDomain::transfer(const Cfg &G, NodeId N, const State &In,
+                          State &Out) const {
+  Out.Reachable = In.Reachable;
   if (!In.Reachable)
-    return In;
-  State S = In;
+    return;
+  Out.Z = In.Z;
   const CfgNode &Node = G[N];
   switch (Node.K) {
   case CfgNode::Kind::Assign:
     if (Node.E)
-      applyZoneAssign(S.Z, Node.Dst, *Node.E);
+      applyZoneAssign(Out.Z, Node.Dst, *Node.E);
     break;
   case CfgNode::Kind::Read: {
     // Trap-free continuations have the socket register in range (the
     // machine halts before writing the result otherwise).
     std::uint32_t SockV = Node.Reg + 1;
     bool Feasible =
-        S.Z.constrainWide(SockV, 0,
-                          static_cast<I128>(NumSockets) - 1) &&
-        S.Z.constrainWide(0, SockV, 0);
+        Out.Z.constrainWide(SockV, 0,
+                            static_cast<I128>(NumSockets) - 1) &&
+        Out.Z.constrainWide(0, SockV, 0);
     std::uint32_t D = Node.Dst + 1;
-    S.Z.forget(D);
-    S.Z.constrainWide(D, 0, static_cast<I128>(UINT32_MAX));
-    S.Z.constrain(0, D, 1); // result >= -1
+    Out.Z.forget(D);
+    Out.Z.constrainWide(D, 0, static_cast<I128>(UINT32_MAX));
+    Out.Z.constrain(0, D, 1); // result >= -1
     if (!Feasible)
-      S.Reachable = false;
+      Out.Reachable = false;
     break;
   }
   case CfgNode::Kind::Dequeue: {
     std::uint32_t D = Node.Dst + 1;
-    S.Z.forget(D);
-    S.Z.constrain(D, 0, 1);
-    S.Z.constrain(0, D, 0);
+    Out.Z.forget(D);
+    Out.Z.constrain(D, 0, 1);
+    Out.Z.constrain(0, D, 0);
     break;
   }
   default:
     break;
   }
-  return S;
 }
 
-ZoneDomain::State ZoneDomain::transferEdge(const Cfg &G, NodeId From,
-                                           NodeId To,
-                                           const State &Out) const {
+void ZoneDomain::transferEdge(const Cfg &G, NodeId From, NodeId To,
+                              const State &Out, State &Edge) const {
+  Edge.Reachable = Out.Reachable;
+  if (!Out.Reachable)
+    return;
+  Edge.Z = Out.Z;
   const CfgNode &N = G[From];
-  if (!Out.Reachable || N.K != CfgNode::Kind::Branch || !N.E ||
-      N.Succ == N.FalseSucc)
-    return Out;
-  State S = Out;
-  if (!refineZoneByCondition(S.Z, *N.E, To == N.Succ) || S.Z.isEmpty())
-    return bottom(G);
-  return S;
+  if (N.K != CfgNode::Kind::Branch || !N.E || N.Succ == N.FalseSucc)
+    return;
+  if (!refineZoneByCondition(Edge.Z, *N.E, To == N.Succ) || Edge.Z.isEmpty())
+    Edge.Reachable = false;
 }

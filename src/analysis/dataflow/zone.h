@@ -171,9 +171,9 @@ public:
   State boundary(const Cfg &) const;
   bool join(State &Into, const State &From) const;
   bool widen(State &Into, const State &From) const;
-  State transfer(const Cfg &G, NodeId N, const State &In) const;
-  State transferEdge(const Cfg &G, NodeId From, NodeId To,
-                     const State &Out) const;
+  void transfer(const Cfg &G, NodeId N, const State &In, State &Out) const;
+  void transferEdge(const Cfg &G, NodeId From, NodeId To, const State &Out,
+                    State &Edge) const;
 
 private:
   std::uint32_t NumRegs;

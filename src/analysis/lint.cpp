@@ -38,7 +38,7 @@ bool fillsBuf(const CfgNode &N, BufId B) {
 /// BFS from \p Start. Returns true if a node satisfying \p Target is
 /// reachable; nodes satisfying \p Avoid are checked as targets but not
 /// expanded (paths cannot pass through them).
-bool searchFrom(const Cfg &G, const std::vector<NodeId> &Start,
+bool searchFrom(const Cfg &G, const Cfg::Successors &Start,
                 const std::function<bool(NodeId)> &Avoid,
                 const std::function<bool(NodeId)> &Target) {
   std::vector<bool> Seen(G.size(), false);
@@ -90,7 +90,7 @@ std::vector<LintFinding> rprosa::analysis::lintMarkerBalance(const Cfg &G) {
     const CfgNode &N = G[D];
     if (N.K != CfgNode::Kind::Trace || N.Fn != TraceFn::TrDisp)
       continue;
-    std::vector<NodeId> Succs = G.successors(D);
+    const Cfg::Successors Succs = G.successors(D);
 
     // (a) The dispatched job must complete before the program exits or
     // dispatches again.

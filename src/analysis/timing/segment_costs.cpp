@@ -144,7 +144,6 @@ TimingResult rprosa::analysis::analyzeTiming(const Cfg &G,
     Duration MaxInstr = 0;
     Duration MinInstr = TimeInfinity;
     std::vector<NodeId> TrailMax;
-    std::vector<NodeId> TrailMin;
   };
   std::array<ClassAcc, NumSegmentClasses> Acc;
 
@@ -177,10 +176,7 @@ TimingResult rprosa::analysis::analyzeTiming(const Cfg &G,
       A.MaxInstr = O.MaxInstr;
       A.TrailMax = std::move(O.TrailMax);
     }
-    if (O.MinInstr < A.MinInstr) {
-      A.MinInstr = O.MinInstr;
-      A.TrailMin = std::move(O.TrailMin);
-    }
+    A.MinInstr = std::min(A.MinInstr, O.MinInstr);
   };
 
   for (NodeId N = 0; N < G.size(); ++N) {
@@ -215,7 +211,6 @@ TimingResult rprosa::analysis::analyzeTiming(const Cfg &G,
     S.I.Hi = A.Aborted ? TimeInfinity : satAdd(Base.Hi, A.MaxInstr);
     S.InstrTailHi = A.MaxInstr;
     S.WitnessMax = renderTrail(G, A.TrailMax);
-    S.WitnessMin = renderTrail(G, A.TrailMin);
     S.Diagnostic = A.Diag;
   }
 

@@ -96,8 +96,6 @@ struct SegmentBound {
   /// Node labels of the path attaining Hi (source first, then every
   /// non-marker node, ending at the delimiting marker or exit).
   std::vector<std::string> WitnessMax;
-  /// Node labels of the path attaining Lo.
-  std::vector<std::string> WitnessMin;
   /// Why Hi is TimeInfinity, when it is (non-benign cycle / budget).
   std::string Diagnostic;
 

@@ -34,21 +34,51 @@ Job canonicalJob() {
   return J;
 }
 
-/// The visited set. Each distinct product state is encoded once into
-/// Width fixed-width words of one flat store: its CFG node, its
-/// ProtocolSts::abstractKey(), each register's value, then one bit
-/// string of each register's kind (2 bits), HasJob and each buffer's
-/// fill (1 bit each). Two states encode equally exactly when they agree
-/// on all of these, which makes them indistinguishable to the rest of
-/// the search. An open-addressing table of indices into the store
-/// answers a probe with one hash and a few word compares; nothing is
-/// allocated per probe, and a key is stored only when it is new.
+/// The visited set, and the one store of every explored state. Each
+/// distinct product state is encoded once into Width fixed-width words
+/// of one flat store: its CFG node, its ProtocolSts::abstractKey(),
+/// each register's value, then one bit string of each register's kind
+/// (2 bits), HasJob and each buffer's fill (1 bit each). Two states
+/// encode equally exactly when they agree on all of these, which makes
+/// them indistinguishable to the rest of the search. An open-addressing
+/// table of indices into the store answers a probe with one hash and a
+/// few word compares; nothing is allocated per probe, and a key is
+/// stored only when it is new. Keys are numbered in insertion order,
+/// and decode() turns key I back into the state's node, registers,
+/// buffers and job flag.
 class StateSet {
 public:
   StateSet(std::uint32_t NumRegs, std::uint32_t NumBufs)
       : NumRegs(NumRegs),
         Width(2 + NumRegs + (2 * NumRegs + 1 + NumBufs + 63) / 64),
         Probe(Width), Slots(std::size_t(1) << LogSlots, Empty) {}
+
+  /// The CFG node of key \p Idx.
+  NodeId node(std::size_t Idx) const {
+    return static_cast<NodeId>(Keys[Idx * Width]);
+  }
+
+  /// Writes key \p Idx's node, registers, buffers and job flag into
+  /// \p S, which has this set's register and buffer counts; its
+  /// acceptor is left as it is.
+  void decode(std::size_t Idx, AbsState &S) const {
+    const std::uint64_t *W = Keys.data() + Idx * Width;
+    S.Node = static_cast<NodeId>(W[0]);
+    const std::uint64_t *Bits = W + 2 + NumRegs;
+    std::size_t At = 0;
+    auto Get = [Bits, &At](unsigned Len) {
+      std::uint64_t V = (Bits[At / 64] >> (At % 64)) & ((1u << Len) - 1);
+      At += Len;
+      return V;
+    };
+    for (std::uint32_t R = 0; R < NumRegs; ++R) {
+      S.Regs[R].V = static_cast<Value>(W[2 + R]);
+      S.Regs[R].K = static_cast<AbsValue::Kind>(Get(2));
+    }
+    S.HasJob = Get(1) != 0;
+    for (AbsBuf &B : S.Bufs)
+      B = static_cast<AbsBuf>(Get(1));
+  }
 
   /// Adds the key of \p S; true iff it was not in the set yet.
   bool insert(const AbsState &S) {
@@ -123,9 +153,12 @@ private:
   std::uint32_t Count = 0;
 };
 
-/// One explored product state plus the edge that first reached it.
+/// One explored product state plus the edge that first reached it. The
+/// state's node, registers, buffers and job flag live only in its
+/// StateSet key, which has the same index; the acceptor is kept whole,
+/// since its key records only its control state.
 struct SearchNode {
-  AbsState State;
+  ProtocolSts Sts;
   std::int64_t Parent; ///< Index into the node arena; -1 for the root.
   /// Markers emitted (and accepted) on the incoming edge: the span
   /// [MarkersBegin, MarkersEnd) of the search's flat marker store.
@@ -134,16 +167,17 @@ struct SearchNode {
 };
 
 /// Breadth-first search over the product. The arena doubles as the
-/// queue: states are expanded in the order they were first reached.
-/// Each successor is built in one scratch state and copied into the
-/// arena, with its edge's markers, only when its key is new; the label
-/// of an executed node is rendered only into a counterexample trail.
+/// queue: states are expanded in the order they were first reached,
+/// each decoded from its key into one scratch state. Each successor is
+/// built in a second scratch state, and its acceptor and edge markers
+/// are stored only when its key is new; the label of an executed node
+/// is rendered only into a counterexample trail.
 class Search {
 public:
   Search(const Cfg &G, std::uint32_t NumSockets)
       : G(G), NumSockets(NumSockets), RegBound(registerBound(NumSockets)),
         Visited(G.numRegs(), G.numBufs()),
-        Next(G.numRegs(), G.numBufs(), NumSockets) {
+        Cur(G.numRegs(), G.numBufs(), NumSockets), Next(Cur) {
     V.EdgeCover.assign(G.size(), 0);
     V.NodeVisited.assign(G.size(), false);
   }
@@ -181,7 +215,7 @@ private:
       return;
     const auto Begin = static_cast<std::uint32_t>(EdgeMarkers.size());
     EdgeMarkers.insert(EdgeMarkers.end(), Markers);
-    Arena.push_back({Next, Parent, Begin,
+    Arena.push_back({Next.Sts, Parent, Begin,
                      static_cast<std::uint32_t>(EdgeMarkers.size())});
   }
 
@@ -216,7 +250,7 @@ private:
     for (auto It = Chain.rbegin(); It != Chain.rend(); ++It) {
       const SearchNode &SN = Arena[*It];
       if (SN.Parent >= 0)
-        V.Trail.push_back(G[Arena[SN.Parent].State.Node].label());
+        V.Trail.push_back(G[Visited.node(SN.Parent)].label());
       V.MarkerPrefix.insert(V.MarkerPrefix.end(),
                             EdgeMarkers.begin() + SN.MarkersBegin,
                             EdgeMarkers.begin() + SN.MarkersEnd);
@@ -247,9 +281,9 @@ private:
   }
 
   void expand(std::size_t I) {
-    // Arena nodes never move (a deque only appends), so the expanded
-    // state is read in place while its successors are enqueued.
-    const AbsState &S = Arena[I].State;
+    Visited.decode(I, Cur);
+    Cur.Sts = Arena[I].Sts;
+    const AbsState &S = Cur;
     const NodeId NId = S.Node;
     const CfgNode &N = G[NId];
 
@@ -397,8 +431,8 @@ private:
   std::deque<SearchNode> Arena;
   /// The edge markers of every arena node, back to back.
   std::vector<MarkerEvent> EdgeMarkers;
-  /// The successor under construction.
-  AbsState Next;
+  /// The state being expanded, and the successor under construction.
+  AbsState Cur, Next;
 };
 
 } // namespace

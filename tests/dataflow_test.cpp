@@ -32,9 +32,12 @@
 #include "caesium/print.h"
 #include "caesium/rossl_program.h"
 
+#include "reference_dataflow.h"
 #include "test_util.h"
 
 #include <gtest/gtest.h>
+
+#include <span>
 
 using namespace rprosa;
 using namespace rprosa::analysis;
@@ -84,17 +87,19 @@ TEST(CfgOrder, PredsInvertSuccessors) {
   std::size_t Edges = 0;
   for (NodeId N = 0; N < G.size(); ++N)
     for (NodeId S : G.successors(N)) {
-      const std::vector<NodeId> &P = Order.Preds[S];
+      std::span<const NodeId> P = Order.preds(S);
       EXPECT_NE(std::find(P.begin(), P.end(), N), P.end())
-          << "edge n" << N << " -> n" << S << " missing from Preds";
+          << "edge n" << N << " -> n" << S << " missing from preds";
       ++Edges;
     }
   std::size_t PredEdges = 0;
-  for (const std::vector<NodeId> &P : Order.Preds) {
+  for (NodeId N = 0; N < G.size(); ++N) {
+    std::span<const NodeId> P = Order.preds(N);
     EXPECT_TRUE(std::is_sorted(P.begin(), P.end()));
     PredEdges += P.size();
   }
   EXPECT_EQ(Edges, PredEdges);
+  EXPECT_EQ(Order.PredIds.size(), PredEdges);
 }
 
 TEST(CfgOrder, LoopHeadsAreExactlyTheBackEdgeTargets) {
@@ -150,64 +155,14 @@ struct ReachDomain {
     }
     return false;
   }
-  State transfer(const Cfg &, NodeId, const State &In) const { return In; }
+  void transfer(const Cfg &, NodeId, const State &In, State &Out) const {
+    Out = In;
+  }
 };
 
-/// Backward instance: live registers (read later before being
-/// clobbered).
-struct LiveDomain {
-  using State = std::vector<bool>;
-
-  explicit LiveDomain(std::uint32_t NumRegs) : NumRegs(NumRegs) {}
-
-  State bottom(const Cfg &) const { return State(NumRegs, false); }
-  State boundary(const Cfg &) const { return State(NumRegs, false); }
-
-  bool join(State &Into, const State &S) const {
-    bool Changed = false;
-    for (std::size_t I = 0; I < Into.size(); ++I)
-      if (S[I] && !Into[I]) {
-        Into[I] = true;
-        Changed = true;
-      }
-    return Changed;
-  }
-
-  State transfer(const Cfg &G, NodeId N, const State &In) const {
-    State Out = In; // "In" is the state AFTER the node (backward).
-    const CfgNode &Node = G[N];
-    switch (Node.K) {
-    case CfgNode::Kind::Assign:
-    case CfgNode::Kind::Read:
-    case CfgNode::Kind::Dequeue:
-      if (Node.Dst < Out.size())
-        Out[Node.Dst] = false;
-      break;
-    default:
-      break;
-    }
-    if (Node.E) {
-      std::vector<RegId> Used;
-      std::function<void(const Expr &)> Walk = [&](const Expr &E) {
-        if (E.K == Expr::Kind::Reg)
-          Used.push_back(E.Reg);
-        if (E.L)
-          Walk(*E.L);
-        if (E.R)
-          Walk(*E.R);
-      };
-      Walk(*Node.E);
-      for (RegId R : Used)
-        if (R < Out.size())
-          Out[R] = true;
-    }
-    if (Node.K == CfgNode::Kind::Read && Node.Reg < Out.size())
-      Out[Node.Reg] = true;
-    return Out;
-  }
-
-  std::uint32_t NumRegs;
-};
+/// The backward instance (live registers), shared with the engine's
+/// oracle suite.
+using reference::LiveDomain;
 
 } // namespace
 

@@ -50,7 +50,8 @@ std::vector<std::vector<bool>> reachability(const Cfg &G) {
   std::size_t N = G.size();
   std::vector<std::vector<bool>> Reach(N, std::vector<bool>(N, false));
   for (NodeId A = 0; A < N; ++A) {
-    std::vector<NodeId> Work = G.successors(A);
+    const Cfg::Successors First = G.successors(A);
+    std::vector<NodeId> Work(First.begin(), First.end());
     while (!Work.empty()) {
       NodeId B = Work.back();
       Work.pop_back();

@@ -25,6 +25,7 @@
 #include "support/rng.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -82,6 +83,42 @@ inline std::string loopLadderSource(std::uint32_t Loops) {
     Splice += Indent + "r5 = 0;\n" + Indent + "while ((r5 < 4)) {\n" +
               Indent + "  r5 = (r5 + 1);\n" + Indent + "}\n";
   return Base.substr(0, LineEnd) + Splice + Base.substr(LineEnd);
+}
+
+/// \p Src with every register rK renamed r(K + RegShift) and every
+/// buffer bufK renamed buf(K + BufShift): the same program over wider
+/// register and buffer files. For printed programs (printStmt), which
+/// carry no comments.
+inline std::string renumberedSource(const std::string &Src,
+                                    std::uint32_t RegShift,
+                                    std::uint32_t BufShift) {
+  auto IsWord = [](char C) {
+    return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
+  };
+  auto IsDigit = [](char C) {
+    return std::isdigit(static_cast<unsigned char>(C)) != 0;
+  };
+  std::string Out;
+  for (std::size_t I = 0; I < Src.size();) {
+    const bool Start = I == 0 || !IsWord(Src[I - 1]);
+    const std::size_t Len = !Start                            ? 0
+                            : Src.compare(I, 3, "buf") == 0 ? 3
+                            : Src[I] == 'r'                 ? 1
+                                                            : 0;
+    std::size_t End = I + Len;
+    while (Len && End < Src.size() && IsDigit(Src[End]))
+      ++End;
+    if (End == I + Len || (End < Src.size() && IsWord(Src[End]))) {
+      Out += Src[I++];
+      continue;
+    }
+    const std::uint32_t Shift = Len == 1 ? RegShift : BufShift;
+    Out += Src.substr(I, Len) +
+           std::to_string(std::stoul(Src.substr(I + Len, End - I - Len)) +
+                          Shift);
+    I = End;
+  }
+  return Out;
 }
 
 /// The one edit an Editor applies.
