@@ -19,6 +19,7 @@
 #include "analysis/dataflow/analyses.h"
 #include "analysis/dataflow/witness.h"
 #include "analysis/mutants.h"
+#include "analysis/timing/segment_costs.h"
 #include "analysis/verifier.h"
 #include "caesium/parser.h"
 #include "caesium/print.h"
@@ -361,15 +362,16 @@ struct LintProgram {
 };
 
 /// Fixture \p Which of BM_StaticLint: the Rössl program at 2 or 64
-/// sockets, the 1,000-loop ladder, or the 2-socket witness corpus.
+/// sockets, the 1,000-loop ladder, the 2-socket witness corpus, or the
+/// 2,000-loop ladder.
 std::vector<LintProgram> lintPrograms(std::int64_t Which) {
   std::vector<LintProgram> Out;
   if (Which == 0 || Which == 1) {
     const std::uint32_t N = Which == 0 ? 2 : 64;
     Out.push_back({analysis::buildCfg(caesium::buildRosslProgram(N)), N, {},
                    {}});
-  } else if (Which == 2) {
-    Out.push_back({loopLadder(1000), 2, {}, {}});
+  } else if (Which == 2 || Which == 4) {
+    Out.push_back({loopLadder(Which == 2 ? 1000 : 2000), 2, {}, {}});
   } else {
     for (const analysis::Mutant &M : analysis::witnessMutantCorpus(2))
       Out.push_back({analysis::buildCfg(M.Program), 2, M.ExpectedCheckId,
@@ -408,21 +410,50 @@ void BM_StaticLint(benchmark::State &State) {
                  "every clean program must lint clean, and every witness "
                  "mutant must reach its declared refinement");
   }
-  static constexpr std::size_t ExpectedFindings[] = {0, 0, 0, 4};
+  static constexpr std::size_t ExpectedFindings[] = {0, 0, 0, 4, 0};
   RPROSA_CHECK(Findings == ExpectedFindings[State.range(0)],
                "the fixture's finding count must stay pinned");
   for (auto _ : State)
     for (const LintProgram &P : Programs)
       benchmark::DoNotOptimize(Lint(P).size());
   static const char *const Names[] = {"rossl(2)", "rossl(64)", "loops-1000",
-                                      "witness corpus"};
+                                      "witness corpus", "loops-2000"};
   State.SetLabel(Names[State.range(0)]);
   State.SetItemsProcessed(static_cast<std::int64_t>(State.iterations()) *
                           static_cast<std::int64_t>(Programs.size()));
   State.counters["findings"] = double(Findings);
   State.counters["refined"] = double(Refined);
 }
-BENCHMARK(BM_StaticLint)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_StaticLint)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
+
+void BM_AnalyzeTiming(benchmark::State &State) {
+  // analyzeTiming, then describeTable, on the 2-socket loop ladder with
+  // the argument's loop count: the timing pass with its witness trails
+  // rendered and printed; items are programs.
+  const auto Loops = static_cast<std::uint32_t>(State.range(0));
+  const analysis::Cfg G = loopLadder(Loops);
+  analysis::StaticCostParams P;
+  P.Wcets = BasicActionWcets::typicalDeployment();
+  P.Instr = InstructionCosts::unit();
+  P.MaxCallbackWcet = 10 * TickUs;
+  const analysis::TimingResult Check = analysis::analyzeTiming(G, P, 2);
+  RPROSA_CHECK(Check.allBounded(), "every loop-ladder segment is bounded");
+  std::size_t WitnessLines = 0;
+  for (const analysis::SegmentBound &S : Check.Segments)
+    WitnessLines += S.WitnessMax.size();
+  // Each counted loop puts 5 branch visits and 5 assignments on the
+  // dispatch segment's trail.
+  RPROSA_CHECK(WitnessLines > 10 * Loops,
+               "the dispatch witness must walk every spliced loop");
+  for (auto _ : State)
+    benchmark::DoNotOptimize(
+        analysis::analyzeTiming(G, P, 2).describeTable().size());
+  State.SetLabel("loops-" + std::to_string(Loops));
+  State.SetItemsProcessed(static_cast<std::int64_t>(State.iterations()));
+  State.counters["witness_lines"] = double(WitnessLines);
+}
+BENCHMARK(BM_AnalyzeTiming)->Arg(1000)->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WorkloadGeneration(benchmark::State &State) {
   const Fixture &F = sharedFixture();

@@ -116,6 +116,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 using namespace rprosa;
 using namespace rprosa::analysis;
@@ -313,9 +314,16 @@ int timingSweepMode(unsigned Threads, std::size_t Chunk) {
       Out.Rows.push_back({M.Name, kindName(V.Kind), toString(D.Class),
                           std::to_string(D.RefHi),
                           std::to_string(D.GotHi)});
+      // The witness text holds one "  <label>\n" line per node; the
+      // report joins the labels on one line.
       std::string Trail;
-      for (const std::string &L : D.Witness)
-        Trail += (Trail.empty() ? "" : " -> ") + L;
+      for (std::string_view Rest = D.Witness; !Rest.empty();) {
+        const std::size_t End = Rest.find('\n');
+        if (!Trail.empty())
+          Trail += " -> ";
+        Trail += Rest.substr(2, End - 2);
+        Rest.remove_prefix(End + 1);
+      }
       Out.WitnessText +=
           M.Name + " / " + toString(D.Class) + " witness: " + Trail + "\n";
     }

@@ -17,50 +17,83 @@ using namespace rprosa;
 using namespace rprosa::analysis;
 using namespace rprosa::caesium;
 
-std::string CfgNode::label() const {
+namespace {
+
+void appendPiece(std::string &Out, const char *Text) { Out += Text; }
+void appendPiece(std::string &Out, std::uint32_t Id) {
+  Out += std::to_string(Id);
+}
+
+/// Appends each piece to \p Out: text as it is, ids in decimal.
+template <class... Pieces>
+void append(std::string &Out, const Pieces &...P) {
+  (appendPiece(Out, P), ...);
+}
+
+} // namespace
+
+void CfgNode::appendLabel(std::string &Out) const {
   switch (K) {
   case Kind::Entry:
-    return "entry";
+    return append(Out, "entry");
   case Kind::Exit:
-    return "exit";
+    return append(Out, "exit");
   case Kind::Assign:
-    return "r" + std::to_string(Dst) + " = " + printExpr(*E);
+    append(Out, "r", Dst, " = ");
+    return printExprTo(*E, Out);
   case Kind::Branch:
-    return "branch " + printExpr(*E);
+    append(Out, "branch ");
+    return printExprTo(*E, Out);
   case Kind::Read:
-    return "r" + std::to_string(Dst) + " = read(r" + std::to_string(Reg) +
-           ", buf" + std::to_string(Buf) + ")";
+    return append(Out, "r", Dst, " = read(r", Reg, ", buf", Buf, ")");
   case Kind::Trace:
     switch (Fn) {
     case TraceFn::TrSelection:
-      return "selection_start()";
+      return append(Out, "selection_start()");
     case TraceFn::TrDisp:
-      return "dispatch_start(buf" + std::to_string(Buf) + ")";
+      return append(Out, "dispatch_start(buf", Buf, ")");
     case TraceFn::TrExec:
-      return "execution_start(buf" + std::to_string(Buf) + ")";
+      return append(Out, "execution_start(buf", Buf, ")");
     case TraceFn::TrCompl:
-      return "completion_start(buf" + std::to_string(Buf) + ")";
+      return append(Out, "completion_start(buf", Buf, ")");
     case TraceFn::TrIdling:
-      return "idling_start()";
+      return append(Out, "idling_start()");
     }
-    return "trace?";
+    return append(Out, "trace?");
   case Kind::Enqueue:
-    return "npfp_enqueue(&sched, buf" + std::to_string(Buf) + ")";
+    return append(Out, "npfp_enqueue(&sched, buf", Buf, ")");
   case Kind::Dequeue:
-    return "r" + std::to_string(Dst) + " = npfp_dequeue(&sched, buf" +
-           std::to_string(Buf) + ")";
+    return append(Out, "r", Dst, " = npfp_dequeue(&sched, buf", Buf, ")");
   case Kind::Free:
-    return "free(buf" + std::to_string(Buf) + ")";
+    return append(Out, "free(buf", Buf, ")");
   }
-  return "?";
+  Out += '?';
+}
+
+std::string CfgNode::label() const {
+  std::string Out;
+  appendLabel(Out);
+  return Out;
+}
+
+void rprosa::analysis::appendNodeLabel(NodeId Id, const CfgNode &Node,
+                                       std::string &Out) {
+  append(Out, "n", Id, ": ");
+  Node.appendLabel(Out);
 }
 
 std::string rprosa::analysis::nodeRef(const Cfg &G, NodeId N) {
-  return "n" + std::to_string(N) + " (" + G[N].label() + ")";
+  std::string Out;
+  append(Out, "n", N, " (");
+  G[N].appendLabel(Out);
+  Out += ')';
+  return Out;
 }
 
 std::string rprosa::analysis::nodeLabel(const Cfg &G, NodeId N) {
-  return "n" + std::to_string(N) + ": " + G[N].label();
+  std::string Out;
+  appendNodeLabel(N, G[N], Out);
+  return Out;
 }
 
 void rprosa::analysis::collectRegs(const Expr &E, std::vector<RegId> &Out) {
@@ -205,6 +238,7 @@ Cfg &rprosa::analysis::buildCfg(const StmtPtr &Program, Cfg &Out) {
   L.G.Entry = Entry;
   L.G.Exit = Exit;
   L.G.Root = Program;
+  Out.Regs = Out.Bufs = Cfg::KeptCount();
   return Out;
 }
 
@@ -214,49 +248,67 @@ Cfg rprosa::analysis::buildCfg(const StmtPtr &Program) {
   return G;
 }
 
-std::uint32_t Cfg::numRegs() const {
-  std::uint32_t Max = 0;
-  std::vector<RegId> Used;
-  for (const CfgNode &N : Nodes) {
-    Used.clear();
-    if (N.E)
-      collectRegs(*N.E, Used);
-    for (RegId R : Used)
-      Max = std::max(Max, R + 1);
-    switch (N.K) {
-    case CfgNode::Kind::Assign:
-    case CfgNode::Kind::Dequeue:
-      Max = std::max(Max, N.Dst + 1);
-      break;
-    case CfgNode::Kind::Read:
-      Max = std::max({Max, N.Dst + 1, N.Reg + 1});
-      break;
-    default:
-      break;
-    }
-  }
+namespace {
+
+/// 1 + the highest register id \p E reads; 0 if it reads none.
+std::uint32_t regsRead(const Expr &E) {
+  std::uint32_t Max = E.K == Expr::Kind::Reg ? E.Reg + 1 : 0;
+  if (E.L)
+    Max = std::max(Max, regsRead(*E.L));
+  if (E.R)
+    Max = std::max(Max, regsRead(*E.R));
   return Max;
 }
 
-std::uint32_t Cfg::numBufs() const {
+/// 1 + the highest register id node \p N mentions; 0 if none.
+std::uint32_t regsOf(const CfgNode &N) {
+  std::uint32_t Max = N.E ? regsRead(*N.E) : 0;
+  switch (N.K) {
+  case CfgNode::Kind::Assign:
+  case CfgNode::Kind::Dequeue:
+    return std::max(Max, N.Dst + 1);
+  case CfgNode::Kind::Read:
+    return std::max({Max, N.Dst + 1, N.Reg + 1});
+  default:
+    return Max;
+  }
+}
+
+/// 1 + the buffer id node \p N mentions; 0 if none.
+std::uint32_t bufsOf(const CfgNode &N) {
+  switch (N.K) {
+  case CfgNode::Kind::Read:
+  case CfgNode::Kind::Enqueue:
+  case CfgNode::Kind::Dequeue:
+  case CfgNode::Kind::Free:
+    return N.Buf + 1;
+  case CfgNode::Kind::Trace:
+    return N.Fn == TraceFn::TrDisp || N.Fn == TraceFn::TrExec ||
+                   N.Fn == TraceFn::TrCompl
+               ? N.Buf + 1
+               : 0;
+  default:
+    return 0;
+  }
+}
+
+/// The largest \p Of(N) over \p Nodes; 0 for none.
+template <class F>
+std::uint32_t maxOver(const std::vector<CfgNode> &Nodes, F Of) {
   std::uint32_t Max = 0;
   for (const CfgNode &N : Nodes)
-    switch (N.K) {
-    case CfgNode::Kind::Read:
-    case CfgNode::Kind::Enqueue:
-    case CfgNode::Kind::Dequeue:
-    case CfgNode::Kind::Free:
-      Max = std::max(Max, N.Buf + 1);
-      break;
-    case CfgNode::Kind::Trace:
-      if (N.Fn == TraceFn::TrDisp || N.Fn == TraceFn::TrExec ||
-          N.Fn == TraceFn::TrCompl)
-        Max = std::max(Max, N.Buf + 1);
-      break;
-    default:
-      break;
-    }
+    Max = std::max(Max, Of(N));
   return Max;
+}
+
+} // namespace
+
+std::uint32_t Cfg::numRegs() const {
+  return Regs.get([this] { return maxOver(Nodes, regsOf); });
+}
+
+std::uint32_t Cfg::numBufs() const {
+  return Bufs.get([this] { return maxOver(Nodes, bufsOf); });
 }
 
 CycleComponents rprosa::analysis::cycleComponents(const Cfg &G) {
@@ -321,7 +373,7 @@ std::string Cfg::dump() const {
   std::string Out;
   for (NodeId I = 0; I < Nodes.size(); ++I) {
     const CfgNode &N = Nodes[I];
-    Out += nodeLabel(*this, I);
+    appendNodeLabel(I, N, Out);
     if (N.K == CfgNode::Kind::Branch)
       Out += " -> n" + std::to_string(N.Succ) + " / n" +
              std::to_string(N.FalseSucc);

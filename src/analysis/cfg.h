@@ -26,6 +26,8 @@
 
 #include "caesium/ast.h"
 
+#include <atomic>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -68,6 +70,10 @@ struct CfgNode {
   /// One-line C-like rendering ("r2 = read(r0, buf0)") for diagnostics
   /// and counterexample trails.
   std::string label() const;
+  /// Appends label() to \p Out: the one renderer behind label(),
+  /// nodeLabel and nodeRef, so a text made of many labels (a witness
+  /// trail) is written in place, without a string per label.
+  void appendLabel(std::string &Out) const;
 };
 
 /// The lowered program. Node 0 is Entry; Exit is the unique sink.
@@ -86,8 +92,12 @@ struct Cfg {
   const CfgNode &operator[](NodeId N) const { return Nodes[N]; }
 
   /// 1 + the highest register id mentioned anywhere in the program.
+  /// The first call counts (one allocation-free walk over the nodes)
+  /// and later calls read the count, so a graph assembled by hand must
+  /// have its nodes before the first call.
   std::uint32_t numRegs() const;
-  /// 1 + the highest buffer id mentioned anywhere in the program.
+  /// 1 + the highest buffer id mentioned anywhere in the program,
+  /// counted once like numRegs().
   std::uint32_t numBufs() const;
 
   /// The successors of one node, in fixed order (Succ, then a Branch's
@@ -120,12 +130,46 @@ struct Cfg {
   /// Multi-line text dump (one node per line, with edges) for tests and
   /// debugging.
   std::string dump() const;
+
+private:
+  friend Cfg &buildCfg(const caesium::StmtPtr &Program, Cfg &Out);
+
+  /// A count taken by the first call that needs it and kept; copies
+  /// carry it, and buildCfg resets it when it lowers a new program.
+  /// Relaxed atomics let threads that share a Cfg take it at once: each
+  /// stores the same value.
+  class KeptCount {
+  public:
+    KeptCount() = default;
+    KeptCount(const KeptCount &O) : V(O.V.load(std::memory_order_relaxed)) {}
+    KeptCount &operator=(const KeptCount &O) {
+      V.store(O.V.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      return *this;
+    }
+    /// The kept count, or \p Count() kept on the first call.
+    template <class F> std::uint32_t get(F Count) const {
+      std::uint32_t C = V.load(std::memory_order_relaxed);
+      if (C == None) {
+        C = Count();
+        V.store(C, std::memory_order_relaxed);
+      }
+      return C;
+    }
+
+  private:
+    static constexpr std::uint32_t None = UINT32_MAX;
+    mutable std::atomic<std::uint32_t> V{None};
+  };
+  KeptCount Regs, Bufs;
 };
 
 /// "n<id> (<label>)": node \p N as a finding's message names it.
 std::string nodeRef(const Cfg &G, NodeId N);
 /// "n<id>: <label>": node \p N as one line of a path or trail.
 std::string nodeLabel(const Cfg &G, NodeId N);
+/// Appends "n<Id>: <label>" for \p Node, numbered \p Id, to \p Out:
+/// nodeLabel(G, Id) when \p Node is G[Id].
+void appendNodeLabel(NodeId Id, const CfgNode &Node, std::string &Out);
 /// Appends the register of every Reg leaf of \p E, in pre-order.
 void collectRegs(const caesium::Expr &E, std::vector<caesium::RegId> &Out);
 /// True iff \p E calls fuel() anywhere.

@@ -38,6 +38,7 @@
 #include "analysis/dataflow/diagnostics.h"
 #include "analysis/dataflow/engine.h"
 #include "analysis/dataflow/interval.h"
+#include "support/small_vec.h"
 
 #include <vector>
 
@@ -65,10 +66,12 @@ ValueRangeResult analyzeValueRanges(const Cfg &G,
 
 /// Definite-init's may-uninitialised state: a set bit means "some path
 /// reaches here with no write to that register / no fill of that buffer
-/// yet". One bit per register, then one per buffer, 64 to a word.
+/// yet". One bit per register, then one per buffer, 64 to a word; up to
+/// 128 bits (the default machine's 8 registers and 4 buffers need 12)
+/// are kept inline.
 struct InitState {
   bool Reachable = false;
-  std::vector<std::uint64_t> Unset;
+  SmallVec<std::uint64_t, 2> Unset;
 
   bool operator==(const InitState &O) const = default;
 };

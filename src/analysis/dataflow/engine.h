@@ -42,18 +42,25 @@
 /// visit allocates nothing once the states have their size. The
 /// payload of an unreached state is never read (join and widen skip an
 /// unreached source, and the reporting sweeps skip unreached nodes),
-/// so an unreached result need only say that it is unreached.
+/// so an unreached result need only say that it is unreached. The
+/// range and init states (interval.h, analyses.h) keep up to 8
+/// intervals and 2 bit words inline (support/small_vec.h), so on
+/// programs within the default machine's register file their storage
+/// is the solution's own arrays, with no heap block per node.
 ///
 /// Iteration is a worklist ordered by sweep position (reverse
 /// post-order forward, post-order backward): the sweep-earliest dirty
 /// node is always processed next, and a change requeues only the
-/// nodes that consume it. The extraction order is a pure function of
-/// the CFG — no hashing, no insertion-order dependence — so states,
-/// and every diagnostic derived from them, are byte-stable across runs
-/// and thread counts; unlike full round-robin sweeps, a program of k
-/// independent loops costs O(k) head iterations total, not O(k) full
-/// passes over the whole graph (bench/analysis_cost measures this on
-/// generated loop chains). After SolveOptions::WidenAfter changes of a
+/// nodes that consume it. The worklist is a bit set over sweep
+/// positions with a cursor at its lowest possibly non-zero word, so a
+/// pop is a scan to the first set bit and a requeue sets one bit. The
+/// extraction order is a pure function of the CFG — no hashing, no
+/// insertion-order dependence — so states, and every diagnostic
+/// derived from them, are byte-stable across runs and thread counts;
+/// unlike full round-robin sweeps, a program of k independent loops
+/// costs O(k) head iterations total, not O(k) full passes over the
+/// whole graph (bench/analysis_cost measures this on generated loop
+/// chains). After SolveOptions::WidenAfter changes of a
 /// loop head's in-state, the flows arriving over the head's own back
 /// edges are widened instead of joined (forward flows stay precise —
 /// they stabilise once enclosing heads do), which caps the chain
@@ -68,10 +75,9 @@
 #include "analysis/cfg.h"
 
 #include <algorithm>
+#include <bit>
 #include <concepts>
 #include <cstdint>
-#include <functional>
-#include <numeric>
 #include <span>
 #include <vector>
 
@@ -186,21 +192,21 @@ solve(const Cfg &G, const Domain &Dom, const CfgOrder &Order,
 
   // Every node starts dirty (so transfer is applied at least once,
   // unreachable nodes included); afterwards a node is requeued only
-  // when a producer's out-state was recomputed. The worklist is a
-  // min-heap of sweep positions, and Queued keeps each position in it
-  // at most once, so it pops the sweep-earliest dirty node exactly as
-  // an ordered set would, without a node allocation per insert. The
-  // ascending start is already a valid heap.
-  std::vector<std::uint32_t> Work(Order.Rpo.size());
-  std::iota(Work.begin(), Work.end(), 0u);
-  std::vector<char> Queued(Order.Rpo.size(), 1);
+  // when a producer's out-state was recomputed. The worklist is a bit
+  // set over sweep positions plus a cursor at the lowest word that may
+  // hold a set bit: a pop takes the first set bit at or after the
+  // cursor, and a requeue below it moves the cursor back, so it pops
+  // the sweep-earliest dirty node exactly as an ordered set would,
+  // without a node allocation per insert or a heap step per pop.
+  const std::size_t Words = (Order.Rpo.size() + 63) / 64;
+  std::vector<std::uint64_t> Dirty(Words, ~std::uint64_t{0});
+  if (Order.Rpo.size() % 64 != 0)
+    Dirty.back() >>= 64 - Order.Rpo.size() % 64;
+  std::size_t Cursor = 0;
   auto Requeue = [&](NodeId Node) {
-    std::uint32_t P = SweepPos(Node);
-    if (Queued[P])
-      return;
-    Queued[P] = 1;
-    Work.push_back(P);
-    std::push_heap(Work.begin(), Work.end(), std::greater<>());
+    const std::uint32_t P = SweepPos(Node);
+    Dirty[P / 64] |= std::uint64_t{1} << (P % 64);
+    Cursor = std::min<std::size_t>(Cursor, P / 64);
   };
   const std::uint64_t Budget =
       static_cast<std::uint64_t>(Opts.MaxRounds) * Order.Rpo.size();
@@ -209,13 +215,16 @@ solve(const Cfg &G, const Domain &Dom, const CfgOrder &Order,
   const State Boundary = Dom.boundary(G);
   State NewIn = Bottom, BackIn = Bottom, Edge = Bottom;
 
-  while (!Work.empty()) {
+  for (;;) {
+    while (Cursor < Words && Dirty[Cursor] == 0)
+      ++Cursor;
+    if (Cursor == Words)
+      break;
     if (Sol.NodeVisits >= Budget)
       return Sol; // Budget exhausted: Converged stays false.
-    std::pop_heap(Work.begin(), Work.end(), std::greater<>());
-    const std::uint32_t Pos = Work.back();
-    Work.pop_back();
-    Queued[Pos] = 0;
+    const std::uint32_t Pos = static_cast<std::uint32_t>(
+        Cursor * 64 + std::countr_zero(Dirty[Cursor]));
+    Dirty[Cursor] &= Dirty[Cursor] - 1;
     NodeId Node = Order.Rpo[Fwd ? Pos : Last - Pos];
 
     bool Widening =

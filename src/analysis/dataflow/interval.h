@@ -28,10 +28,10 @@
 #define RPROSA_ANALYSIS_DATAFLOW_INTERVAL_H
 
 #include "analysis/dataflow/engine.h"
+#include "support/small_vec.h"
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace rprosa::analysis::dataflow {
 
@@ -83,10 +83,11 @@ ValueInterval intervalDiv(ValueInterval A, ValueInterval B, RangeFlags &F);
 ValueInterval intervalMod(ValueInterval A, ValueInterval B, RangeFlags &F);
 
 /// Per-node state of the range analysis: reachability plus one
-/// interval per register.
+/// interval per register. The default machine's 8 registers fit
+/// inline, so a solve over such a program allocates no block per node.
 struct RangeState {
   bool Reachable = false;
-  std::vector<ValueInterval> Regs;
+  SmallVec<ValueInterval, 8> Regs;
 
   bool operator==(const RangeState &O) const = default;
 };

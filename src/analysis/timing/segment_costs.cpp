@@ -83,15 +83,6 @@ SegmentClass classOfTrace(TraceFn Fn) {
   return SegmentClass::Idling;
 }
 
-std::vector<std::string> renderTrail(const Cfg &G,
-                                     const std::vector<NodeId> &Trail) {
-  std::vector<std::string> Out;
-  Out.reserve(Trail.size());
-  for (NodeId N : Trail)
-    Out.push_back(nodeLabel(G, N));
-  return Out;
-}
-
 /// Names the cycle responsible for a visit-cap abort, preferring a
 /// non-benign classification (the actionable diagnostic).
 std::string loopDiagnostic(const Cfg &G, const std::vector<LoopBound> &Loops,
@@ -202,7 +193,7 @@ TimingResult rprosa::analysis::analyzeTiming(const Cfg &G,
 
   for (std::size_t C = 0; C < NumSegmentClasses; ++C) {
     SegmentBound &S = R.Segments[C];
-    const ClassAcc &A = Acc[C];
+    ClassAcc &A = Acc[C];
     S.Reachable = A.Any;
     if (!A.Any)
       continue;
@@ -210,7 +201,12 @@ TimingResult rprosa::analysis::analyzeTiming(const Cfg &G,
     S.I.Lo = satAdd(Base.Lo, A.MinInstr == TimeInfinity ? 0 : A.MinInstr);
     S.I.Hi = A.Aborted ? TimeInfinity : satAdd(Base.Hi, A.MaxInstr);
     S.InstrTailHi = A.MaxInstr;
-    S.WitnessMax = renderTrail(G, A.TrailMax);
+    S.WitnessMax = std::move(A.TrailMax);
+    for (NodeId N : S.WitnessMax) {
+      S.WitnessText += "  ";
+      appendNodeLabel(N, G[N], S.WitnessText);
+      S.WitnessText += '\n';
+    }
     S.Diagnostic = A.Diag;
   }
 
@@ -300,14 +296,24 @@ std::string TimingResult::describeTable() const {
          ", per successful read +" + fmtDuration(IterationPerSuccess) +
          "  (" + std::to_string(NumSockets) + " sockets, " +
          formatWithCommas(PathsExplored) + " paths)\n";
+  // Each class adds at most 40 bytes of header and diagnostic mark to
+  // its trail and diagnostic.
+  std::size_t Trails = 0;
+  for (const SegmentBound &S : Segments)
+    Trails += 40 + S.WitnessText.size() + S.Diagnostic.size();
+  Out.reserve(Out.size() + Trails);
   for (const SegmentBound &S : Segments) {
     if (!S.Reachable)
       continue;
-    Out += "\nwitness(max) " + toString(S.Class) + ":\n";
-    for (const std::string &L : S.WitnessMax)
-      Out += "  " + L + "\n";
-    if (!S.Diagnostic.empty())
-      Out += "  ! " + S.Diagnostic + "\n";
+    Out += "\nwitness(max) ";
+    Out += toString(S.Class);
+    Out += ":\n";
+    Out += S.WitnessText;
+    if (!S.Diagnostic.empty()) {
+      Out += "  ! ";
+      Out += S.Diagnostic;
+      Out += '\n';
+    }
   }
   return Out;
 }
@@ -322,7 +328,7 @@ std::vector<TimingDiff> rprosa::analysis::diffTiming(const TimingResult &Ref,
     Duration GotHi = G.Reachable ? G.I.Hi : 0;
     if (GotHi > RefHi)
       Out.push_back({static_cast<SegmentClass>(C), RefHi, GotHi,
-                     G.WitnessMax});
+                     G.WitnessText});
   }
   return Out;
 }

@@ -93,9 +93,12 @@ struct SegmentBound {
   /// action's own WCET) — what the static pass adds on top of the
   /// hand-supplied table.
   Duration InstrTailHi = 0;
-  /// Node labels of the path attaining Hi (source first, then every
-  /// non-marker node, ending at the delimiting marker or exit).
-  std::vector<std::string> WitnessMax;
+  /// The path attaining Hi: the source first, then every non-marker
+  /// node, ending at the delimiting marker or exit.
+  std::vector<NodeId> WitnessMax;
+  /// WitnessMax as describeTable prints it, rendered once by
+  /// analyzeTiming: one "  n<id>: <label>\n" line per node.
+  std::string WitnessText;
   /// Why Hi is TimeInfinity, when it is (non-benign cycle / budget).
   std::string Diagnostic;
 
@@ -172,9 +175,10 @@ struct TimingDiff {
   SegmentClass Class = SegmentClass::FailedRead;
   Duration RefHi = 0;
   Duration GotHi = 0;
-  /// The witness path attaining the grown bound (replayable: its labels
-  /// name the inserted nodes).
-  std::vector<std::string> Witness;
+  /// The witness path attaining the grown bound, as \p Got's
+  /// SegmentBound::WitnessText (replayable: its labels name the
+  /// inserted nodes).
+  std::string Witness;
 };
 
 /// The classes where \p Got's upper bound exceeds \p Ref's.

@@ -398,9 +398,7 @@ TEST(TimingMutants, CostPassFlagsEachWithWitnessPath) {
 
     // The witness trail is replayable evidence: it must walk through
     // the injected spin loop (its counter register names it).
-    std::string Trail;
-    for (const std::string &L : D.Witness)
-      Trail += L + "\n";
+    const std::string &Trail = D.Witness;
     if (M.Name == "read-retry-backoff") {
       EXPECT_EQ(D.Class, SegmentClass::FailedRead) << M.Name;
       EXPECT_NE(Trail.find("r4"), std::string::npos) << Trail;

@@ -5,25 +5,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// The library's dataflow engine (analysis/dataflow/engine.h), which
-/// writes every state in place into storage it keeps across
-/// iterations, against the by-value loop it replaced
-/// (tests/reference_dataflow.h), which builds a fresh state for every
-/// transfer, edge flow and join. For the value-range, definite-init,
-/// marker-discipline and zone domains and the backward liveness
-/// instance, every node's In and Out state must agree (reachability
-/// always, the payload whenever the state is reached: an unreached
-/// state's payload is never read), and so must NodeVisits and
-/// Converged; the library's CfgOrder must equal the order computed as
-/// before, field by field. Each input is solved with the default
-/// options, with widening from the first head change, and with a
-/// one-sweep budget that stops most loops unconverged (a seeded edit
-/// under one of the three, in turn). Inputs:
+/// pops a bit-set worklist and writes every state in place into storage
+/// it keeps across iterations, against the by-value loop it replaced
+/// (tests/reference_dataflow.h), which pops a min-heap and builds a
+/// fresh state for every transfer, edge flow and join. For the
+/// value-range, definite-init, marker-discipline and zone domains and
+/// the backward liveness instance, every node's In and Out state must
+/// agree (reachability always, the payload whenever the state is
+/// reached: an unreached state's payload is never read), and so must
+/// NodeVisits and Converged; the library's CfgOrder must equal the
+/// order computed as before, field by field. Each input is solved with
+/// the default options, with widening from the first head change, and
+/// with a one-sweep budget that stops most loops unconverged (a seeded
+/// edit under one of the three, in turn). Inputs:
 /// buildRosslProgram(N) for N = 1..64, examples/fds_run.rossl at 1..4
-/// sockets, the four mutant corpora at 2 and 3 sockets, the 100- and
-/// 1,000-loop ladders, a program over 71 registers and 4 buffers (its
-/// definite-init bits span two words), and seeded single edits of the
-/// Rössl program and of that wide program. RPROSA_FUZZ_SEED picks a
-/// fresh set of edits; a failure names it.
+/// sockets, the four mutant corpora at 2 and 3 sockets, the 100-, 1,000-
+/// and 2,000-loop ladders, a program over 71 registers and 4 buffers
+/// (its definite-init bits span two words), the Rössl program over 8,
+/// 9, 62, 63 and 127 registers (the edges of the states' inline storage
+/// and of definite-init's words), and seeded single edits of the Rössl
+/// program and of that wide program. RPROSA_FUZZ_SEED picks a fresh set
+/// of edits; a failure names it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -195,7 +197,7 @@ TEST(DataflowReference, MutantCorporaAtTwoAndThreeSockets) {
 }
 
 TEST(DataflowReference, LoopLadders) {
-  for (std::uint32_t Loops : {100u, 1000u})
+  for (std::uint32_t Loops : {100u, 1000u, 2000u})
     matchesReference(buildCfg(parseOrDie(testutil::loopLadderSource(Loops))),
                      2, "loops-" + std::to_string(Loops));
 }
@@ -212,6 +214,27 @@ TEST(DataflowReference, WideProgramSpansTwoInitWords) {
   ASSERT_EQ(Fs.size(), 1u);
   EXPECT_NE(Fs[0].Message.find("register r69 "), std::string::npos)
       << Fs[0].Message;
+}
+
+TEST(DataflowReference, ProgramsAtTheStateLayoutEdges) {
+  // The 2-socket Rössl program (4 registers, 2 buffers) renumbered onto
+  // wider register files: a range state of 8 intervals fills its inline
+  // storage and one of 9 moves to the heap; definite-init's 64 bits fill
+  // one word exactly, 65 spill one bit into a second, and 129 outgrow
+  // the two inline words.
+  const std::string Base = cs::printStmt(*cs::buildRosslProgram(2));
+  struct Edge {
+    std::uint32_t RegShift, Regs;
+  };
+  for (const Edge &E : {Edge{4, 8}, Edge{5, 9}, Edge{58, 62}, Edge{59, 63},
+                        Edge{123, 127}}) {
+    const Cfg G =
+        buildCfg(parseOrDie(testutil::renumberedSource(Base, E.RegShift, 0)));
+    ASSERT_EQ(G.numRegs(), E.Regs);
+    ASSERT_EQ(G.numBufs(), 2u);
+    matchesReference(G, 2,
+                     "rossl(2) over " + std::to_string(E.Regs) + " registers");
+  }
 }
 
 TEST(DataflowReference, SeededSingleEdits) {

@@ -498,6 +498,9 @@ TEST(LoopClassification, CycleUnreachableFromEntryIsStillReported) {
   S.E = TA.reg(1);
   S.Succ = 4;
   S.FalseSucc = 1;
+  // Assembled node by node, the graph is counted from its nodes.
+  EXPECT_EQ(G.numRegs(), 2u);
+  EXPECT_EQ(G.numBufs(), 0u);
 
   CycleComponents C = cycleComponents(G);
   EXPECT_FALSE(C.onCycle(0));

@@ -6,9 +6,11 @@
 ///
 /// \file
 /// The dataflow engine (analysis/dataflow/engine.h) as it stood before
-/// it wrote states in place. solve() is the same worklist, but every
-/// transfer, edge flow and join works on a fresh state built from
-/// bottom, and the boundary is rebuilt on every visit of its node; it
+/// it wrote states in place and kept its worklist as a bit set.
+/// solve() pops the sweep-earliest dirty node from a min-heap of sweep
+/// positions, every transfer, edge flow and join works on a fresh state
+/// built from bottom, and the boundary is rebuilt on every visit of its
+/// node; it
 /// drives the library's domain API, so dataflow_reference_test can hold
 /// the library's solve to it state for state. It runs over an order
 /// computed as before as well: a successor vector per DFS frame and a

@@ -90,9 +90,14 @@ TEST(SegmentCosts, HandComputedBoundsTwoSockets) {
   // Witness paths are replayable trails: source first, delimiter last.
   const SegmentBound &FR = R.seg(SegmentClass::FailedRead);
   ASSERT_FALSE(FR.WitnessMax.empty());
-  EXPECT_NE(FR.WitnessMax.front().find("read"), std::string::npos);
-  // 1 source + 7 instruction nodes + 1 delimiting marker.
+  const std::string First =
+      FR.WitnessText.substr(0, FR.WitnessText.find('\n'));
+  EXPECT_EQ(First.find("  n"), 0u) << First;
+  EXPECT_NE(First.find(" = read("), std::string::npos) << First;
+  // 1 source + 7 instruction nodes + 1 delimiting marker, one line each.
   EXPECT_EQ(FR.WitnessMax.size(), 9u);
+  EXPECT_EQ(std::count(FR.WitnessText.begin(), FR.WitnessText.end(), '\n'),
+            9);
 }
 
 TEST(SegmentCosts, IterationWcetFormula) {
