@@ -7,6 +7,7 @@
 #include "analysis/lint.h"
 
 #include "analysis/dataflow/analyses.h"
+#include "caesium/interp.h"
 
 #include <algorithm>
 #include <deque>
@@ -134,30 +135,29 @@ rprosa::analysis::lintFuelTermination(const Cfg &G) {
   // A node is "in the loop" of branch B if it lies on some cycle
   // through B: it is in B's strongly connected region. One component
   // pass plus the registers each cyclic region writes answer the
-  // question for every branch.
+  // question for every branch. The written registers are one sorted
+  // array of (component, register) pairs.
   const CycleComponents Comps = cycleComponents(G);
-  std::vector<std::vector<RegId>> Written(Comps.size());
+  std::vector<std::pair<std::uint32_t, RegId>> Written;
   for (NodeId M = 0; M < G.size(); ++M)
     if (Comps.onCycle(M) && writesReg(G[M]))
-      Written[Comps.Of[M]].push_back(G[M].Dst);
-  for (std::vector<RegId> &W : Written) {
-    std::sort(W.begin(), W.end());
-    W.erase(std::unique(W.begin(), W.end()), W.end());
-  }
+      Written.emplace_back(Comps.Of[M], G[M].Dst);
+  std::sort(Written.begin(), Written.end());
+  std::vector<RegId> CondRegs;
   for (NodeId B = 0; B < G.size(); ++B) {
     const CfgNode &N = G[B];
     if (N.K != CfgNode::Kind::Branch || mentionsFuel(*N.E))
       continue;
     if (!Comps.onCycle(B))
       continue; // Not a loop.
-    std::vector<RegId> CondRegs;
+    CondRegs.clear();
     collectRegs(*N.E, CondRegs);
-    const std::vector<RegId> &W = Written[Comps.Of[B]];
-    bool CanVary = std::any_of(CondRegs.begin(), CondRegs.end(),
-                               [&W](RegId R) {
-                                 return std::binary_search(W.begin(),
-                                                           W.end(), R);
-                               });
+    const std::uint32_t C = Comps.Of[B];
+    bool CanVary =
+        std::any_of(CondRegs.begin(), CondRegs.end(), [&](RegId R) {
+          return std::binary_search(Written.begin(), Written.end(),
+                                    std::make_pair(C, R));
+        });
     if (!CanVary)
       Out.push_back({"fuel-termination", B,
                      "loop at " + nodeRef(G, B) +
@@ -169,19 +169,17 @@ rprosa::analysis::lintFuelTermination(const Cfg &G) {
 }
 
 std::vector<LintFinding> rprosa::analysis::lintMachineRange(const Cfg &G) {
-  // The CaesiumMachine defaults (interp.h): 8 registers, 4 buffers.
-  constexpr std::uint32_t MachineRegs = 8, MachineBufs = 4;
   std::vector<LintFinding> Out;
-  if (G.numRegs() > MachineRegs)
+  if (G.numRegs() > DefaultNumRegs)
     Out.push_back({"machine-range", G.Entry,
                    "program uses " + std::to_string(G.numRegs()) +
                        " registers; the default CaesiumMachine allocates " +
-                       std::to_string(MachineRegs)});
-  if (G.numBufs() > MachineBufs)
+                       std::to_string(DefaultNumRegs)});
+  if (G.numBufs() > DefaultNumBuffers)
     Out.push_back({"machine-range", G.Entry,
                    "program uses " + std::to_string(G.numBufs()) +
                        " buffers; the default CaesiumMachine allocates " +
-                       std::to_string(MachineBufs)});
+                       std::to_string(DefaultNumBuffers)});
   return Out;
 }
 

@@ -30,7 +30,8 @@
 ///    connected region, cycleComponents in cfg.h) can change — such a
 ///    loop, once entered with a true condition, never exits;
 ///  - machine-range: register/buffer indices beyond what the default
-///    CaesiumMachine allocates (8 registers, 4 buffers).
+///    CaesiumMachine allocates (DefaultNumRegs, DefaultNumBuffers in
+///    caesium/interp.h).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,8 +6,9 @@
 
 #include "baseline/tick_scheduler.h"
 
+#include "core/pending_queue.h"
+
 #include <cassert>
-#include <deque>
 #include <map>
 
 using namespace rprosa;
@@ -35,8 +36,8 @@ TickRunResult rprosa::runTickScheduler(const TaskSet &Tasks,
 
   const std::vector<Arrival> &Arrivals = Arr.arrivals();
   std::size_t NextArrival = 0;
-  // Pending jobs per priority, FIFO within a level.
-  std::map<Priority, std::deque<PendingTickJob>> Ready;
+  // Pending jobs, highest priority first, FIFO within a level.
+  PendingQueue<PendingTickJob> Ready;
   JobId NextId = 1;
 
   std::map<MsgId, TickJobResult> Outcomes;
@@ -58,7 +59,7 @@ TickRunResult rprosa::runTickScheduler(const TaskSet &Tasks,
         P.ArrivalAt = A.At;
         P.Remaining = Tasks.task(A.Msg.Task).Wcet;
         P.Id = NextId++;
-        Ready[Tasks.task(A.Msg.Task).Prio].push_back(P);
+        Ready.push(priorityKey(Tasks.task(A.Msg.Task).Prio), P);
       }
       ++NextArrival;
     }
@@ -73,16 +74,11 @@ TickRunResult rprosa::runTickScheduler(const TaskSet &Tasks,
     // Run the highest-priority work for the rest of the quantum;
     // several jobs may finish within one quantum.
     while (Budget > 0) {
-      auto It = Ready.empty() ? Ready.end() : std::prev(Ready.end());
-      while (It != Ready.end() && It->second.empty()) {
-        Ready.erase(It);
-        It = Ready.empty() ? Ready.end() : std::prev(Ready.end());
-      }
-      if (It == Ready.end()) {
+      if (Ready.empty()) {
         Res.Sched.append(ProcState::idle(), Budget);
         break;
       }
-      PendingTickJob &P = It->second.front();
+      PendingTickJob &P = Ready.front();
       Duration Slice = std::min<Duration>(Budget, P.Remaining);
       Res.Sched.append(ProcState::executes(P.Id), Slice);
       Cursor += Slice;
@@ -92,7 +88,7 @@ TickRunResult rprosa::runTickScheduler(const TaskSet &Tasks,
         TickJobResult &O = Outcomes[P.Msg];
         O.Completed = true;
         O.CompletedAt = Cursor;
-        It->second.pop_front();
+        Ready.pop();
       }
     }
   }

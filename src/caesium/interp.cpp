@@ -258,22 +258,17 @@ void CaesiumMachine::exec(const Stmt &S) {
            "enqueue of an empty buffer");
     const Message &M = *Heap[S.Buf].Msg;
     assert(M.Task < Client.Tasks.size() && "unknown task");
-    PendingByPrio[Client.Tasks.task(M.Task).Prio].push_back(M);
-    ++PendingCount;
+    Pending.push(priorityKey(Client.Tasks.task(M.Task).Prio), M);
     break;
   }
   case Stmt::Kind::Dequeue: {
     Clock.advance(Costs.instr().Dequeue);
-    if (PendingByPrio.empty()) {
+    if (Pending.empty()) {
       Regs[S.Dst] = 0;
       break;
     }
-    auto It = std::prev(PendingByPrio.end());
-    Heap[S.Buf].Msg = It->second.front();
-    It->second.pop_front();
-    if (It->second.empty())
-      PendingByPrio.erase(It);
-    --PendingCount;
+    Heap[S.Buf].Msg = Pending.front();
+    Pending.pop();
     Regs[S.Dst] = 1;
     break;
   }

@@ -39,6 +39,7 @@
 
 #include "caesium/ast.h"
 
+#include "core/pending_queue.h"
 #include "rossl/client.h"
 #include "rossl/markers.h"
 #include "rossl/scheduler.h"
@@ -86,13 +87,18 @@ struct MsgData {
   }
 };
 
+/// The default machine's size: its registers and message buffers. The
+/// machine-range lint (analysis/lint.h) checks programs against it.
+inline constexpr std::size_t DefaultNumRegs = 8;
+inline constexpr std::size_t DefaultNumBuffers = 4;
+
 /// The deep-embedding interpreter: runs a program against the simulated
 /// environment, producing the timed marker trace.
 class CaesiumMachine {
 public:
   CaesiumMachine(const ClientConfig &Client, Environment &Env,
-                 CostModel &Costs, std::size_t NumBuffers = 4,
-                 std::size_t NumRegs = 8);
+                 CostModel &Costs, std::size_t NumBuffers = DefaultNumBuffers,
+                 std::size_t NumRegs = DefaultNumRegs);
 
   /// Runs \p Program to completion (its loops consume Fuel) and returns
   /// the emitted timed trace. A runtime trap (see trap()) ends the run
@@ -147,8 +153,7 @@ private:
 
   // The scheduler-state builtin (fds->sched): pending messages in NPFP
   // order — this embedding implements the paper's policy.
-  std::map<Priority, std::deque<Message>> PendingByPrio;
-  std::size_t PendingCount = 0;
+  PendingQueue<Message> Pending;
 
   /// The job resolved by the last TrDisp (the C local `j`).
   std::optional<Job> CurrentJob;

@@ -54,7 +54,11 @@ bool FaultyScheduler::readOnce(SocketId Sock) {
   J.Socket = Sock;
   J.ReadAt = Clock.now();
   Recorder.record(MarkerEvent::readE(Sock, J));
-  Pending[Client.Tasks.task(J.Task).Prio].push_back(J);
+  // PriorityInversion keys by the priority itself, so the LOWEST level
+  // leaves first.
+  Priority P = Client.Tasks.task(J.Task).Prio;
+  Pending.push(Bug == SchedulerBug::PriorityInversion ? P : priorityKey(P),
+               J);
   return true;
 }
 
@@ -71,20 +75,14 @@ bool FaultyScheduler::pollOnce() {
 std::optional<Job> FaultyScheduler::dequeue() {
   if (Pending.empty())
     return std::nullopt;
-  // PriorityInversion selects the LOWEST level.
-  auto It = Bug == SchedulerBug::PriorityInversion
-                ? Pending.begin()
-                : std::prev(Pending.end());
-  Job J = It->second.front();
+  Job J = Pending.front();
   if (Bug == SchedulerBug::DoubleDispatch && !DoubleDispatchArmed) {
     // "Forget" to remove the job once: the next selection re-dispatches
     // it.
     DoubleDispatchArmed = true;
   } else {
     DoubleDispatchArmed = false;
-    It->second.pop_front();
-    if (It->second.empty())
-      Pending.erase(It);
+    Pending.pop();
   }
   return J;
 }

@@ -26,12 +26,11 @@
 #include "rossl/markers.h"
 #include "rossl/scheduler.h"
 
+#include "core/pending_queue.h"
 #include "sim/clock.h"
 #include "sim/cost_model.h"
 #include "sim/environment.h"
 
-#include <deque>
-#include <map>
 #include <string>
 
 namespace rprosa {
@@ -78,7 +77,7 @@ private:
   SchedulerBug Bug;
   VirtualClock Clock;
   MarkerRecorder Recorder;
-  std::map<Priority, std::deque<Job>> Pending;
+  PendingQueue<Job> Pending;
   bool DoubleDispatchArmed = false;
   JobId NextJobId = 1;
 };

@@ -12,10 +12,22 @@ using namespace rprosa;
 
 FdScheduler::FdScheduler(const ClientConfig &Client, Environment &Env,
                          CostModel &Costs)
-    : Client(Client), Env(Env), Costs(Costs),
-      Pending(makeJobQueue(Client.Policy)) {
+    : Client(Client), Env(Env), Costs(Costs) {
   assert(Env.numSockets() == Client.NumSockets &&
          "environment sockets must match the client's registration");
+}
+
+std::uint64_t rprosa::pendingKey(SchedPolicy P, const Task &T,
+                                 Time ReadAt) {
+  switch (P) {
+  case SchedPolicy::Npfp:
+    return priorityKey(T.Prio);
+  case SchedPolicy::Edf:
+    return satAdd(ReadAt, T.Deadline);
+  case SchedPolicy::Fifo:
+    return 0;
+  }
+  return 0;
 }
 
 bool FdScheduler::readOnce(SocketId Sock) {
@@ -49,7 +61,8 @@ bool FdScheduler::readOnce(SocketId Sock) {
   Rec->record(MarkerEvent::readE(Sock, J));
   RPROSA_CHECK(J.Task < Client.Tasks.size(),
                "classifier produced unknown task");
-  Pending->enqueue(J, Client.Tasks.task(J.Task));
+  const Task &T = Client.Tasks.task(J.Task);
+  Pending.push(pendingKey(Client.Policy, T, J.ReadAt), J);
   return true;
 }
 
@@ -87,28 +100,28 @@ void FdScheduler::runLoop(const RunLimits &Limits,
     // --- Selection phase (lines 4-6). ---
     Rec->record(MarkerEvent::selection());
     Clock.advance(Costs.selection());
-    std::optional<Job> J = Pending->dequeue();
-
-    if (!J) {
+    if (Pending.empty()) {
       // --- Idling phase (line 8): one idle cycle, then poll again. ---
       Rec->record(MarkerEvent::idling());
       Clock.advance(Costs.idling());
       continue;
     }
+    const Job J = Pending.front();
+    Pending.pop();
 
     // --- Execution phase (lines 10-12). ---
-    Rec->record(MarkerEvent::dispatch(*J));
+    Rec->record(MarkerEvent::dispatch(J));
     Clock.advance(Costs.dispatch());
 
-    Rec->record(MarkerEvent::execution(*J));
-    const Task &T = Client.Tasks.task(J->Task);
-    if (!Client.Callbacks.empty() && Client.Callbacks[J->Task])
-      Client.Callbacks[J->Task](*J);
+    Rec->record(MarkerEvent::execution(J));
+    const Task &T = Client.Tasks.task(J.Task);
+    if (!Client.Callbacks.empty() && Client.Callbacks[J.Task])
+      Client.Callbacks[J.Task](J);
     Clock.advance(Costs.exec(T));
 
     // M_Completion marks the end of the callback (the job's completion
     // time) and the start of the cleanup (free) segment.
-    Rec->record(MarkerEvent::completion(*J));
+    Rec->record(MarkerEvent::completion(J));
     Clock.advance(Costs.completion());
   }
   Rec = nullptr;

@@ -31,9 +31,10 @@
 #define RPROSA_ROSSL_SCHEDULER_H
 
 #include "rossl/client.h"
-#include "rossl/job_queue.h"
 #include "rossl/markers.h"
 
+#include "core/pending_queue.h"
+#include "core/policy.h"
 #include "sim/clock.h"
 #include "sim/cost_model.h"
 #include "sim/environment.h"
@@ -52,6 +53,14 @@ struct RunLimits {
   /// misconfigured experiments.
   std::size_t MaxMarkers = 0;
 };
+
+/// The key under which FdScheduler queues a job of task \p T read at
+/// \p ReadAt (the policy's selection rule in npfp_dequeue): the smallest
+/// key is dispatched first, read order among equal keys. NPFP keys by
+/// priority, highest first; NP-EDF by the absolute deadline
+/// ReadAt + D (a task without a deadline keys by its read time); NP-FIFO
+/// by a constant, so read order alone decides.
+std::uint64_t pendingKey(SchedPolicy P, const Task &T, Time ReadAt);
 
 /// One instance of the Rössl scheduler, bound to its environment and
 /// cost model.
@@ -87,7 +96,7 @@ private:
   VirtualClock Clock;
   /// The active run's recorder (set for the duration of runLoop).
   MarkerRecorder *Rec = nullptr;
-  std::unique_ptr<JobQueue> Pending;
+  PendingQueue<Job> Pending;
   /// The unique-id counter of the read step (σ_trace.idx in Fig. 6).
   JobId NextJobId = 1;
 };

@@ -13,7 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "adequacy/pipeline.h"
-#include "rossl/job_queue.h"
+#include "rossl/scheduler.h"
 #include "sim/workload.h"
 #include "support/rng.h"
 #include "trace/functional.h"
@@ -227,9 +227,9 @@ TEST(FuzzQueues, PolicyQueuesMatchReferenceSort) {
     }
     for (SchedPolicy P :
          {SchedPolicy::Npfp, SchedPolicy::Edf, SchedPolicy::Fifo}) {
-      auto Q = makeJobQueue(P);
+      PendingQueue<Job> Q;
       for (const Job &J : Jobs)
-        Q->enqueue(J, TS.task(J.Task));
+        Q.push(pendingKey(P, TS.task(J.Task), J.ReadAt), J);
       std::vector<Job> Ref = Jobs;
       std::stable_sort(Ref.begin(), Ref.end(),
                        [&](const Job &A, const Job &B) {
@@ -247,13 +247,47 @@ TEST(FuzzQueues, PolicyQueuesMatchReferenceSort) {
                          return Key(A) < Key(B);
                        });
       for (const Job &Expected : Ref) {
-        std::optional<Job> Got = Q->dequeue();
-        ASSERT_TRUE(Got.has_value())
+        ASSERT_FALSE(Q.empty())
             << toString(P) << "; replay: RPROSA_FUZZ_SEED=" << Seed;
-        EXPECT_EQ(Got->Id, Expected.Id)
+        EXPECT_EQ(Q.front().Id, Expected.Id)
             << toString(P) << "; replay: RPROSA_FUZZ_SEED=" << Seed;
+        Q.pop();
       }
-      EXPECT_FALSE(Q->dequeue().has_value());
+      EXPECT_TRUE(Q.empty());
+    }
+  }
+}
+
+TEST(FuzzQueues, InterleavedPushesAndPopsMatchALinearScan) {
+  // The container against the plainest model of its contract: the next
+  // entry to leave is the earliest pushed among those with the smallest
+  // key. Few distinct keys, so most pops break a tie.
+  const std::uint64_t Seed = fuzzSeed(778);
+  SplitMix64 Rng(Seed);
+  const std::string Replay =
+      "; replay: RPROSA_FUZZ_SEED=" + std::to_string(Seed);
+  for (int Round = 0; Round < 30; ++Round) {
+    PendingQueue<std::uint64_t> Q;
+    // (key, push number) of every entry still queued, in push order.
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> Model;
+    std::uint64_t Pushed = 0;
+    for (int Step = 0; Step < 400; ++Step) {
+      // Two pushes per pop for the first half, then a drain.
+      bool DoPush = Step < 200 ? Rng.nextInRange(0, 2) != 0
+                               : Rng.nextInRange(0, 3) == 0;
+      if (DoPush || Model.empty()) {
+        std::uint64_t Key = Rng.nextInRange(0, 4);
+        Q.push(Key, Pushed);
+        Model.emplace_back(Key, Pushed++);
+        continue;
+      }
+      auto Next = std::min_element(
+          Model.begin(), Model.end(),
+          [](const auto &A, const auto &B) { return A.first < B.first; });
+      ASSERT_EQ(Q.size(), Model.size()) << Replay;
+      ASSERT_EQ(Q.front(), Next->second) << Replay;
+      Q.pop();
+      Model.erase(Next);
     }
   }
 }

@@ -7,7 +7,7 @@
 #include "adequacy/pipeline.h"
 #include "convert/schedule_builder.h"
 #include "convert/validity_stream.h"
-#include "rossl/job_queue.h"
+#include "rossl/scheduler.h"
 #include "rta/rta_policies.h"
 #include "sim/workload.h"
 #include "trace/check_sinks.h"
@@ -52,62 +52,134 @@ std::vector<TaskId> dispatchTaskOrder(const Trace &Tr) {
   return Out;
 }
 
+/// Pushes \p J under FdScheduler's key for policy \p P.
+void push(PendingQueue<Job> &Q, SchedPolicy P, const TaskSet &TS,
+          const Job &J) {
+  Q.push(pendingKey(P, TS.task(J.Task), J.ReadAt), J);
+}
+
+/// Pops the next job and returns its id.
+JobId popId(PendingQueue<Job> &Q) {
+  JobId Id = Q.front().Id;
+  Q.pop();
+  return Id;
+}
+
 } // namespace
 
-TEST(JobQueue, EdfSelectsEarliestDeadline) {
+TEST(PendingQueue, EdfSelectsEarliestDeadline) {
   TaskSet TS = deadlineTasks();
-  EdfJobQueue Q;
-  Q.enqueue(readJob(1, 0, /*ReadAt=*/100), TS.task(0)); // key 600.
-  Q.enqueue(readJob(2, 1, 100), TS.task(1));            // key 2100.
-  Q.enqueue(readJob(3, 2, 100), TS.task(2));            // key 200.
+  PendingQueue<Job> Q;
+  const SchedPolicy Edf = SchedPolicy::Edf;
+  push(Q, Edf, TS, readJob(1, 0, /*ReadAt=*/100)); // key 600.
+  push(Q, Edf, TS, readJob(2, 1, 100));            // key 2100.
+  push(Q, Edf, TS, readJob(3, 2, 100));            // key 200.
   EXPECT_EQ(Q.size(), 3u);
-  EXPECT_EQ(Q.dequeue()->Id, 3u); // slack has the tightest deadline.
-  EXPECT_EQ(Q.dequeue()->Id, 1u);
-  EXPECT_EQ(Q.dequeue()->Id, 2u);
-  EXPECT_FALSE(Q.dequeue().has_value());
+  EXPECT_EQ(popId(Q), 3u); // slack has the tightest deadline.
+  EXPECT_EQ(popId(Q), 1u);
+  EXPECT_EQ(popId(Q), 2u);
+  EXPECT_TRUE(Q.empty());
 }
 
-TEST(JobQueue, EdfBreaksTiesFifo) {
+TEST(PendingQueue, EdfBreaksTiesFifo) {
   TaskSet TS = deadlineTasks();
-  EdfJobQueue Q;
-  Q.enqueue(readJob(5, 0, 100), TS.task(0)); // key 600.
-  Q.enqueue(readJob(6, 0, 100), TS.task(0)); // key 600, read later.
-  EXPECT_EQ(Q.dequeue()->Id, 5u);
-  EXPECT_EQ(Q.dequeue()->Id, 6u);
+  PendingQueue<Job> Q;
+  push(Q, SchedPolicy::Edf, TS, readJob(5, 0, 100)); // key 600.
+  push(Q, SchedPolicy::Edf, TS, readJob(6, 0, 100)); // key 600, read later.
+  EXPECT_EQ(popId(Q), 5u);
+  EXPECT_EQ(popId(Q), 6u);
 }
 
-TEST(JobQueue, EdfKeyUsesReadTime) {
+TEST(PendingQueue, EdfKeyUsesReadTime) {
   TaskSet TS = deadlineTasks();
-  EdfJobQueue Q;
+  PendingQueue<Job> Q;
   // Same task, earlier read wins even against a later-read shorter gap.
-  Q.enqueue(readJob(1, 1, /*ReadAt=*/0), TS.task(1));    // key 2000.
-  Q.enqueue(readJob(2, 0, /*ReadAt=*/1600), TS.task(0)); // key 2100.
-  EXPECT_EQ(Q.dequeue()->Id, 1u);
+  push(Q, SchedPolicy::Edf, TS, readJob(1, 1, /*ReadAt=*/0));    // 2000.
+  push(Q, SchedPolicy::Edf, TS, readJob(2, 0, /*ReadAt=*/1600)); // 2100.
+  EXPECT_EQ(popId(Q), 1u);
 }
 
-TEST(JobQueue, FifoIsReadOrder) {
+TEST(PendingQueue, EdfTaskWithoutDeadlineKeysByReadTime) {
+  // validateClient rejects such a client; a run of it anyway must not
+  // stop, so the job queues at its read time.
   TaskSet TS = deadlineTasks();
-  FifoJobQueue Q;
-  Q.enqueue(readJob(1, 2, 0), TS.task(2));
-  Q.enqueue(readJob(2, 0, 1), TS.task(0));
-  Q.enqueue(readJob(3, 1, 2), TS.task(1));
-  EXPECT_EQ(Q.dequeue()->Id, 1u);
-  EXPECT_EQ(Q.dequeue()->Id, 2u);
-  EXPECT_EQ(Q.dequeue()->Id, 3u);
+  TS.addTask("nodl", 10, /*Prio=*/4, std::make_shared<PeriodicCurve>(1000));
+  PendingQueue<Job> Q;
+  push(Q, SchedPolicy::Edf, TS, readJob(1, 0, /*ReadAt=*/100)); // key 600.
+  push(Q, SchedPolicy::Edf, TS, readJob(2, 3, /*ReadAt=*/700)); // key 700.
+  push(Q, SchedPolicy::Edf, TS, readJob(3, 3, /*ReadAt=*/500)); // key 500.
+  EXPECT_EQ(popId(Q), 3u);
+  EXPECT_EQ(popId(Q), 1u);
+  EXPECT_EQ(popId(Q), 2u);
 }
 
-TEST(JobQueue, FactoryMakesTheRightQueue) {
+TEST(PendingQueue, FifoIsReadOrder) {
   TaskSet TS = deadlineTasks();
-  auto Npfp = makeJobQueue(SchedPolicy::Npfp);
-  auto Edf = makeJobQueue(SchedPolicy::Edf);
+  PendingQueue<Job> Q;
+  push(Q, SchedPolicy::Fifo, TS, readJob(1, 2, 0));
+  push(Q, SchedPolicy::Fifo, TS, readJob(2, 0, 1));
+  push(Q, SchedPolicy::Fifo, TS, readJob(3, 1, 2));
+  EXPECT_EQ(popId(Q), 1u);
+  EXPECT_EQ(popId(Q), 2u);
+  EXPECT_EQ(popId(Q), 3u);
+}
+
+TEST(PendingQueue, PolicyChangesOnlyTheKey) {
+  TaskSet TS = deadlineTasks();
+  PendingQueue<Job> Npfp, Edf;
   // Distinguish by behaviour: low-prio/tight-deadline "slack" first on
   // EDF, last on NPFP.
-  for (JobQueue *Q : {Npfp.get(), Edf.get()}) {
-    Q->enqueue(readJob(1, 0, 10), TS.task(0));
-    Q->enqueue(readJob(2, 2, 10), TS.task(2));
+  for (const Job &J : {readJob(1, 0, 10), readJob(2, 2, 10)}) {
+    push(Npfp, SchedPolicy::Npfp, TS, J);
+    push(Edf, SchedPolicy::Edf, TS, J);
   }
-  EXPECT_EQ(Npfp->dequeue()->Task, 0u); // urgent (higher priority).
-  EXPECT_EQ(Edf->dequeue()->Task, 2u);  // slack (earlier deadline).
+  EXPECT_EQ(Npfp.front().Task, 0u); // urgent (higher priority).
+  EXPECT_EQ(Edf.front().Task, 2u);  // slack (earlier deadline).
+}
+
+TEST(PendingQueue, EqualKeysStayFifoAcrossInterleavedPushesAndPops) {
+  // Ids 1..9 at keys 7 and 3; pops between the pushes reshape the
+  // queue's storage, and equal keys must still leave in push order.
+  PendingQueue<int> Q;
+  std::vector<int> Out;
+  auto Pop = [&] {
+    Out.push_back(Q.front());
+    Q.pop();
+  };
+  Q.push(7, 1);
+  Q.push(7, 2);
+  Q.push(3, 3);
+  Q.push(7, 4);
+  Pop(); // 3
+  Q.push(3, 5);
+  Q.push(7, 6);
+  Pop(); // 5
+  Pop(); // 1
+  Q.push(3, 7);
+  Q.push(7, 8);
+  Q.push(3, 9);
+  EXPECT_EQ(Q.size(), 6u);
+  while (!Q.empty())
+    Pop();
+  EXPECT_EQ(Out, (std::vector<int>{3, 5, 1, 7, 9, 2, 4, 6, 8}));
+}
+
+TEST(PendingQueue, FrontWithoutPopKeepsTheEntry) {
+  // DoubleDispatch's defect and the tick baseline's preempted job both
+  // read front() without pop(): the entry stays, changes and all.
+  PendingQueue<Job> Q;
+  Q.push(priorityKey(1), readJob(1, 0, 0));
+  Q.push(priorityKey(2), readJob(2, 0, 0));
+  EXPECT_EQ(Q.front().Id, 2u);
+  Q.front().ReadAt = 42;
+  EXPECT_EQ(Q.size(), 2u);
+  Q.push(priorityKey(2), readJob(3, 0, 0));
+  EXPECT_EQ(Q.front().Id, 2u);
+  EXPECT_EQ(Q.front().ReadAt, 42u);
+  EXPECT_EQ(popId(Q), 2u);
+  EXPECT_EQ(popId(Q), 3u);
+  EXPECT_EQ(popId(Q), 1u);
+  EXPECT_TRUE(Q.empty());
 }
 
 TEST(PolicyScheduler, DispatchOrderDiffersByPolicy) {
