@@ -24,6 +24,10 @@
 /// generate more arrivals than memory holds. A task that reaches it is
 /// named with the budget, and the run does not start (exit 3).
 ///
+/// A validation run that finishes exits 0 only if Thm. 5.1's
+/// assumptions hold and the theorem holds on the run, and 1 otherwise:
+/// a failed assumption makes the theorem vacuous, which is no pass.
+///
 //===----------------------------------------------------------------------===//
 
 #include "adequacy/pipeline.h"
@@ -168,7 +172,8 @@ int analyze(const SystemSpec &Spec, std::optional<Duration> SimHorizon,
                   formatTicksAsNs(Rep.Horizon).c_str());
       return 3;
     }
-    return Rep.theoremHolds() ? 0 : 1;
+    // A failed assumption makes the theorem hold vacuously: no pass.
+    return Rep.assumptionsHold() && Rep.theoremHolds() ? 0 : 1;
   }
   return 0;
 }

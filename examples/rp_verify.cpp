@@ -86,9 +86,10 @@
 /// Exit code 0 iff every expected-clean program verifies clean and
 /// every mutant is rejected (file mode: iff the file verifies clean;
 /// timing mode: iff every reachable segment class is bounded and every
-/// timing mutant's grown bound is flagged; stream mode: iff Thm. 5.1
-/// holds on the run and the streaming report matches the capturing
-/// one).
+/// timing mutant's grown bound is flagged; stream mode: iff Thm. 5.1's
+/// assumptions hold, the theorem holds on the run, and the streaming
+/// report matches the capturing one — a theorem made vacuous by a
+/// failed assumption exits 1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -442,7 +443,10 @@ int streamMode(const char *Path, const char *HorizonArg) {
                         : "MISMATCH (streaming bug)");
   if (!Identical)
     std::printf("--- batch report ---\n%s", Batch.summary().c_str());
-  return Streamed.theoremHolds() && Identical ? 0 : 1;
+  // A failed assumption makes the theorem hold vacuously: no pass.
+  return Streamed.assumptionsHold() && Streamed.theoremHolds() && Identical
+             ? 0
+             : 1;
 }
 
 /// The --exact self-check pair: one system every dispatch order meets

@@ -106,17 +106,18 @@ private:
 /// Aggregates the basic-action summary table from the live stream.
 class ActionSummarySink final : public TraceSink {
 public:
-  ActionSummarySink()
-      : Seg([this](const BasicAction &A, Time) {
-          auto &[Count, Total] = Summary[A.Kind];
-          ++Count;
-          Total += A.len();
-        }) {}
-
   void onMarker(const MarkerEvent &E, Time At) override {
     Seg.onMarker(E, At);
   }
   void onEnd(Time EndTime) override { Seg.onEnd(EndTime); }
+
+  /// One closed basic action, from Seg.
+  void onAction(const BasicAction &A, Time ReadEAt) {
+    (void)ReadEAt;
+    auto &[Count, Total] = Summary[A.Kind];
+    ++Count;
+    Total += A.len();
+  }
 
   std::string renderTable() const {
     TableWriter T({"basic action", "count", "total time"});
@@ -128,7 +129,8 @@ public:
 
 private:
   std::map<BasicActionKind, std::pair<std::uint64_t, Duration>> Summary;
-  ActionSegmenter Seg;
+  ActionSegmenter<ActionsTo<ActionSummarySink>> Seg{
+      ActionsTo<ActionSummarySink>{this}};
 };
 
 /// Remembers the stream's end time.

@@ -12,8 +12,9 @@
 #include "sim/environment.h"
 #include "trace/check_sinks.h"
 
-#include <map>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 using namespace rprosa;
 
@@ -62,32 +63,59 @@ void runRta(const AdequacySpec &Spec, AdequacyReport &Rep) {
                           Spec.Rta);
 }
 
-/// The verdict source: remembers, per message, the completion time of
-/// its owning job — the first-admitted job that read the message — so a
-/// completion from a different (duplicate-message) job is ignored.
+/// The verdict source: remembers, per arrival position, the completion
+/// time of its message's owning job — the first-admitted job that read
+/// the message — so a completion from a different (duplicate-message)
+/// job is ignored. An admission looks its message up in the arrival
+/// sequence's index once; a retirement finds the position again through
+/// the admission index. A duplicated message id is owned at its first
+/// position in arrivals() order, and finish() copies the owner's
+/// completion to the others.
 class CompletionIndex final : public ScheduleEventConsumer {
 public:
-  void onJobAdmitted(const ConvertedJob &CJ, std::size_t Index) override {
-    ByMsg.emplace(CJ.J.Msg, Owner{Index, std::nullopt});
-  }
-  void onJobRetired(const ConvertedJob &CJ, std::size_t Index) override {
-    auto It = ByMsg.find(CJ.J.Msg);
-    if (It != ByMsg.end() && It->second.Admission == Index)
-      It->second.CompletedAt = CJ.CompletedAt;
+  explicit CompletionIndex(const ArrivalSequence &Arr)
+      : Arr(Arr), ByPos(Arr.size()) {
+    PosOf.reserve(Arr.size()); // One admission per arrival, when conformant.
   }
 
-  /// The completion time of \p M's owning job, if it completed.
-  std::optional<Time> completion(MsgId M) const {
-    auto It = ByMsg.find(M);
-    return It == ByMsg.end() ? std::nullopt : It->second.CompletedAt;
+  void onJobAdmitted(const ConvertedJob &CJ, std::size_t Index) override {
+    if (Index >= PosOf.size())
+      PosOf.resize(Index + 1, NotOwner);
+    std::optional<std::size_t> Pos = Arr.positionOfMsg(CJ.J.Msg);
+    if (Pos && !ByPos[*Pos].Owned) {
+      ByPos[*Pos].Owned = true;
+      PosOf[Index] = static_cast<std::uint32_t>(*Pos);
+    }
+  }
+  void onJobRetired(const ConvertedJob &CJ, std::size_t Index) override {
+    if (Index < PosOf.size() && PosOf[Index] != NotOwner)
+      ByPos[PosOf[Index]].CompletedAt = CJ.CompletedAt;
+  }
+
+  /// Gives each duplicated message id's later arrivals the completion of
+  /// its first; call once, after the run.
+  void finish() {
+    for (const auto &[First, Dup] : Arr.duplicateMsgIds())
+      ByPos[Dup].CompletedAt = ByPos[First].CompletedAt;
+  }
+
+  /// The completion time of the owning job of the message that arrives
+  /// at position \p Pos of arrivals(), if it completed.
+  std::optional<Time> completion(std::size_t Pos) const {
+    return ByPos[Pos].CompletedAt;
   }
 
 private:
-  struct Owner {
-    std::size_t Admission = 0;
+  static constexpr std::uint32_t NotOwner = ~std::uint32_t(0);
+  struct Slot {
+    bool Owned = false;
     std::optional<Time> CompletedAt;
   };
-  std::map<MsgId, Owner> ByMsg;
+
+  const ArrivalSequence &Arr;
+  std::vector<Slot> ByPos;
+  /// Admission index -> owned arrival position, or NotOwner.
+  std::vector<std::uint32_t> PosOf;
 };
 
 /// Step 7: per-job verdicts. Completion is matched by message identity
@@ -95,7 +123,10 @@ private:
 /// MsgId) through \p Compl.
 void renderVerdicts(const AdequacySpec &Spec, AdequacyReport &Rep,
                     const CompletionIndex &Compl) {
-  for (const Arrival &A : Spec.Arr.arrivals()) {
+  const std::vector<Arrival> &All = Spec.Arr.arrivals();
+  Rep.Jobs.reserve(All.size());
+  for (std::size_t P = 0; P < All.size(); ++P) {
+    const Arrival &A = All[P];
     JobVerdict V;
     V.Msg = A.Msg.Id;
     V.Task = A.Msg.Task;
@@ -105,7 +136,7 @@ void renderVerdicts(const AdequacySpec &Spec, AdequacyReport &Rep,
       V.Bound = Rep.Rta.forTask(V.Task).ResponseBound;
     Time Deadline = satAdd(V.ArrivalAt, V.Bound);
     V.WithinHorizon = Deadline != TimeInfinity && Deadline < Rep.Horizon;
-    if (std::optional<Time> C = Compl.completion(A.Msg.Id)) {
+    if (std::optional<Time> C = Compl.completion(P)) {
       V.Completed = true;
       V.CompletedAt = *C;
       V.ResponseTime = V.CompletedAt - V.ArrivalAt;
@@ -118,8 +149,11 @@ void renderVerdicts(const AdequacySpec &Spec, AdequacyReport &Rep,
 /// The trace side of one pass. The sink set is fixed, so each marker
 /// reaches the five trace checkers and the converter by direct calls on
 /// their final types rather than through a TraceFanout: one virtual call
-/// per marker instead of one per sink (DESIGN.md §9). \p Tap, when set
-/// (runAdequacy's capture), comes last.
+/// per marker instead of one per sink (DESIGN.md §9). One
+/// ActionSegmenter cuts the markers into basic actions for both
+/// WcetCheckSink and ScheduleBuilder, through their action-level faces;
+/// the builder's timestamp-order preconditions still run per marker.
+/// \p Tap, when set (runAdequacy's capture), comes last.
 class PipelineSinks final : public TraceSink {
 public:
   PipelineSinks(const AdequacySpec &Spec, ScheduleEventConsumer &Events,
@@ -127,15 +161,16 @@ public:
       : Prot(Spec.Client.NumSockets),
         Fun(Spec.Client.Tasks, Spec.Client.Policy), Cons(Spec.Arr),
         Wcet(Spec.Client.Tasks, Spec.Client.Wcets),
-        Builder(Spec.Client.NumSockets, Events, &Diags), Tap(Tap) {}
+        Builder(Spec.Client.NumSockets, Events, &Diags),
+        Seg(ActionsTo<PipelineSinks>{this}), Tap(Tap) {}
 
   void onMarker(const MarkerEvent &E, Time At) override {
     Ts.onMarker(E, At);
     Prot.onMarker(E, At);
     Fun.onMarker(E, At);
     Cons.onMarker(E, At);
-    Wcet.onMarker(E, At);
-    Builder.onMarker(E, At);
+    Builder.checkMarkerTime(At);
+    Seg.onMarker(E, At);
     if (Tap)
       Tap->onMarker(E, At);
   }
@@ -144,10 +179,17 @@ public:
     Prot.onEnd(EndTime);
     Fun.onEnd(EndTime);
     Cons.onEnd(EndTime);
-    Wcet.onEnd(EndTime);
-    Builder.onEnd(EndTime);
+    Builder.checkEndTime(EndTime);
+    Seg.onEnd(EndTime);
+    Builder.finish();
     if (Tap)
       Tap->onEnd(EndTime);
+  }
+
+  /// One closed basic action, from Seg.
+  void onAction(const BasicAction &A, Time ReadEAt) {
+    Wcet.onAction(A, ReadEAt);
+    Builder.onAction(A, ReadEAt);
   }
 
   TimestampCheckSink Ts;
@@ -158,6 +200,7 @@ public:
   ScheduleBuilder Builder;
 
 private:
+  ActionSegmenter<ActionsTo<PipelineSinks>> Seg;
   TraceSink *Tap;
 };
 
@@ -178,7 +221,7 @@ AdequacyReport drive(const AdequacySpec &Spec, TraceSink *TraceTap,
   StreamingValidity Val(Spec.Client.Tasks, Spec.Arr, Spec.Client.Wcets,
                         Spec.Client.NumSockets, Spec.Client.Policy);
   ScheduleStructureSink Struct;
-  CompletionIndex Compl;
+  CompletionIndex Compl(Spec.Arr);
   ScheduleEventFanout Events;
   Events.add(Val);
   Events.add(Struct);
@@ -202,6 +245,7 @@ AdequacyReport drive(const AdequacySpec &Spec, TraceSink *TraceTap,
   Rep.ValidityOk = Val.take();
 
   runRta(Spec, Rep);
+  Compl.finish();
   renderVerdicts(Spec, Rep, Compl);
   return Rep;
 }

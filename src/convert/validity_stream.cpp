@@ -46,7 +46,7 @@ void StreamingValidity::onSegment(const ScheduleSegment &Seg) {
     break;
   case ProcStateKind::PollingOvh:
     R.noteCheck();
-    ++Usage[St.Job].PollingInstances;
+    ++usage(St.Job).PollingInstances;
     if (Seg.Len > PB)
       fail(BlockSegment, K, 0,
            "(a) PollingOvh(j" + std::to_string(St.Job) + ") lasts " +
@@ -78,25 +78,29 @@ void StreamingValidity::onSegment(const ScheduleSegment &Seg) {
                std::to_string(W.Completion));
     break;
   case ProcStateKind::ReadOvh:
-    Usage[St.Job].ReadOvh += Seg.Len;
+    usage(St.Job).ReadOvh += Seg.Len;
     break;
-  case ProcStateKind::Executes:
-    Usage[St.Job].ExecTime += Seg.Len;
-    ++Usage[St.Job].ExecSegments;
+  case ProcStateKind::Executes: {
+    JobUsage &U = usage(St.Job);
+    U.ExecTime += Seg.Len;
+    ++U.ExecSegments;
     break;
+  }
   }
 }
 
 void StreamingValidity::onJobAdmitted(const ConvertedJob &CJ,
                                       std::size_t Index) {
-  VRec Rec;
-  Rec.CJ = CJ;
+  // One record per job id: a second admission of an open id replaces
+  // the record.
+  auto H = Recs.insert(CJ.J.Id).first;
+  VRec &Rec = Recs[H];
+  Rec = VRec();
   Rec.Index = Index;
-  Rec.Keyed = policyKey(Policy, Tasks.findTask(CJ.J.Task), CJ.ReadAt, CJ.J.Id)
-                  .has_value();
+  Rec.Keyed = keyOf(CJ).has_value();
   if (Rec.Keyed)
     ++KeyedJobs;
-  Recs[CJ.J.Id] = std::move(Rec);
+  setSnapshot(H, CJ);
 
   // --- (b) consistency with the arrival sequence + (e) uniqueness. ---
   R.noteCheck(4);
@@ -124,13 +128,25 @@ void StreamingValidity::onJobAdmitted(const ConvertedJob &CJ,
              std::to_string(A->At));
 }
 
+void StreamingValidity::setSnapshot(JobTable<JobId, VRec>::Handle H,
+                                    const ConvertedJob &CJ) {
+  VRec &Rec = Recs[H];
+  Rec.CJ = CJ;
+  std::optional<std::uint64_t> Key =
+      Rec.Keyed ? keyOf(CJ) : std::optional<std::uint64_t>();
+  if (Key)
+    Recs.order(H, *Key);
+  else
+    Recs.unorder(H);
+}
+
 void StreamingValidity::onJobSelected(const ConvertedJob &CJ,
                                       std::size_t Index) {
-  auto It = Recs.find(CJ.J.Id);
-  if (It == Recs.end())
+  auto H = Recs.find(CJ.J.Id);
+  if (H == Recs.None)
     return;
-  VRec &Rec = It->second;
-  Rec.CJ = CJ;
+  setSnapshot(H, CJ);
+  VRec &Rec = Recs[H];
   if (Rec.SelectedCounted || !Rec.Keyed)
     return;
   Rec.SelectedCounted = true;
@@ -139,40 +155,35 @@ void StreamingValidity::onJobSelected(const ConvertedJob &CJ,
   // --- (c) policy-compliant selection among read jobs. ---
   // Checks run against the open jobs only: a retired competitor was
   // dispatched before this selection (StillPending false), a
-  // not-yet-admitted one is read after it (ReadBefore false). Pair
-  // checks are counted in onScheduleEnd, once the number of keyed jobs
-  // is known.
-  std::optional<std::uint64_t> Key =
-      policyKey(Policy, Tasks.findTask(CJ.J.Task), CJ.ReadAt, CJ.J.Id);
+  // not-yet-admitted one is read after it (ReadBefore false). Only a
+  // keyed record whose key is below this job's can fail, and those are
+  // the ones the order index visits; this job's own record carries its
+  // key, so it is not among them. Pair checks are counted in
+  // onScheduleEnd, once the number of keyed jobs is known.
+  std::optional<std::uint64_t> Key = keyOf(CJ);
   if (!Key || !CJ.SelectedAt)
     return;
-  for (const auto &[OtherId, Other] : Recs) {
-    if (OtherId == CJ.J.Id || !Other.Keyed)
-      continue;
-    std::optional<std::uint64_t> OtherKey =
-        policyKey(Policy, Tasks.findTask(Other.CJ.J.Task), Other.CJ.ReadAt,
-                  Other.CJ.J.Id);
-    if (!OtherKey)
-      continue;
+  Recs.visitBelow(*Key, [&](auto O) {
+    const VRec &Other = Recs[O];
     bool ReadBefore = Other.CJ.ReadAt <= *CJ.SelectedAt;
     bool StillPending = !Other.CJ.DispatchedAt ||
                         *Other.CJ.DispatchedAt > *CJ.SelectedAt;
-    if (ReadBefore && StillPending && *OtherKey < *Key)
+    if (ReadBefore && StillPending)
       fail(BlockPolicy, Index, Other.Index,
            "(c) j" + std::to_string(CJ.J.Id) + " selected at t=" +
                std::to_string(*CJ.SelectedAt) + " although read job j" +
                std::to_string(Other.CJ.J.Id) + " precedes it under " +
                toString(Policy) +
                " (schedule-level functional correctness)");
-  }
+  });
 }
 
 void StreamingValidity::onJobDispatched(const ConvertedJob &CJ,
                                         std::size_t Index) {
-  auto It = Recs.find(CJ.J.Id);
-  if (It != Recs.end()) {
-    It->second.CJ = CJ;
-    It->second.Index = Index;
+  auto H = Recs.find(CJ.J.Id);
+  if (H != Recs.None) {
+    setSnapshot(H, CJ);
+    Recs[H].Index = Index;
   }
 }
 
@@ -232,32 +243,35 @@ void StreamingValidity::onJobRetired(const ConvertedJob &CJ,
   // The job's segments are all behind us on conformant traces: settle
   // its usage block and its ordering block now and drop its state.
   auto U = Usage.find(CJ.J.Id);
-  if (U != Usage.end()) {
-    evalUsage(CJ.J.Id, U->second, &CJ);
+  if (U != Usage.None) {
+    evalUsage(CJ.J.Id, Usage[U], &CJ);
     Usage.erase(U);
   }
   evalOrdering(CJ, Index);
-  Recs.erase(CJ.J.Id);
+  if (auto H = Recs.find(CJ.J.Id); H != Recs.None)
+    Recs.erase(H);
 }
 
 void StreamingValidity::onScheduleEnd(
     const std::vector<std::pair<std::size_t, ConvertedJob>> &Open) {
   // Refresh the open records to their final snapshots.
   for (const auto &[Index, CJ] : Open) {
-    auto It = Recs.find(CJ.J.Id);
-    if (It != Recs.end()) {
-      It->second.CJ = CJ;
-      It->second.Index = Index;
+    auto H = Recs.find(CJ.J.Id);
+    if (H != Recs.None) {
+      setSnapshot(H, CJ);
+      Recs[H].Index = Index;
     }
   }
 
   // Usage of jobs that never retired: open jobs, plus jobs that only
   // ever executed (the converter admits no record for those, so CJ is
-  // null).
-  for (const auto &[Id, U] : Usage) {
-    auto It = Recs.find(Id);
-    evalUsage(Id, U, It != Recs.end() ? &It->second.CJ : nullptr);
-  }
+  // null). Each id has one usage entry, and its failures sort by id, so
+  // the visiting order does not show.
+  Usage.forEach([&](auto U) {
+    const JobId Id = Usage.key(U);
+    auto H = Recs.find(Id);
+    evalUsage(Id, Usage[U], H != Recs.None ? &Recs[H].CJ : nullptr);
+  });
   Usage.clear();
 
   // (c) pair-check count: one check per (selected keyed job, other

@@ -18,16 +18,20 @@
 ///    that can fail (a retired competitor was dispatched before the
 ///    selection, a not-yet-admitted one is read after it);
 ///    checkValidity admits the whole table before any selection, so
-///    there every table entry is a competitor;
+///    there every table entry is a competitor. Only a competitor whose
+///    policy key is below the selected job's can fail, and the open
+///    keyed records are ordered by key, so a selection visits just
+///    those: none on a conformant trace;
 ///  - (d) event ordering runs at retirement (open jobs at the end).
 ///
 /// Failures are reported grouped by constraint, not by event time: they
 /// are buffered with a canonical sort key (constraint block, then table
-/// index or job id) and ordered once at the end. This class is the
-/// library's one implementation of (a)-(e); checkValidity (validity.h)
-/// replays a ConversionResult into it, and the equivalence and
-/// differential suites compare both with the whole-table reference
-/// checker kept under tests/.
+/// index or job id) and ordered once at the end, so the order in which
+/// the job tables (core/job_table.h) visit their entries never shows.
+/// This class is the library's one implementation of (a)-(e);
+/// checkValidity (validity.h) replays a ConversionResult into it, and
+/// the equivalence and differential suites compare both with the
+/// whole-table reference checker kept under tests/.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,10 +40,11 @@
 
 #include "convert/schedule_builder.h"
 #include "convert/validity.h"
+#include "core/job_table.h"
 #include "support/interval_set.h"
 
 #include <cstdint>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -79,7 +84,8 @@ private:
     std::size_t ExecSegments = 0;
     std::size_t PollingInstances = 0;
   };
-  /// A live job record (dropped at retirement).
+  /// A live job record (dropped at retirement). A keyed record whose
+  /// snapshot has a policy key sits in Recs' order index under it.
   struct VRec {
     ConvertedJob CJ;
     std::size_t Index = 0;
@@ -102,6 +108,13 @@ private:
   void evalUsage(JobId Id, const JobUsage &U, const ConvertedJob *CJ);
   /// The per-job event-ordering block.
   void evalOrdering(const ConvertedJob &CJ, std::size_t Index);
+  /// The usage totals of \p Id, opened at zero.
+  JobUsage &usage(JobId Id) { return Usage[Usage.insert(Id).first]; }
+  /// Stores \p CJ as record \p H's snapshot and re-keys the record.
+  void setSnapshot(JobTable<JobId, VRec>::Handle H, const ConvertedJob &CJ);
+  std::optional<std::uint64_t> keyOf(const ConvertedJob &CJ) const {
+    return policyKey(Policy, Tasks.findTask(CJ.J.Task), CJ.ReadAt, CJ.J.Id);
+  }
 
   const TaskSet &Tasks;
   const ArrivalSequence &Arr;
@@ -113,8 +126,8 @@ private:
   CheckResult R;
   std::vector<Pending> Buffered;
 
-  std::map<JobId, JobUsage> Usage;
-  std::map<JobId, VRec> Recs;
+  JobTable<JobId, JobUsage> Usage;
+  JobTable<JobId, VRec> Recs;
   IdIntervalSet SeenIds;
   IdIntervalSet SeenMsgs;
   std::size_t SegIndex = 0;

@@ -10,7 +10,6 @@
 #include <cassert>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 
 using namespace rprosa;
@@ -148,7 +147,7 @@ std::vector<Arrival> ArrivalSequence::arrivalsOn(SocketId Socket) const {
   return Out;
 }
 
-std::optional<Arrival> ArrivalSequence::findMsg(MsgId Id) const {
+std::optional<std::size_t> ArrivalSequence::positionOfMsg(MsgId Id) const {
   ensureSorted();
   auto It = std::lower_bound(ByMsg.begin(), ByMsg.end(), Id,
                              [this](std::uint32_t Pos, MsgId Key) {
@@ -156,7 +155,31 @@ std::optional<Arrival> ArrivalSequence::findMsg(MsgId Id) const {
                              });
   if (It == ByMsg.end() || Items[*It].Msg.Id != Id)
     return std::nullopt;
-  return Items[*It];
+  return *It;
+}
+
+std::optional<Arrival> ArrivalSequence::findMsg(MsgId Id) const {
+  std::optional<std::size_t> Pos = positionOfMsg(Id);
+  if (!Pos)
+    return std::nullopt;
+  return Items[*Pos];
+}
+
+std::vector<std::pair<std::size_t, std::size_t>>
+ArrivalSequence::duplicateMsgIds() const {
+  ensureSorted();
+  std::vector<std::pair<std::size_t, std::size_t>> Dups;
+  // ByMsg orders equal ids by position, so each run's head is the
+  // first arrival in arrivals() order.
+  for (std::size_t K = 1, Head = 0; K < ByMsg.size(); ++K) {
+    if (Items[ByMsg[K]].Msg.Id != Items[ByMsg[Head]].Msg.Id)
+      Head = K;
+    else
+      Dups.emplace_back(ByMsg[Head], ByMsg[K]);
+  }
+  std::sort(Dups.begin(), Dups.end(),
+            [](const auto &A, const auto &B) { return A.second < B.second; });
+  return Dups;
 }
 
 std::uint64_t ArrivalSequence::countInWindow(TaskId Task, Time From,
@@ -222,11 +245,9 @@ rprosa::firstCurveExcess(const std::vector<Time> &Times,
 
 CheckResult ArrivalSequence::uniqueMsgIds() const {
   CheckResult R;
-  std::set<MsgId> Seen;
-  for (const Arrival &A : Items) {
-    R.noteCheck();
-    if (!Seen.insert(A.Msg.Id).second)
-      R.addFailure("duplicate message id " + std::to_string(A.Msg.Id));
-  }
+  R.noteCheck(size());
+  for (const auto &D : duplicateMsgIds())
+    R.addFailure("duplicate message id " +
+                 std::to_string(Items[D.second].Msg.Id));
   return R;
 }

@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace rprosa {
@@ -128,6 +129,16 @@ public:
   /// id, the first in arrivals() order. O(log n).
   std::optional<Arrival> findMsg(MsgId Id) const;
 
+  /// The position in arrivals() of findMsg's record for \p Id, if any.
+  std::optional<std::size_t> positionOfMsg(MsgId Id) const;
+
+  /// Each arrival whose message id an earlier arrival in arrivals()
+  /// order already carries, as (position of that first arrival, its own
+  /// position), in arrivals() order. Read off findMsg's index, where
+  /// equal ids are neighbours; empty, and unallocated, when every id is
+  /// unique.
+  std::vector<std::pair<std::size_t, std::size_t>> duplicateMsgIds() const;
+
   /// Number of arrivals of \p Task in the half-open window [From, To).
   std::uint64_t countInWindow(TaskId Task, Time From, Time To) const;
 
@@ -144,7 +155,8 @@ public:
   /// window anchored at its first contained arrival.)
   CheckResult respectsCurves(const TaskSet &Tasks) const;
 
-  /// Checks that message ids are globally unique.
+  /// Checks that message ids are globally unique: one check per
+  /// arrival, one failure per duplicateMsgIds() entry.
   CheckResult uniqueMsgIds() const;
 
 private:

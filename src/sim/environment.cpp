@@ -7,11 +7,18 @@
 #include "sim/environment.h"
 
 #include <cassert>
+#include <vector>
 
 using namespace rprosa;
 
 Environment::Environment(const ArrivalSequence &Arr)
     : Sockets(Arr.numSockets()) {
+  std::vector<std::size_t> PerSocket(Sockets.size(), 0);
+  for (const Arrival &A : Arr.arrivals())
+    if (A.Socket < PerSocket.size())
+      ++PerSocket[A.Socket];
+  for (std::size_t S = 0; S < Sockets.size(); ++S)
+    Sockets[S].reserve(PerSocket[S]);
   for (const Arrival &A : Arr.arrivals()) {
     assert(A.Socket < Sockets.size() && "arrival on unknown socket");
     Sockets[A.Socket].deliver(A.At, A.Msg);

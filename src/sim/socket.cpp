@@ -23,17 +23,20 @@ void SimSocket::deliver(Time At, Message Msg) {
 std::optional<Message> SimSocket::tryRead(Time ReturnTime) {
   if (!readable(ReturnTime))
     return std::nullopt;
-  Message M = Queue.front().Msg;
-  Queue.pop_front();
+  Message M = Queue[Head++].Msg;
+  if (Head == Queue.size()) {
+    Queue.clear();
+    Head = 0;
+  }
   return M;
 }
 
 bool SimSocket::readable(Time ReturnTime) const {
-  return !Queue.empty() && Queue.front().At < ReturnTime;
+  return Head < Queue.size() && Queue[Head].At < ReturnTime;
 }
 
 std::optional<Time> SimSocket::nextArrival() const {
-  if (Queue.empty())
+  if (Head == Queue.size())
     return std::nullopt;
-  return Queue.front().At;
+  return Queue[Head].At;
 }

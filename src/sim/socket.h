@@ -20,8 +20,9 @@
 #include "core/message.h"
 #include "core/time.h"
 
-#include <deque>
+#include <cstddef>
 #include <optional>
+#include <vector>
 
 namespace rprosa {
 
@@ -43,14 +44,21 @@ public:
   /// Earliest arrival instant still queued (nullopt when drained).
   std::optional<Time> nextArrival() const;
 
-  std::size_t queued() const { return Queue.size(); }
+  std::size_t queued() const { return Queue.size() - Head; }
+
+  /// Room for \p N more messages, so that delivering them allocates
+  /// once.
+  void reserve(std::size_t N) { Queue.reserve(Queue.size() + N); }
 
 private:
   struct Entry {
     Time At;
     Message Msg;
   };
-  std::deque<Entry> Queue;
+  /// The FIFO: entries before Head have been read. Storage is reused
+  /// once the queue drains.
+  std::vector<Entry> Queue;
+  std::size_t Head = 0;
 };
 
 } // namespace rprosa

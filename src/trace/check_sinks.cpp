@@ -6,6 +6,7 @@
 
 #include "trace/check_sinks.h"
 
+#include <optional>
 #include <string>
 
 using namespace rprosa;
@@ -50,8 +51,11 @@ void ProtocolCheckSink::onMarker(const MarkerEvent &E, Time At) {
     return;
   }
   R.noteCheck();
-  std::string Why;
-  if (!Sts.step(E, &Why)) {
+  if (!Sts.step(E, nullptr)) {
+    // A rejected step leaves the STS as it was, so stepping again only
+    // writes the reason: the message is built for a rejection alone.
+    std::string Why;
+    Sts.step(E, &Why);
     R.addFailure("protocol violation at marker " + std::to_string(Index) +
                  ": " + Why);
     Done = true; // The batch checker stops at the first rejection.
@@ -79,13 +83,6 @@ const char *keyName(SchedPolicy Policy) {
 
 } // namespace
 
-std::size_t FunctionalCheckSink::pendingJobs() const {
-  std::size_t N = 0;
-  for (const auto &[K, Ids] : Pending)
-    N += Ids.size();
-  return N;
-}
-
 void FunctionalCheckSink::onMarker(const MarkerEvent &E, Time At) {
   (void)At;
   const std::size_t I = Index++;
@@ -106,7 +103,9 @@ void FunctionalCheckSink::onMarker(const MarkerEvent &E, Time At) {
                    "unknown task or missing policy key");
       break;
     }
-    Pending[*K].insert(E.J->Id);
+    auto [H, New] = Pending.insert(KeyedJob{*K, E.J->Id});
+    if (New)
+      Pending.order(H, *K);
     break;
   }
   case MarkerKind::Dispatch: {
@@ -124,25 +123,21 @@ void FunctionalCheckSink::onMarker(const MarkerEvent &E, Time At) {
       break;
     }
     // Property 1a: the job must be pending.
-    auto It = Pending.find(*K);
-    bool IsPending = It != Pending.end() && It->second.count(E.J->Id);
-    if (!IsPending) {
+    auto H = Pending.find(KeyedJob{*K, E.J->Id});
+    if (H == Pending.None) {
       R.addFailure("marker " + std::to_string(I) + ": dispatched j" +
                    std::to_string(E.J->Id) + " is not pending");
       break;
     }
     // Property 1b: no other pending job precedes it in policy order.
-    auto First = Pending.begin();
-    if (First->first < *K)
+    if (Pending.minOrder() < *K)
       R.addFailure("marker " + std::to_string(I) + ": dispatched j" +
                    std::to_string(E.J->Id) +
                    " although another pending job comes first under "
                    "the " + toString(Policy) + " policy (Def. 3.2 " +
                    keyName(Policy) + " violated)");
     // Retire the job's pending state (O(open jobs) discipline).
-    It->second.erase(E.J->Id);
-    if (It->second.empty())
-      Pending.erase(It);
+    Pending.erase(H);
     break;
   }
   case MarkerKind::Idling: {
@@ -163,12 +158,17 @@ void FunctionalCheckSink::onMarker(const MarkerEvent &E, Time At) {
 //===----------------------------------------------------------------------===//
 
 ConsistencyCheckSink::ConsistencyCheckSink(const ArrivalSequence &Arr)
-    : PerSock(Arr.numSockets()), Verified(Arr.numSockets(), 0) {
-  for (const Arrival &A : Arr.arrivals()) {
-    ByMsg.emplace(A.Msg.Id, A);
+    : Arr(Arr), All(Arr.arrivals()), PerSock(Arr.numSockets()),
+      Verified(Arr.numSockets(), 0) {
+  std::vector<std::size_t> Count(PerSock.size(), 0);
+  for (const Arrival &A : All)
     if (A.Socket < PerSock.size())
-      PerSock[A.Socket].push_back(A); // arrivals() is time-sorted.
-  }
+      ++Count[A.Socket];
+  for (std::size_t S = 0; S < PerSock.size(); ++S)
+    PerSock[S].reserve(Count[S]);
+  for (std::size_t P = 0; P < All.size(); ++P)
+    if (All[P].Socket < PerSock.size())
+      PerSock[All[P].Socket].push_back(static_cast<std::uint32_t>(P));
 }
 
 void ConsistencyCheckSink::onMarker(const MarkerEvent &E, Time At) {
@@ -185,14 +185,14 @@ void ConsistencyCheckSink::onMarker(const MarkerEvent &E, Time At) {
   if (E.isSuccessfulRead()) {
     R.noteCheck(3);
     const Job &J = *E.J;
-    auto It = ByMsg.find(J.Msg);
+    std::optional<std::size_t> Pos = Arr.positionOfMsg(J.Msg);
     // Condition 1: the job must originate from the arrival sequence...
-    if (It == ByMsg.end()) {
+    if (!Pos) {
       R.addFailure("marker " + std::to_string(I) + ": read message m" +
                    std::to_string(J.Msg) + " never arrives in arr");
       return;
     }
-    const Arrival &A = It->second;
+    const Arrival &A = All[*Pos];
     // ...on the same socket, with the task type the classifier infers...
     if (A.Socket != E.Socket)
       R.addFailure("marker " + std::to_string(I) + ": message m" +
@@ -216,16 +216,17 @@ void ConsistencyCheckSink::onMarker(const MarkerEvent &E, Time At) {
 
   // Failed read: every arrival on this socket strictly before ts[i]
   // must already have been read (Def. 2.1 cond. 2).
-  auto &Socks = PerSock[E.Socket];
+  const std::vector<std::uint32_t> &Socks = PerSock[E.Socket];
   std::size_t &V = Verified[E.Socket];
-  while (V < Socks.size() && Socks[V].At < At) {
+  while (V < Socks.size() && All[Socks[V]].At < At) {
+    const Arrival &A = All[Socks[V]];
     R.noteCheck();
-    if (!ReadMsgs.contains(Socks[V].Msg.Id))
+    if (!ReadMsgs.contains(A.Msg.Id))
       R.addFailure("marker " + std::to_string(I) + ": failed read on s" +
                    std::to_string(E.Socket) + " at t=" +
                    std::to_string(At) + " although message m" +
-                   std::to_string(Socks[V].Msg.Id) + " arrived at t=" +
-                   std::to_string(Socks[V].At) + " and was not read "
+                   std::to_string(A.Msg.Id) + " arrived at t=" +
+                   std::to_string(A.At) + " and was not read "
                    "(Def. 2.1 cond. 2)");
     ++V;
   }
@@ -237,27 +238,28 @@ void ConsistencyCheckSink::onMarker(const MarkerEvent &E, Time At) {
 
 DeadlineCheckSink::DeadlineCheckSink(const TaskSet &Tasks,
                                      const ArrivalSequence &Arr)
-    : Tasks(Tasks) {
-  for (const Arrival &A : Arr.arrivals())
-    ArrivalAt.emplace(A.Msg.Id, A.At);
-}
+    : Tasks(Tasks), Arr(Arr) {}
 
 void DeadlineCheckSink::onMarker(const MarkerEvent &E, Time At) {
   if (E.isSuccessfulRead()) {
-    auto It = ArrivalAt.find(E.J->Msg);
+    std::optional<Arrival> A = Arr.findMsg(E.J->Msg);
     // Unknown messages are the consistency checker's business; a
     // deadline verdict needs the arrival instant, so skip them here.
-    if (It != ArrivalAt.end())
-      Open.emplace(E.J->Id, std::make_pair(E.J->Msg, It->second));
+    // A job read twice keeps its first message.
+    if (A) {
+      auto [H, New] = Open.insert(E.J->Id);
+      if (New)
+        Open[H] = OpenJob{E.J->Msg, A->At};
+    }
     return;
   }
   if (E.Kind != MarkerKind::Completion || !E.J)
     return;
-  auto It = Open.find(E.J->Id);
-  if (It == Open.end())
+  auto H = Open.find(E.J->Id);
+  if (H == Open.None)
     return;
-  auto [Msg, Arrived] = It->second;
-  Open.erase(It);
+  auto [Msg, Arrived] = Open[H];
+  Open.erase(H);
   if (E.J->Task >= Tasks.size())
     return;
   const Task &T = Tasks.task(E.J->Task);
@@ -281,7 +283,8 @@ void DeadlineCheckSink::onMarker(const MarkerEvent &E, Time At) {
 // WcetCheckSink
 //===----------------------------------------------------------------------===//
 
-void WcetCheckSink::onAction(const BasicAction &A) {
+void WcetCheckSink::onAction(const BasicAction &A, Time ReadEAt) {
+  (void)ReadEAt;
   R.noteCheck();
   // The fixed kinds' names are literals; a callback's name (What stays
   // null) is built only for a failure message.

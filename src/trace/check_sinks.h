@@ -17,7 +17,10 @@
 /// State discipline: every sink keeps O(tasks + open jobs) live state;
 /// history sets (ever-read job/message ids) use IdIntervalSet, which
 /// collapses the simulator's monotone ids into O(1) fragments. Per-job
-/// state is retired when the job leaves the pending set.
+/// state sits in a JobTable (core/job_table.h), whose slots are reused
+/// from job to job, and is retired when the job leaves the pending set.
+/// Message lookups go through the arrival sequence's own index
+/// (ArrivalSequence::findMsg, positionOfMsg).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,14 +31,15 @@
 #include "trace/stream.h"
 
 #include "core/arrival_sequence.h"
+#include "core/job_table.h"
 #include "core/policy.h"
 #include "core/task.h"
 #include "core/wcet.h"
 #include "support/check.h"
 #include "support/interval_set.h"
 
-#include <map>
-#include <set>
+#include <cstdint>
+#include <vector>
 
 namespace rprosa {
 
@@ -81,8 +85,10 @@ private:
   bool Done = false;
 };
 
-/// Streaming checkFunctionalCorrectness (Def. 3.2). Pending jobs are
-/// retired at dispatch; ever-read ids live in an IdIntervalSet.
+/// Streaming checkFunctionalCorrectness (Def. 3.2). Pending (policy key,
+/// job id) pairs sit in a JobTable ordered by key and are retired at
+/// dispatch; a job id read under two keys keeps both pairs. Ever-read
+/// ids live in an IdIntervalSet.
 class FunctionalCheckSink final : public TraceSink {
 public:
   FunctionalCheckSink(const TaskSet &Tasks, SchedPolicy Policy)
@@ -92,24 +98,42 @@ public:
   void onEnd(Time EndTime) override { (void)EndTime; }
 
   /// Jobs currently pending (read, not yet dispatched).
-  std::size_t pendingJobs() const;
+  std::size_t pendingJobs() const { return Pending.size(); }
 
   const CheckResult &result() const { return R; }
   CheckResult take() { return std::move(R); }
 
 private:
+  /// One pending job under one policy key.
+  struct KeyedJob {
+    std::uint64_t Key;
+    JobId Id;
+    bool operator==(const KeyedJob &O) const {
+      return Key == O.Key && Id == O.Id;
+    }
+  };
+  struct KeyedJobHash {
+    std::uint64_t operator()(const KeyedJob &K) const {
+      return K.Id ^ (K.Key * 0xC2B2AE3D27D4EB4Full);
+    }
+  };
+  struct NoValue {};
+
   const TaskSet &Tasks;
   SchedPolicy Policy;
   CheckResult R;
-  std::map<std::uint64_t, std::set<JobId>> Pending;
+  /// Every pair is ordered by its key: minOrder() is the first pending
+  /// job under the policy.
+  JobTable<KeyedJob, NoValue, KeyedJobHash> Pending;
   IdIntervalSet SeenJobIds;
   std::size_t Index = 0;
 };
 
-/// Streaming checkConsistency (Def. 2.1). The arrival tables are
-/// input-sized (they mirror the arrival sequence); the per-trace state
-/// is the verified prefix per socket plus an IdIntervalSet of read
-/// message ids.
+/// Streaming checkConsistency (Def. 2.1). A read message is looked up
+/// in the arrival sequence's index; the per-socket arrival positions are
+/// input-sized, and the per-trace state is the verified prefix per
+/// socket plus an IdIntervalSet of read message ids. \p Arr must outlive
+/// the sink and stay unchanged while it runs.
 class ConsistencyCheckSink final : public TraceSink {
 public:
   explicit ConsistencyCheckSink(const ArrivalSequence &Arr);
@@ -122,8 +146,11 @@ public:
 
 private:
   CheckResult R;
-  std::map<MsgId, Arrival> ByMsg;
-  std::vector<std::vector<Arrival>> PerSock;
+  const ArrivalSequence &Arr;
+  /// Arr.arrivals(), sorted when the sink was built.
+  const std::vector<Arrival> &All;
+  /// Positions in All per socket, in time order.
+  std::vector<std::vector<std::uint32_t>> PerSock;
   std::vector<std::size_t> Verified;
   IdIntervalSet ReadMsgs;
   std::size_t Index = 0;
@@ -149,6 +176,7 @@ struct DeadlineMiss {
 /// unconstrained). This is the oracle behind the SAG replay gate
 /// (sag/backtrack): an Unschedulable verdict must present a trace this
 /// sink flags. Per-job state is retired at completion — O(open jobs).
+/// \p Arr must outlive the sink and stay unchanged while it runs.
 class DeadlineCheckSink final : public TraceSink {
 public:
   DeadlineCheckSink(const TaskSet &Tasks, const ArrivalSequence &Arr);
@@ -162,38 +190,45 @@ public:
   CheckResult take() { return std::move(R); }
 
 private:
+  struct OpenJob {
+    MsgId Msg = 0;
+    Time Arrived = 0;
+  };
+
   const TaskSet &Tasks;
+  const ArrivalSequence &Arr;
   CheckResult R;
-  /// Message id -> arrival instant (input-sized, mirrors the sequence).
-  std::map<MsgId, Time> ArrivalAt;
   /// Open jobs: job id -> (msg id, arrival instant).
-  std::map<JobId, std::pair<MsgId, Time>> Open;
+  JobTable<JobId, OpenJob> Open;
   std::vector<DeadlineMiss> Misses;
 };
 
 /// Streaming checkWcetRespected (§2.3): checks each basic action's
 /// duration as soon as the action closes. O(1) state (one open action).
+/// As a TraceSink it segments the markers itself; a caller that already
+/// segments them (the adequacy pipeline) hands it the closed actions
+/// through onAction instead.
 class WcetCheckSink final : public TraceSink {
 public:
   WcetCheckSink(const TaskSet &Tasks, const BasicActionWcets &W)
-      : Tasks(Tasks), W(W),
-        Seg([this](const BasicAction &A, Time) { onAction(A); }) {}
+      : Tasks(Tasks), W(W), Seg(ActionsTo<WcetCheckSink>{this}) {}
 
   void onMarker(const MarkerEvent &E, Time At) override {
     Seg.onMarker(E, At);
   }
   void onEnd(Time EndTime) override { Seg.onEnd(EndTime); }
 
+  /// Checks one closed action (\p ReadEAt is not needed).
+  void onAction(const BasicAction &A, Time ReadEAt);
+
   const CheckResult &result() const { return R; }
   CheckResult take() { return std::move(R); }
 
 private:
-  void onAction(const BasicAction &A);
-
   const TaskSet &Tasks;
   BasicActionWcets W;
   CheckResult R;
-  ActionSegmenter Seg;
+  ActionSegmenter<ActionsTo<WcetCheckSink>> Seg;
 };
 
 } // namespace rprosa

@@ -21,8 +21,11 @@
 ///
 /// ActionSegmenter is the basic-action parser of Fig. 4: it closes a
 /// basic action as soon as the marker *after* it arrives (the §2.2
-/// one-marker look-ahead), holding at most one open action.
-/// segmentBasicActions collects what it emits.
+/// one-marker look-ahead), holding at most one open action. Its consumer
+/// is a template parameter, so each closed action reaches it by a direct
+/// call. segmentBasicActions collects what it emits; WcetCheckSink and
+/// ScheduleBuilder each own one for their TraceSink face, and the
+/// adequacy pipeline runs one for both (ActionsTo).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -34,7 +37,7 @@
 
 #include "support/check.h"
 
-#include <functional>
+#include <utility>
 #include <vector>
 
 namespace rprosa {
@@ -103,17 +106,14 @@ inline void replayTimedTrace(const TimedTrace &TT, TraceSink &Sink) {
   Sink.onEnd(TT.EndTime);
 }
 
-/// Incremental basic-action parser. Feeds each *closed* action to the
-/// callback, in order, with the timestamp of the read result marker
-/// (M_ReadE) for Read actions (0 otherwise) — the instant §2.4 uses as
-/// the job's ReadAt. Holds at most one open action: the bounded
+/// Incremental basic-action parser. Feeds each *closed* action to
+/// \p Emit(A, ReadEAt), in order, with the timestamp of the read result
+/// marker (M_ReadE) for Read actions (0 otherwise) — the instant §2.4
+/// uses as the job's ReadAt. Holds at most one open action: the bounded
 /// look-ahead window of the streaming converter sits on top of this.
-class ActionSegmenter {
+template <typename Fn> class ActionSegmenter {
 public:
-  /// \p ReadEAt is the M_ReadE timestamp for Read actions, 0 otherwise.
-  using ActionFn = std::function<void(const BasicAction &A, Time ReadEAt)>;
-
-  explicit ActionSegmenter(ActionFn Fn) : Emit(std::move(Fn)) {}
+  explicit ActionSegmenter(Fn F) : Emit(std::move(F)) {}
 
   void onMarker(const MarkerEvent &E, Time At) {
     if (Open && AwaitReadE) {
@@ -195,12 +195,22 @@ private:
     Open = true;
   }
 
-  ActionFn Emit;
+  Fn Emit;
   BasicAction A;
   Time ReadEAt = 0;
   std::size_t Index = 0;
   bool Open = false;
   bool AwaitReadE = false;
+};
+
+/// An ActionSegmenter consumer that hands each closed action to
+/// \p Sink->onAction(A, ReadEAt): the consumer of a segmenter that a
+/// class owns as a member.
+template <typename T> struct ActionsTo {
+  T *Sink;
+  void operator()(const BasicAction &A, Time ReadEAt) const {
+    Sink->onAction(A, ReadEAt);
+  }
 };
 
 } // namespace rprosa

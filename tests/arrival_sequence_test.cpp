@@ -10,6 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 using namespace rprosa;
 using namespace rprosa::testutil;
 
@@ -157,6 +162,36 @@ TEST(ArrivalSequence, UniqueMsgIdsDetectsForgery) {
   EXPECT_TRUE(Arr.uniqueMsgIds().passed());
   Arr.addArrival(2, 0, M); // Same id again.
   EXPECT_FALSE(Arr.uniqueMsgIds().passed());
+}
+
+TEST(ArrivalSequence, UniqueMsgIdsReportsInArrivalOrderAndFeedsTheIndex) {
+  // Added out of time order and never sorted before the check: ids 9
+  // and 4 each repeat, and the later arrival of each id (in arrivals()
+  // order) is the duplicate, reported in arrivals() order.
+  ArrivalSequence Arr(2);
+  const auto Add = [&](Time At, SocketId S, MsgId Id) {
+    Message M;
+    M.Id = Id;
+    M.Task = 0;
+    Arr.addArrival(At, S, M);
+  };
+  Add(50, 0, 9);
+  Add(40, 1, 4);
+  Add(10, 0, 9);
+  Add(30, 0, 5);
+  Add(20, 1, 4);
+  CheckResult R = Arr.uniqueMsgIds();
+  EXPECT_EQ(R.checksPerformed(), 5u);
+  EXPECT_EQ(R.failures(), (std::vector<std::string>{
+                              "duplicate message id 4",
+                              "duplicate message id 9"}));
+  // arrivals(): 9@10, 4@20, 5@30, 4@40, 9@50.
+  using Pair = std::pair<std::size_t, std::size_t>;
+  EXPECT_EQ(Arr.duplicateMsgIds(), (std::vector<Pair>{{1, 3}, {0, 4}}));
+  EXPECT_EQ(Arr.positionOfMsg(9), std::optional<std::size_t>(0));
+  EXPECT_EQ(Arr.positionOfMsg(4), std::optional<std::size_t>(1));
+  EXPECT_EQ(Arr.positionOfMsg(5), std::optional<std::size_t>(2));
+  EXPECT_FALSE(Arr.positionOfMsg(6).has_value());
 }
 
 TEST(ArrivalSequence, LastArrivalTime) {
